@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,20 +54,28 @@ class NeuralPolicy:
     action_names: tuple[str, ...]
     layers: tuple[Layer, ...]
 
-    def forward(self, state) -> np.ndarray:
-        """Logits for a state vector (or any real-valued input vector).
+    @cached_property
+    def action_index(self) -> dict[str, int]:
+        """Schema index of each action name."""
+        return {name: i for i, name in enumerate(self.action_names)}
+
+    def forward(self, states) -> np.ndarray:
+        """Logits for a state vector, or for each row of a matrix of them.
 
         Integer features are cast to float64. The result is a fresh array
-        of shape (len(action_names),).
+        of shape (len(action_names),), or (rows, len(action_names)). Every
+        layer is applied as one matrix-vector product per row, so a row's
+        logits are bit for bit those of the row passed on its own; a single
+        matrix-matrix product would sum in another order and can differ in
+        the last bit.
         """
-        x = np.asarray(state, dtype=np.float64)
-        if x.shape != (len(self.feature_names),):
-            raise ValueError(
-                f"input has shape {x.shape}, policy expects ({len(self.feature_names)},)"
-            )
+        x = np.asarray(states, dtype=np.float64)
+        width = len(self.feature_names)
+        if x.ndim not in (1, 2) or x.shape[-1] != width:
+            raise ValueError(f"input has shape {x.shape}, policy expects ({width},) or (rows, {width})")
         last = len(self.layers) - 1
         for k, layer in enumerate(self.layers):
-            x = layer.weights @ x + layer.bias
+            x = np.matmul(layer.weights, x[..., None])[..., 0] + layer.bias
             if k != last:
                 x = np.maximum(x, 0.0)
         return x
@@ -80,11 +89,11 @@ class NeuralPolicy:
         """
         if not available:
             raise ValueError("no available actions to select from")
-        index = {name: i for i, name in enumerate(self.action_names)}
+        index = self.action_index
         for name in available:
             if name not in index:
                 raise SchemaMismatchError(f"available action {name!r} is not in the policy's schema")
-        logits = self.forward(state)
+        logits = self.forward(state).tolist()
         best = None
         for name in available:
             i = index[name]
@@ -126,6 +135,8 @@ def make_policy(
             raise PolicyFormatError(
                 f"layer {k}: weight matrix has {w.shape[1]} columns, expected {d_prev}"
             )
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise PolicyFormatError(f"layer {k}: weights and biases must be finite (no NaN or Infinity)")
         built.append(Layer(_frozen(w), _frozen(b)))
         d_prev = w.shape[0]
     if d_prev != len(action_names):

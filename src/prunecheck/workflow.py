@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
+
+import numpy as np
 
 from .checking import CheckResult, check
 from .errors import PruneSpecError
@@ -20,7 +23,7 @@ from .induced import BuildLimits, BuildResult, build_induced_dtmc
 from .model import EnvironmentModel
 from .policy import NeuralPolicy
 from .properties import Prob, parse_property
-from .pruning import PruneSpec, feature_prune, prune
+from .pruning import PruneSpec, prune
 
 # ===== Constants =====
 
@@ -39,7 +42,7 @@ SWEEP_METHODS = ("l1", "random")
 
 @dataclass(frozen=True)
 class ChainStats:
-    """Size and build time of one induced chain."""
+    """Size of one induced chain and the time spent building and checking it."""
 
     states: int
     transitions: int
@@ -126,12 +129,13 @@ def _verdict(prop: Prob, pruned: CheckResult, delta: float, lower_is_safer: bool
 def _measure_once(
     env: EnvironmentModel, policy: NeuralPolicy, prop: Prob, limits: BuildLimits | None
 ) -> tuple[CheckResult, ChainStats, BuildResult]:
+    started = time.perf_counter()
     build = build_induced_dtmc(env, policy, limits)
     result = check(build.dtmc, prop)
     stats = ChainStats(
         states=build.stats.states,
         transitions=build.stats.transitions,
-        time_ms=build.stats.duration_ms,
+        time_ms=(time.perf_counter() - started) * 1000.0,
     )
     return result, stats, build
 
@@ -158,6 +162,103 @@ def measure(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Original:
+    """The unpruned policy's measurement, shared by every pruned row.
+
+    ``inputs``, ``chosen`` and ``available`` describe the original chain's
+    states in index order: their feature vectors, the schema index of the
+    action the policy chose, and which schema actions were available.
+    """
+
+    property_text: str
+    prop: Prob
+    result: CheckResult
+    stats: ChainStats
+    inputs: np.ndarray
+    chosen: np.ndarray
+    available: np.ndarray
+
+
+def _measure_original(
+    env: EnvironmentModel, policy: NeuralPolicy, property_text: str, limits: BuildLimits | None
+) -> _Original:
+    prop = parse_property(property_text)
+    result, stats, build = _measure_once(env, policy, prop, limits)
+    states = build.dtmc.state_vectors
+    index = policy.action_index
+    available = np.zeros((len(states), len(index)), dtype=bool)
+    for s, state in enumerate(states):
+        available[s, [index[name] for name in env.available_actions(state)]] = True
+    return _Original(
+        property_text=property_text,
+        prop=prop,
+        result=result,
+        stats=stats,
+        inputs=np.array(states, dtype=np.float64),
+        chosen=np.array([index[name] for name in build.chosen_actions]),
+        available=available,
+    )
+
+
+def _keeps_every_action(original: _Original, policy: NeuralPolicy) -> bool:
+    """Whether ``policy`` chooses the original's action on every original state.
+
+    An available action displaces the original choice exactly when
+    ``select_action`` would prefer it: a larger logit, or an equal one at a
+    smaller schema index. NaN logits order nothing, so they count as a flip
+    and send the row to a full rebuild.
+    """
+    logits = policy.forward(original.inputs)
+    kept = logits[np.arange(len(logits)), original.chosen][:, None]
+    earlier = np.arange(logits.shape[1]) < original.chosen[:, None]
+    preferred = (logits > kept) | ((logits == kept) & earlier)
+    return not ((preferred & original.available).any() or np.isnan(logits).any())
+
+
+def _pruned_report(
+    env: EnvironmentModel,
+    policy: NeuralPolicy,
+    original: _Original,
+    spec: PruneSpec,
+    limits: BuildLimits | None,
+    *,
+    lower_is_safer: bool,
+    model_id: str = "",
+    policy_id: str = "",
+) -> SafetyReport:
+    """Prune ``policy`` per ``spec``, re-measure, and compare with the original.
+
+    A pruned policy that keeps every action of the original chain induces
+    that same chain, so its measurement is the original's, reused without
+    a rebuild or a solve; any flip rebuilds and re-checks the chain in
+    full. ``time_ms`` of the pruned chain is the time this decision and
+    any re-measurement took.
+    """
+    pruned_policy, mask = prune(policy, spec)
+    started = time.perf_counter()
+    if _keeps_every_action(original, pruned_policy):
+        pruned, pruned_stats = original.result, original.stats
+    else:
+        pruned, pruned_stats, _ = _measure_once(env, pruned_policy, original.prop, limits)
+    pruned_stats = replace(pruned_stats, time_ms=(time.perf_counter() - started) * 1000.0)
+    delta = pruned.value - original.result.value
+    return SafetyReport(
+        property_text=original.property_text,
+        m=original.result.value,
+        satisfied=original.result.satisfied,
+        original=original.stats,
+        m_hat=pruned.value,
+        delta=delta,
+        verdict=_verdict(original.prop, pruned, delta, lower_is_safer),
+        prune_spec=spec,
+        mask_size=mask.size,
+        pruned=pruned_stats,
+        model_id=model_id,
+        policy_id=policy_id,
+    )
+
+
 def prune_and_measure(
     env: EnvironmentModel,
     policy: NeuralPolicy,
@@ -175,24 +276,9 @@ def prune_and_measure(
     comparator (>= means higher is safer, <= the opposite); plain queries
     default to higher-is-safer unless ``lower_is_safer`` is set.
     """
-    prop = parse_property(property_text)
-    original, stats, _ = _measure_once(env, policy, prop, limits)
-    pruned_policy, mask = prune(policy, spec)
-    pruned, pruned_stats, _ = _measure_once(env, pruned_policy, prop, limits)
-    delta = pruned.value - original.value
-    return SafetyReport(
-        property_text=property_text,
-        m=original.value,
-        satisfied=original.satisfied,
-        original=stats,
-        m_hat=pruned.value,
-        delta=delta,
-        verdict=_verdict(prop, pruned, delta, lower_is_safer),
-        prune_spec=spec,
-        mask_size=mask.size,
-        pruned=pruned_stats,
-        model_id=model_id,
-        policy_id=policy_id,
+    original = _measure_original(env, policy, property_text, limits)
+    return _pruned_report(
+        env, policy, original, spec, limits, lower_is_safer=lower_is_safer, model_id=model_id, policy_id=policy_id
     )
 
 
@@ -211,30 +297,20 @@ def feature_importance(
     The original measurement is computed once and shared across rows; each
     report's prune_spec names the feature it describes.
     """
-    prop = parse_property(property_text)
-    original, stats, _ = _measure_once(env, policy, prop, limits)
-    reports = []
-    for feature in policy.feature_names:
-        pruned_policy, mask = feature_prune(policy, feature)
-        pruned, pruned_stats, _ = _measure_once(env, pruned_policy, prop, limits)
-        delta = pruned.value - original.value
-        reports.append(
-            SafetyReport(
-                property_text=property_text,
-                m=original.value,
-                satisfied=original.satisfied,
-                original=stats,
-                m_hat=pruned.value,
-                delta=delta,
-                verdict=_verdict(prop, pruned, delta, lower_is_safer),
-                prune_spec=PruneSpec(method="feature", feature=feature),
-                mask_size=mask.size,
-                pruned=pruned_stats,
-                model_id=model_id,
-                policy_id=policy_id,
-            )
+    original = _measure_original(env, policy, property_text, limits)
+    return [
+        _pruned_report(
+            env,
+            policy,
+            original,
+            PruneSpec(method="feature", feature=feature),
+            limits,
+            lower_is_safer=lower_is_safer,
+            model_id=model_id,
+            policy_id=policy_id,
         )
-    return reports
+        for feature in policy.feature_names
+    ]
 
 
 # ===== Sweeps =====
@@ -284,7 +360,10 @@ def sweep(
     model_id: str = "",
     policy_id: str = "",
 ) -> str:
-    """Run prune_and_measure over a fraction grid and emit CSV.
+    """Prune and re-measure over a fraction grid and emit CSV.
+
+    The original is measured once for the whole grid, and rows whose prune
+    keeps every action of the original chain reuse its measurement.
 
     l1 yields one row per fraction; random yields one row per (fraction,
     seed) plus a per-fraction mean row (seed column "mean"). Rows are
@@ -300,30 +379,21 @@ def sweep(
     fractions = parse_fraction_grid(fraction_grid)
     ordered_seeds = tuple(sorted(seeds))
 
+    original = _measure_original(env, policy, property_text, limits)
+
+    def measure_row(spec: PruneSpec) -> SafetyReport:
+        return _pruned_report(env, policy, original, spec, limits, lower_is_safer=lower_is_safer)
+
     rows: list[list[str]] = []
     for fraction in fractions:
         fraction_value = float(fraction)
         if method == "l1":
-            report = prune_and_measure(
-                env,
-                policy,
-                property_text,
-                PruneSpec(method="l1", layer=layer, fraction=fraction_value),
-                limits,
-                lower_is_safer=lower_is_safer,
-            )
+            report = measure_row(PruneSpec(method="l1", layer=layer, fraction=fraction_value))
             rows.append(_sweep_row(report, fraction_value, seed="", include_timings=include_timings))
         else:
             batch = []
             for seed in ordered_seeds:
-                report = prune_and_measure(
-                    env,
-                    policy,
-                    property_text,
-                    PruneSpec(method="random", layer=layer, fraction=fraction_value, seed=seed),
-                    limits,
-                    lower_is_safer=lower_is_safer,
-                )
+                report = measure_row(PruneSpec(method="random", layer=layer, fraction=fraction_value, seed=seed))
                 batch.append(report)
                 rows.append(_sweep_row(report, fraction_value, seed=seed, include_timings=include_timings))
             mean_m_hat = sum(r.m_hat for r in batch) / len(batch)
@@ -363,9 +433,7 @@ def sweep(
 
 def _sweep_row(report: SafetyReport, fraction: float, seed, include_timings: bool) -> list[str]:
     spec = report.prune_spec
-    time_ms = 0
-    if include_timings:
-        time_ms = round(report.original.time_ms + (report.pruned.time_ms if report.pruned else 0.0), 3)
+    time_ms = round(report.pruned.time_ms, 3) if include_timings else 0
     return [
         spec.method,
         _csv_cell(spec.layer),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from prunecheck import (
     prune,
     sweep,
 )
+from prunecheck import workflow
 from prunecheck.cli import main
 
 from .conftest import (
@@ -270,6 +272,41 @@ class TestFeatures:
         assert [d["prune_spec"]["feature"] for d in docs] == ["ax", "ay", "ox", "oy"]
         assert [d["delta"] for d in docs] == [1377 / 4096 - 2187 / 4096, 0.0, 0.0, 0.0]
         assert all(d["m"] == 2187 / 4096 for d in docs)
+
+
+# ===== --timings =====
+
+
+class TestTimings:
+    SLEEP_S = 0.05
+
+    @pytest.fixture
+    def slow_check(self, monkeypatch):
+        real = workflow.check
+
+        def slow(dtmc, prop):
+            time.sleep(self.SLEEP_S)
+            return real(dtmc, prop)
+
+        monkeypatch.setattr(workflow, "check", slow)
+
+    def test_check_time_covers_the_solve(self, capsys, slow_check, lazy_policy_path):
+        argv = ["check", "--model", AVOID_URI, "--policy", lazy_policy_path, "--prop", NO_COLLISION_6, "--json"]
+        assert main([*argv, "--timings"]) == 0
+        assert json.loads(capsys.readouterr().out)["dtmc"]["time_ms"] >= 1000 * self.SLEEP_S
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["dtmc"]["time_ms"] == 0
+
+    def test_rebuilt_sweep_row_time_covers_its_check(self, capsys, slow_check, lazy_policy_path):
+        # Zeroing the walker's one weight flips its actions, so the row is re-checked.
+        argv = [
+            "sweep", "--model", AVOID_URI, "--policy", lazy_policy_path,
+            "--prop", NO_COLLISION_6, "--method", "l1", "--layer", "1", "--fractions", "1:1:1",
+        ]
+        assert main([*argv, "--timings"]) == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[-1]) >= 1000 * self.SLEEP_S
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == "0"
 
 
 # ===== validate =====

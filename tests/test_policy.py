@@ -64,6 +64,26 @@ class TestForward:
         with pytest.raises(ValueError, match="expects"):
             two_layer_policy().forward((1, 2, 3))
 
+    @pytest.mark.parametrize("seed, hidden", [(31, ()), (32, (7,)), (33, (16, 9)), (34, (3, 12, 5))])
+    def test_rows_match_single_states_bit_for_bit(self, seed, hidden):
+        policy = random_policy(seed, ("a", "b", "c", "d"), ("v", "w", "x", "y", "z"), hidden=hidden)
+        states = np.random.default_rng(seed).integers(-30, 30, size=(500, 4))
+        batch = policy.forward(states)
+        assert batch.shape == (500, 5)
+        for state, row in zip(states, batch):
+            # One gemv per layer and row, written out apart from forward.
+            x = state.astype(np.float64)
+            for k, layer in enumerate(policy.layers):
+                x = layer.weights @ x + layer.bias
+                if k != len(policy.layers) - 1:
+                    x = np.maximum(x, 0.0)
+            assert row.tobytes() == x.tobytes()
+            assert row.tobytes() == policy.forward(tuple(state)).tobytes()
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="expects"):
+            two_layer_policy().forward(np.zeros((2, 2, 2)))
+
     def test_repeated_calls_are_bit_identical(self):
         policy = random_policy(11, ("a", "b", "c"), ("x", "y"), hidden=(7, 5))
         first = policy.forward((3, -2, 8))
@@ -118,6 +138,11 @@ class TestSelectAction:
         available = ("a", "b", "c", "d")
         chosen = policy.select_action((1, 2), available)
         assert policy.select_action((1, 2), tuple(reversed(available))) == chosen
+
+    def test_action_index_is_built_once(self):
+        policy = two_layer_policy()
+        assert policy.action_index == {"a": 0, "b": 1}
+        assert policy.action_index is policy.action_index
 
     def test_no_actions_rejected(self):
         with pytest.raises(ValueError, match="no available actions"):
@@ -176,6 +201,14 @@ class TestMakePolicy:
     def test_dimension_chain_errors(self, layers, fragment):
         with pytest.raises(PolicyFormatError, match=fragment):
             make_policy(("f1", "f2"), ("a", "b"), layers)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_non_finite_values_rejected(self, bad, where):
+        w, b = np.ones((2, 2)), np.zeros(2)
+        (w if where == "weights" else b)[1] = bad
+        with pytest.raises(PolicyFormatError, match="layer 2: weights and biases must be finite"):
+            make_policy(("f1", "f2"), ("a", "b"), [(np.eye(2), np.zeros(2)), (w, b)])
 
 
 # ===== Serialization =====
@@ -237,6 +270,16 @@ class TestSerialization:
     def test_document_errors(self, text, fragment):
         with pytest.raises(PolicyFormatError, match=fragment):
             load_policy(text)
+
+    @pytest.mark.parametrize(
+        "w, b",
+        [("[[NaN]]", "[0]"), ("[[1]]", "[Infinity]"), ("[[-Infinity]]", "[0]"), ("[[NaN]]", "[Infinity]")],
+    )
+    def test_non_finite_literals_rejected(self, w, b):
+        text = f'{{"features": ["f"], "actions": ["a"], "layers": [{{"w": {w}, "b": {b}}}]}}'
+        with pytest.raises(PolicyFormatError, match="must be finite") as caught:
+            load_policy(text)
+        assert caught.value.exit_code == 2
 
     def test_duplicate_key_rejected(self):
         text = '{"features": ["f"], "features": ["g"], "actions": ["a"], "layers": [{"w": [[1]], "b": [0]}]}'

@@ -6,8 +6,12 @@ the remaining linear system is solved by Gauss-Seidel sweeps. That split is
 what lets probability-zero and probability-one states report exactly 0.0
 and 1.0 instead of something a tolerance away.
 
-Bounded operators are evaluated by exact synchronous iteration with no
-tolerance at all; SEQ goes through a three-state monitor product and the
+Bounded operators (``X``, ``U<=k``, ``F<=k``, ``G<=k``) are evaluated by
+exact synchronous iteration with no tolerance at all, one array operation
+per step over the chain's transitions in row order. Every row is summed
+from 0.0 pair by pair, as a per-element loop would, so the results are the
+loop's bit for bit; a matrix product or a per-row reduction would sum in
+another order. SEQ goes through a three-state monitor product and the
 unbounded-until machinery.
 """
 
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import SolverError, UnknownLabelWarning
 from .model import Dtmc, IndexRow
@@ -155,19 +161,29 @@ def _solve_until(rows, a: set[int], b: set[int]) -> tuple[list[float], int, floa
     return _gauss_seidel(rows, prob0, prob1)
 
 
-def _bounded_until(rows, a: set[int], b: set[int], k: int) -> list[float]:
-    n = len(rows)
-    x = [1.0 if s in b else 0.0 for s in range(n)]
-    passthrough = a - b
+def _mask(n: int, states) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(states, dtype=np.intp)] = True
+    return mask
+
+
+def _bounded_until(dtmc: Dtmc, a: set[int], b: set[int], k: int) -> list[float]:
+    """Synchronous iteration x_s = sum_t p_st * x_t on the states of a - b.
+
+    ``np.bincount`` adds its weights in input order, and ``Dtmc.arrays``
+    lists transitions in row order, so every row is summed from 0.0 pair by
+    pair, exactly as a loop over the row would.
+    """
+    n = dtmc.num_states
+    source, target, prob = dtmc.arrays
+    in_b = _mask(n, b)
+    passthrough = _mask(n, a) & ~in_b
+    keep = passthrough[source]
+    source, target, prob = source[keep], target[keep], prob[keep]
+    x = in_b.astype(np.float64)
     for _ in range(k):
-        prev = x
-        x = list(prev)
-        for s in passthrough:
-            total = 0.0
-            for t, p in rows[s]:
-                total += p * prev[t]
-            x[s] = total
-    return [min(1.0, max(0.0, v)) for v in x]
+        x = np.where(passthrough, np.bincount(source, weights=prob * x[target], minlength=n), x)
+    return np.clip(x, 0.0, 1.0).tolist()
 
 
 # ===== Public per-operator API =====
@@ -189,20 +205,18 @@ def bounded_until_probability(dtmc: Dtmc, a, b, k: int) -> list[float]:
     """Per-state probability of ``a U<=k b`` by exact iteration."""
     if k < 0:
         raise ValueError("bound must be non-negative")
-    return _bounded_until(dtmc.rows, set(a), set(b), k)
+    return _bounded_until(dtmc, set(a), set(b), k)
 
 
 def next_probability(dtmc: Dtmc, b) -> list[float]:
-    """Per-state probability that the next state satisfies ``b``."""
-    targets = set(b)
-    out = []
-    for row in dtmc.rows:
-        total = 0.0
-        for t, p in row:
-            if t in targets:
-                total += p
-        out.append(min(1.0, max(0.0, total)))
-    return out
+    """Per-state probability that the next state satisfies ``b``.
+
+    Each row's transitions into ``b`` are summed from 0.0 in row order.
+    """
+    n = dtmc.num_states
+    source, target, prob = dtmc.arrays
+    hit = _mask(n, b)[target]
+    return np.clip(np.bincount(source[hit], weights=prob[hit], minlength=n), 0.0, 1.0).tolist()
 
 
 # -- SEQ monitor product --
@@ -307,19 +321,19 @@ def _path_vector(dtmc: Dtmc, path: PathFormula, alphabet: frozenset[str]) -> tup
         b = set(_evaluate(dtmc, path.right, alphabet))
         if path.bound is None:
             return _solve_until(dtmc.rows, a, b)
-        return _bounded_until(dtmc.rows, a, b, path.bound), path.bound, 0.0
+        return _bounded_until(dtmc, a, b, path.bound), path.bound, 0.0
     if isinstance(path, Eventually):
         b = set(_evaluate(dtmc, path.target, alphabet))
         if path.bound is None:
             return _solve_until(dtmc.rows, everything, b)
-        return _bounded_until(dtmc.rows, everything, b, path.bound), path.bound, 0.0
+        return _bounded_until(dtmc, everything, b, path.bound), path.bound, 0.0
     if isinstance(path, Globally):
         # G phi is the complement of eventually-not-phi, bounded or not.
         bad = everything - set(_evaluate(dtmc, path.target, alphabet))
         if path.bound is None:
             vec, iterations, residual = _solve_until(dtmc.rows, everything, bad)
         else:
-            vec, iterations, residual = _bounded_until(dtmc.rows, everything, bad, path.bound), path.bound, 0.0
+            vec, iterations, residual = _bounded_until(dtmc, everything, bad, path.bound), path.bound, 0.0
         return [1.0 - v for v in vec], iterations, residual
     if isinstance(path, Seq):
         first = set(_evaluate(dtmc, path.first, alphabet))

@@ -2,16 +2,20 @@
 
 Exploration starts at the initial state and only ever follows the action
 the policy selects, so the result covers exactly the states the closed loop
-can reach. Discovery is breadth-first with a FIFO frontier and new states
-are indexed in the order their distributions mention them, which makes
-state numbering a deterministic function of (environment, policy).
+can reach. Discovery is breadth-first, one level at a time: the policy's
+forward pass runs once per level, over all of that level's states, and the
+states are then visited in the order they were discovered. That is the order
+a FIFO frontier gives, and new states are indexed in the order their
+distributions mention them, which makes state numbering a deterministic
+function of (environment, policy). The batched forward pass gives each state
+bit for bit the logits of a one-state pass, so the chosen actions are those
+``NeuralPolicy.select_action`` would choose.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import LimitExceededError, ModelSemanticError
@@ -68,42 +72,44 @@ def build_induced_dtmc(
 
     index: dict[StateVector, int] = {env.initial: 0}
     order: list[StateVector] = [env.initial]
-    frontier: deque[StateVector] = deque([env.initial])
+    level: list[StateVector] = [env.initial]
     rows: list[tuple[tuple[int, float], ...]] = []
     chosen: list[str] = []
     labels: list[frozenset[str]] = []
     transitions = 0
 
-    while frontier:
-        state = frontier.popleft()
-        available = env.available_actions(state)
-        if not available:
-            raise ModelSemanticError(f"deadlock at state {list(state)}: empty action set")
-        action = policy.select_action(state, available)
-        dist = env.successors(state, action)
-        transitions += len(dist.support)
-        if transitions > limits.max_transitions:
-            raise LimitExceededError(
-                f"transition count exceeds max_transitions={limits.max_transitions}",
-                states_seen=len(index),
-                transitions_seen=transitions,
-            )
-        row = []
-        for target, prob in dist.support:
-            if target not in index:
-                if len(index) >= limits.max_states:
-                    raise LimitExceededError(
-                        f"state count exceeds max_states={limits.max_states}",
-                        states_seen=len(index),
-                        transitions_seen=transitions,
-                    )
-                index[target] = len(index)
-                order.append(target)
-                frontier.append(target)
-            row.append((index[target], prob))
-        rows.append(tuple(row))
-        chosen.append(action)
-        labels.append(env.labels(state))
+    while level:
+        next_level: list[StateVector] = []
+        for state, logits in zip(level, policy.forward(level).tolist()):
+            available = env.available_actions(state)
+            if not available:
+                raise ModelSemanticError(f"deadlock at state {list(state)}: empty action set")
+            action = policy.pick(logits, available)
+            dist = env.successors(state, action)
+            transitions += len(dist.support)
+            if transitions > limits.max_transitions:
+                raise LimitExceededError(
+                    f"transition count exceeds max_transitions={limits.max_transitions}",
+                    states_seen=len(index),
+                    transitions_seen=transitions,
+                )
+            row = []
+            for target, prob in dist.support:
+                if target not in index:
+                    if len(index) >= limits.max_states:
+                        raise LimitExceededError(
+                            f"state count exceeds max_states={limits.max_states}",
+                            states_seen=len(index),
+                            transitions_seen=transitions,
+                        )
+                    index[target] = len(index)
+                    order.append(target)
+                    next_level.append(target)
+                row.append((index[target], prob))
+            rows.append(tuple(row))
+            chosen.append(action)
+            labels.append(env.labels(state))
+        level = next_level
 
     dtmc = Dtmc(
         state_vectors=tuple(order),
@@ -112,7 +118,7 @@ def build_induced_dtmc(
     )
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     stats = BuildStats(states=dtmc.num_states, transitions=dtmc.num_transitions, duration_ms=elapsed_ms)
-    return BuildResult(dtmc=dtmc, state_index=dict(index), chosen_actions=tuple(chosen), stats=stats)
+    return BuildResult(dtmc=dtmc, state_index=index, chosen_actions=tuple(chosen), stats=stats)
 
 
 # ===== Export =====

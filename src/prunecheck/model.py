@@ -14,7 +14,10 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 from .errors import LimitExceededError, ModelSemanticError, ModelSyntaxError
 
@@ -120,7 +123,9 @@ class Dtmc:
 
     State index 0 is the initial state. ``state_vectors`` keeps the original
     factored identity of each state; ``rows`` hold sparse transition rows as
-    (target index, probability) pairs in construction order.
+    (target index, probability) pairs in construction order. ``rows`` is the
+    one source of truth; ``arrays`` is a read-only view of it computed on
+    first use.
     """
 
     state_vectors: tuple[StateVector, ...]
@@ -134,6 +139,23 @@ class Dtmc:
     @property
     def num_transitions(self) -> int:
         return sum(len(row) for row in self.rows)
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rows`` flattened in row order: (source, target, probability).
+
+        Entry i is the i-th transition when the rows are read one after
+        another, so anything that accumulates over these arrays in order
+        adds up each row from its first pair to its last.
+        """
+        counts = [len(row) for row in self.rows]
+        total = sum(counts)
+        source = np.repeat(np.arange(len(self.rows)), counts)
+        target = np.fromiter((t for row in self.rows for t, _ in row), dtype=np.intp, count=total)
+        prob = np.fromiter((p for row in self.rows for _, p in row), dtype=np.float64, count=total)
+        for array in (source, target, prob):
+            array.flags.writeable = False
+        return source, target, prob
 
     def alphabet(self) -> frozenset[str]:
         """All labels that occur on some state."""

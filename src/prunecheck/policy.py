@@ -81,11 +81,18 @@ class NeuralPolicy:
         return x
 
     def select_action(self, state: StateVector, available: tuple[str, ...]) -> str:
-        """Pick the available action with the largest logit.
+        """Pick the available action with the largest logit for ``state``."""
+        return self.pick(self.forward(state).tolist(), available)
 
-        Ties break toward the smallest action-schema index, so selection is
-        deterministic regardless of the order ``available`` arrives in.
-        Unavailable actions are masked out entirely, never renormalized.
+    def pick(self, logits: list[float], available: tuple[str, ...]) -> str:
+        """Pick the available action with the largest of ``logits``.
+
+        ``logits`` is one row of ``forward``'s output as Python floats
+        (``.tolist()``). Ties break toward the smallest action-schema index,
+        so selection is deterministic regardless of the order ``available``
+        arrives in. Unavailable actions are masked out entirely, never
+        renormalized. A NaN logit compares false both ways: it never
+        displaces the choice so far, and a NaN choice is never displaced.
         """
         if not available:
             raise ValueError("no available actions to select from")
@@ -93,7 +100,6 @@ class NeuralPolicy:
         for name in available:
             if name not in index:
                 raise SchemaMismatchError(f"available action {name!r} is not in the policy's schema")
-        logits = self.forward(state).tolist()
         best = None
         for name in available:
             i = index[name]

@@ -5,7 +5,8 @@ pruning internals (only plain data goes in and out), so agreement between
 these oracles and the package is evidence, not circularity.
 
 * bounded operators: literal path enumeration (tree recursion over
-  successor edges, probabilities multiplied along each path)
+  successor edges, probabilities multiplied along each path), and the
+  per-element loops the checker must match bit for bit
 * unbounded until: dense linear solve after a local reachability pass
 * seq: a separately formulated monitor product (monitor consumes the
   current state on entry) plus the dense solver
@@ -40,6 +41,41 @@ def globally_paths(rows, phi: set, k: int, s: int) -> float:
 
 def next_paths(rows, b: set, s: int) -> float:
     return sum(p for t, p in rows[s] if t in b)
+
+
+# ===== Bounded operators as per-element loops =====
+#
+# The checker once evaluated X and U<=k with these loops. They fix the
+# summation order (each row from 0.0, pair by pair, in row order), so the
+# checker's array form must equal them with ==, not approximately.
+
+
+def bounded_until_loop(rows, a: set, b: set, k: int) -> list[float]:
+    """P(a U<=k b) per state by synchronous iteration, one pair at a time."""
+    n = len(rows)
+    x = [1.0 if s in b else 0.0 for s in range(n)]
+    passthrough = a - b
+    for _ in range(k):
+        prev = x
+        x = list(prev)
+        for s in passthrough:
+            total = 0.0
+            for t, p in rows[s]:
+                total += p * prev[t]
+            x[s] = total
+    return [min(1.0, max(0.0, v)) for v in x]
+
+
+def next_loop(rows, b: set) -> list[float]:
+    """P(X b) per state, each row's mass into b summed pair by pair."""
+    out = []
+    for row in rows:
+        total = 0.0
+        for t, p in row:
+            if t in b:
+                total += p
+        out.append(min(1.0, max(0.0, total)))
+    return out
 
 
 # ===== Unbounded until by dense linear algebra =====

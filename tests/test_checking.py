@@ -6,6 +6,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prunecheck import (
     Dtmc,
@@ -21,7 +23,7 @@ from prunecheck import (
 )
 
 from .conftest import label_sets, random_dtmc
-from .oracles import next_paths, seq_linear, until_linear, until_paths
+from .oracles import bounded_until_loop, next_loop, next_paths, seq_linear, until_linear, until_paths
 
 # Random chains legitimately miss a label now and then; those warnings are
 # the subject of TestEvaluateStates, noise everywhere else.
@@ -162,6 +164,74 @@ class TestUnboundedAgainstLinearSolve:
         oracle = until_linear(dtmc.rows, a, b)
         for got, want in zip(result.per_state, oracle):
             assert got == pytest.approx(want, abs=1e-8)
+
+
+# ===== Bit identity with the per-element loops =====
+
+
+@st.composite
+def labeled_chains(draw, shape: str) -> Dtmc:
+    """Chains with rows of mixed widths, some self-loops, and non-dyadic
+    probabilities (so a different summation order shows in the last bit).
+
+    ``shape`` picks the labels: "any" draws "a" and "b" freely, "empty_b"
+    labels no state "b", and "a_in_b" labels "b" on every "a" state.
+    """
+    n = draw(st.integers(1, 9))
+    rows = []
+    for s in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        if draw(st.booleans()) and s not in targets:
+            targets.insert(draw(st.integers(0, len(targets))), s)
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(targets), max_size=len(targets)))
+        total = sum(weights)
+        rows.append(tuple((t, w / total) for t, w in zip(targets, weights)))
+    a = draw(st.sets(st.integers(0, n - 1)))
+    b = set() if shape == "empty_b" else draw(st.sets(st.integers(0, n - 1)))
+    if shape == "a_in_b":
+        b |= a
+    labels = tuple(frozenset({"a"} if s in a else ()) | frozenset({"b"} if s in b else ()) for s in range(n))
+    return Dtmc(state_vectors=tuple((s,) for s in range(n)), state_labels=labels, rows=tuple(rows))
+
+
+class TestBoundedBitIdentity:
+    """``per_state`` of X, U<=k, F<=k and G<=k equals the old loops with ==."""
+
+    @pytest.mark.parametrize("shape", ["any", "empty_b", "a_in_b"])
+    @given(data=st.data())
+    def test_operators_equal_the_loops(self, shape, data):
+        dtmc = data.draw(labeled_chains(shape))
+        k = data.draw(st.integers(1, 12))
+        rows = dtmc.rows
+        a, b = label_sets(dtmc)
+        everything = set(range(dtmc.num_states))
+        assert check(dtmc, parse_property('P=? [X "b"]')).per_state == tuple(next_loop(rows, b))
+        assert next_probability(dtmc, b) == next_loop(rows, b)
+        for bound in (0, k):
+            until = check(dtmc, parse_property(f'P=? ["a" U<={bound} "b"]'))
+            assert until.per_state == tuple(bounded_until_loop(rows, a, b, bound))
+            assert bounded_until_probability(dtmc, a, b, bound) == bounded_until_loop(rows, a, b, bound)
+            eventually = check(dtmc, parse_property(f'P=? [F<={bound} "b"]'))
+            assert eventually.per_state == tuple(bounded_until_loop(rows, everything, b, bound))
+            for formula, bad in (('"a"', everything - a), ('!"b"', b)):
+                globally = check(dtmc, parse_property(f"P=? [G<={bound} {formula}]"))
+                expected = tuple(1.0 - v for v in bounded_until_loop(rows, everything, bad, bound))
+                assert globally.per_state == expected
+
+    def test_row_order_decides_the_last_bit(self):
+        # 0.1 + 0.2 + 0.7 and 0.7 + 0.2 + 0.1 differ in the last bit, so a
+        # sum in any order but the row's own would show here.
+        forward = ((1, 0.1), (2, 0.2), (3, 0.7))
+        dtmc = Dtmc(
+            state_vectors=tuple((s,) for s in range(6)),
+            state_labels=(frozenset(),) + (frozenset({"b"}),) * 3 + (frozenset(),) * 2,
+            rows=(forward, ((1, 1.0),), ((2, 1.0),), ((3, 1.0),), forward[::-1], ((5, 1.0),)),
+        )
+        values = next_probability(dtmc, {1, 2, 3})
+        assert values[0] == 0.1 + 0.2 + 0.7
+        assert values[4] == 0.7 + 0.2 + 0.1
+        assert values[0] != values[4]
+        assert bounded_until_probability(dtmc, {0, 4}, {1, 2, 3}, 1) == next_loop(dtmc.rows, {1, 2, 3})
 
 
 # ===== Next =====

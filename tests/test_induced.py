@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prunecheck import (
     BuildLimits,
@@ -214,6 +218,200 @@ class TestTaxiFidelity:
 
         expected = closure((0, 0, 8, 0, 0), expand)
         assert set(result.dtmc.state_vectors) == expected
+
+
+# ===== Equivalence with a per-state builder =====
+
+GRAPH_FEATURES = ("x", "y")
+GRAPH_ACTIONS = ("a", "b", "c")
+
+
+def per_state_build(env, policy, limits):
+    """The builder with a FIFO frontier and one ``select_action`` call (one
+    one-state forward pass) per state, written out apart from the package."""
+    policy.check_schemas(env)
+    index = {env.initial: 0}
+    order = [env.initial]
+    frontier = deque([env.initial])
+    rows, chosen, labels = [], [], []
+    transitions = 0
+    while frontier:
+        state = frontier.popleft()
+        available = env.available_actions(state)
+        if not available:
+            raise ModelSemanticError(f"deadlock at state {list(state)}: empty action set")
+        action = policy.select_action(state, available)
+        dist = env.successors(state, action)
+        transitions += len(dist.support)
+        if transitions > limits.max_transitions:
+            raise LimitExceededError(
+                f"transition count exceeds max_transitions={limits.max_transitions}",
+                states_seen=len(index),
+                transitions_seen=transitions,
+            )
+        row = []
+        for target, prob in dist.support:
+            if target not in index:
+                if len(index) >= limits.max_states:
+                    raise LimitExceededError(
+                        f"state count exceeds max_states={limits.max_states}",
+                        states_seen=len(index),
+                        transitions_seen=transitions,
+                    )
+                index[target] = len(index)
+                order.append(target)
+                frontier.append(target)
+            row.append((index[target], prob))
+        rows.append(tuple(row))
+        chosen.append(action)
+        labels.append(env.labels(state))
+    return tuple(order), tuple(rows), tuple(labels), tuple(chosen)
+
+
+def package_build(env, policy, limits):
+    result = build_induced_dtmc(env, policy, limits)
+    dtmc = result.dtmc
+    return dtmc.state_vectors, dtmc.rows, dtmc.state_labels, result.chosen_actions
+
+
+def outcome(build, env, policy, limits):
+    """The build's result or error, and every environment call it made in order."""
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            calls.append((name, args))
+            return fn(*args)
+
+        return call
+
+    env = dataclasses.replace(
+        env, **{name: recorded(name, getattr(env, name)) for name in ("available_actions", "successors", "labels")}
+    )
+    try:
+        return build(env, policy, limits), calls
+    except LimitExceededError as err:
+        return (type(err), str(err), err.states_seen, err.transitions_seen), calls
+    except ModelSemanticError as err:
+        return (type(err), str(err)), calls
+
+
+def graph_env(available: dict, successors: dict, initial=(0, 0)) -> EnvironmentModel:
+    """Environment given by tables; states missing from ``available`` deadlock."""
+    return EnvironmentModel(
+        feature_schema=GRAPH_FEATURES,
+        action_schema=GRAPH_ACTIONS,
+        initial=initial,
+        available_actions=lambda s: available.get(s, ()),
+        successors=lambda s, a: Distribution(tuple(successors[s, a])),
+        labels=lambda s: frozenset({"even"}) if sum(s) % 2 == 0 else frozenset(),
+    )
+
+
+@st.composite
+def graph_envs(draw) -> EnvironmentModel:
+    """Random tables: available actions in any order, some deadlocks."""
+    states = draw(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=10, unique=True)
+    )
+    available, successors = {}, {}
+    for state in states:
+        if state != states[0] and draw(st.integers(0, 9)) == 0:
+            continue
+        actions = tuple(draw(st.lists(st.sampled_from(GRAPH_ACTIONS), min_size=1, max_size=3, unique=True)))
+        available[state] = actions
+        for action in actions:
+            targets = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True))
+            successors[state, action] = [(t, 1.0 / len(targets)) for t in targets]
+    return graph_env(available, successors, initial=states[0])
+
+
+# Zeros give exact ties; 1e300 overflows to +-inf in a hidden layer and to
+# NaN once +inf and -inf meet.
+WEIGHT_VALUES = (0.0, 1.0, -1.0, 0.5, 1e300, -1e300)
+
+
+@st.composite
+def graph_policies(draw):
+    hidden = draw(st.lists(st.integers(1, 3), max_size=1))
+    sizes = [len(GRAPH_FEATURES), *hidden, len(GRAPH_ACTIONS)]
+    layers = []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights = draw(st.lists(st.sampled_from(WEIGHT_VALUES), min_size=fan_in * fan_out, max_size=fan_in * fan_out))
+        bias = draw(st.lists(st.sampled_from(WEIGHT_VALUES), min_size=fan_out, max_size=fan_out))
+        layers.append((np.array(weights).reshape(fan_out, fan_in), np.array(bias)))
+    return make_policy(GRAPH_FEATURES, GRAPH_ACTIONS, layers)
+
+
+def zero_policy():
+    """All logits tie, so the earliest available action in the schema wins."""
+    return make_policy(GRAPH_FEATURES, GRAPH_ACTIONS, [(np.zeros((3, 2)), np.zeros(3))])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLevelOrderEquivalence:
+    """Level-order exploration with one forward pass per level gives what a
+    per-state builder gives: the same chain, the same chosen actions, the
+    same environment calls in the same order, and the same error."""
+
+    @given(env=graph_envs(), policy=graph_policies(), max_states=st.integers(1, 12), max_transitions=st.integers(1, 30))
+    def test_random_tables_and_weights(self, env, policy, max_states, max_transitions):
+        limits = BuildLimits(max_states=max_states, max_transitions=max_transitions)
+        assert outcome(package_build, env, policy, limits) == outcome(per_state_build, env, policy, limits)
+
+    def test_exact_ties_and_overflowing_logits(self):
+        big = 10**9
+
+        def cell(x, y):
+            return ((x + 2) % 5 - 2) * big, ((y + 2) % 5 - 2) * big
+
+        grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+        states = sorted(cell(x, y) for x, y in grid)
+        # Availability in reverse or rotated schema order: ties must still
+        # go to the earliest action in the schema.
+        available = {
+            cell(x, y): GRAPH_ACTIONS[::-1] if (x + y) % 2 else GRAPH_ACTIONS[1:] + GRAPH_ACTIONS[:1] for x, y in grid
+        }
+        successors = {}
+        for x, y in grid:
+            for k, action in enumerate(GRAPH_ACTIONS):
+                # East, north, and k steps diagonally (a self-loop for k = 0).
+                targets = list(dict.fromkeys([cell(x + 1, y), cell(x, y + 1), cell(x + k, y + k)]))
+                successors[cell(x, y), action] = [(t, 1.0 / len(targets)) for t in targets]
+        env = graph_env(available, successors)
+        # 1e300 times a coordinate of 1e9 overflows the hidden layer to inf;
+        # inf - inf and 0 * inf give NaN logits. Where both hidden units are
+        # 0 the three logits tie exactly.
+        hidden = (np.array([[1e300, 0.0], [1e300, 1e300]]), np.array([0.0, 0.0]))
+        out = (np.array([[1.0, -1.0], [1.0, 1.0], [0.0, 0.0]]), np.array([0.0, 0.0, 0.0]))
+        overflowing = make_policy(GRAPH_FEATURES, GRAPH_ACTIONS, [hidden, out])
+        logits = overflowing.forward(states)
+        assert np.isposinf(logits).any() and np.isnan(logits).any() and (logits == 0.0).all(axis=1).any()
+        for policy in (zero_policy(), overflowing):
+            got = outcome(package_build, env, policy, BuildLimits())
+            assert got == outcome(per_state_build, env, policy, BuildLimits())
+            assert sorted(got[0][0]) == states
+
+    @pytest.mark.parametrize("deadlock_first", [False, True])
+    @pytest.mark.parametrize("limits", [BuildLimits(max_states=3), BuildLimits(max_transitions=3)])
+    def test_deadlock_and_overflow_in_one_level(self, deadlock_first, limits):
+        # Level 1 holds (1, 0) and (2, 0): one deadlocks, the other's row
+        # breaks the cap. Whichever comes first in the level decides.
+        grows, stuck = ((2, 0), (1, 0)) if deadlock_first else ((1, 0), (2, 0))
+        available = {(0, 0): ("a",), grows: ("a",)}
+        successors = {
+            ((0, 0), "a"): [((1, 0), 0.5), ((2, 0), 0.5)],
+            (grows, "a"): [((3, 0), 0.5), ((4, 0), 0.5)],
+        }
+        env = graph_env(available, successors)
+        got = outcome(package_build, env, zero_policy(), limits)
+        assert got == outcome(per_state_build, env, zero_policy(), limits)
+        error = got[0]
+        if deadlock_first:
+            assert error == (ModelSemanticError, "deadlock at state [1, 0]: empty action set")
+        else:
+            assert error[0] is LimitExceededError
+            assert error[2:] == (3, 4)
 
 
 # ===== Export =====

@@ -1,17 +1,18 @@
-"""The README's examples name things the program knows."""
+"""The README's examples name things the program knows and print what they show."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from prunecheck import from_uri
+from prunecheck import cli, from_uri
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+README = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text(encoding="utf-8")
 
-BUILTIN_URIS = sorted(set(re.findall(r"builtin:\w+(?:\?[^\s\"'`]*)?", README.read_text(encoding="utf-8"))))
+BUILTIN_URIS = sorted(set(re.findall(r"builtin:\w+(?:\?[^\s\"'`]*)?", README)))
 
 
 def test_readme_names_builtin_uris():
@@ -22,3 +23,45 @@ def test_readme_names_builtin_uris():
 def test_builtin_uri_loads(uri):
     env = from_uri(uri)
     assert env.available_actions(env.initial)
+
+
+# ===== Console blocks =====
+
+WALKER = re.search(r"`walker\.json`.*?```json\n(.*?)```", README, re.DOTALL).group(1)
+
+
+def console_blocks() -> list[tuple[str, str]]:
+    """(command, printed output) of each ```console block, continuation lines joined."""
+    blocks = []
+    for body in re.findall(r"```console\n(.*?)```", README, re.DOTALL):
+        lines = body.splitlines()
+        assert lines[0].startswith("$ "), body
+        command = [lines[0][2:]]
+        rest = lines[1:]
+        while command[-1].endswith("\\"):
+            command[-1] = command[-1][:-1]
+            command.append(rest.pop(0))
+        blocks.append((" ".join(part.strip() for part in command), "".join(line + "\n" for line in rest)))
+    return blocks
+
+
+def test_readme_shows_every_console_command():
+    assert sorted(shlex.split(command)[1] for command, _ in console_blocks()) == [
+        "check",
+        "features",
+        "sweep",
+        "validate",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, printed",
+    [pytest.param(command, printed, id=shlex.split(command)[1]) for command, printed in console_blocks()],
+)
+def test_console_block_prints_what_it_shows(command, printed, tmp_path, monkeypatch, capsys):
+    (tmp_path / "walker.json").write_text(WALKER, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(command)
+    assert argv[0] == "prunecheck"
+    assert cli.main(argv[1:]) == 0
+    assert capsys.readouterr().out == printed

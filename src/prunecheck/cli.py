@@ -206,6 +206,17 @@ def _cmd_export_dtmc(args: argparse.Namespace) -> int:
 # ===== Parser wiring =====
 
 
+def _state_cap(text: str) -> int:
+    """An exploration cap: a whole number of states, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prunecheck",
@@ -230,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     common_flags = argparse.ArgumentParser(add_help=False)
-    common_flags.add_argument("--max-states", type=int, default=BuildLimits().max_states, metavar="N")
+    common_flags.add_argument("--max-states", type=_state_cap, default=BuildLimits().max_states, metavar="N")
     common_flags.add_argument("--out", help="write output to this path instead of stdout")
     common_flags.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common_flags.add_argument(

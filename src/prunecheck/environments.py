@@ -15,6 +15,13 @@ Two small factored MDPs with deliberately simple rules:
 
 Both are deterministic functions of their config: equal configs give
 environments with identical behavior, distribution order included.
+
+Each environment memoises its action sets on exactly the inputs its rule
+reads: the agent's cell for ``avoidance``; the cab's cell, whether the tank
+is empty and ``on_board`` for ``mini_taxi``. An entry is computed the first
+time its key is asked for and kept for the environment's lifetime, so
+``successors`` rejects an unavailable action by a dict lookup instead of
+re-deriving the set.
 """
 
 from __future__ import annotations
@@ -108,9 +115,17 @@ def mini_taxi(config: MiniTaxiConfig | None = None) -> EnvironmentModel:
     every action self-loops and the state is labeled "empty".
     """
     cfg = config or MiniTaxiConfig()
+    action_sets: dict[tuple, tuple[str, ...]] = {}
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         x, y, fuel, on_board, _jobs = state
+        key = (x, y, fuel == 0, on_board)
+        actions = action_sets.get(key)
+        if actions is None:
+            actions = action_sets[key] = _action_set(x, y, fuel, on_board)
+        return actions
+
+    def _action_set(x: int, y: int, fuel: int, on_board: int) -> tuple[str, ...]:
         if fuel == 0:
             return TAXI_ACTIONS
         out = []
@@ -185,9 +200,16 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
     where both share a cell are labeled "collision".
     """
     cfg = config or AvoidanceConfig()
+    action_sets: dict[tuple[int, int], tuple[str, ...]] = {}
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         ax, ay, _ox, _oy = state
+        actions = action_sets.get((ax, ay))
+        if actions is None:
+            actions = action_sets[ax, ay] = _action_set(ax, ay)
+        return actions
+
+    def _action_set(ax: int, ay: int) -> tuple[str, ...]:
         out = []
         for action in AVOIDANCE_ACTIONS:
             if action in _MOVES:

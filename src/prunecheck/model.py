@@ -58,28 +58,40 @@ class Distribution:
     support: tuple[tuple[StateVector, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.support:
-            raise ValueError("distribution has empty support")
+        # One pass decides: every probability in range, no target twice (else
+        # the set holds fewer targets than the support has pairs), and the
+        # mass, summed in support order, within tolerance (an empty support
+        # has mass 0). Only a rejected support is walked again, to word the
+        # error after its first violation in support order.
+        support = self.support
         seen: set[StateVector] = set()
         total = 0.0
-        for target, prob in self.support:
-            if not (0.0 < prob <= 1.0):
-                raise ValueError(f"probability {prob!r} outside (0, 1] for target {target}")
-            if target in seen:
-                raise ValueError(f"duplicate target {target} in distribution")
+        for target, prob in support:
+            if not 0.0 < prob <= 1.0:
+                break
             seen.add(target)
             total += prob
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"distribution mass {total!r} differs from 1 beyond tolerance")
+        else:
+            if abs(total - 1.0) <= SUM_TOLERANCE and len(seen) == len(support):
+                return
+        _check_in_order(support)
 
-    def targets(self) -> tuple[StateVector, ...]:
-        return tuple(target for target, _ in self.support)
 
-    def probability(self, target: StateVector) -> float:
-        for candidate, prob in self.support:
-            if candidate == target:
-                return prob
-        return 0.0
+def _check_in_order(support: tuple[tuple[StateVector, float], ...]) -> None:
+    """Raise the ValueError naming a support's first violation in support order."""
+    if not support:
+        raise ValueError("distribution has empty support")
+    seen: set[StateVector] = set()
+    total = 0.0
+    for target, prob in support:
+        if not (0.0 < prob <= 1.0):
+            raise ValueError(f"probability {prob!r} outside (0, 1] for target {target}")
+        if target in seen:
+            raise ValueError(f"duplicate target {target} in distribution")
+        seen.add(target)
+        total += prob
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise ValueError(f"distribution mass {total!r} differs from 1 beyond tolerance")
 
 
 # ===== Environment models =====
@@ -212,17 +224,25 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     return mapping
 
 
-def _parse_probability(raw: object, where: str) -> float:
-    """Accept a JSON number or an exact "num/den" fraction string."""
+def _parse_probability(raw: object, where: str, fractions: dict[str, float]) -> float:
+    """Accept a JSON number or an exact "num/den" fraction string.
+
+    ``fractions`` maps each fraction string already read to its value, so a
+    string repeated across a document is parsed once; a string that fails
+    to parse is never stored, and raises again wherever it occurs.
+    """
     if isinstance(raw, bool):
         _fail_syntax(f"{where}: probability must be a number or fraction string")
     if isinstance(raw, (int, float)):
         return float(raw)
     if isinstance(raw, str):
-        try:
-            return float(Fraction(raw))
-        except (ValueError, ZeroDivisionError):
-            _fail_syntax(f"{where}: cannot read {raw!r} as a fraction")
+        value = fractions.get(raw)
+        if value is None:
+            try:
+                value = fractions[raw] = float(Fraction(raw))
+            except (ValueError, ZeroDivisionError):
+                _fail_syntax(f"{where}: cannot read {raw!r} as a fraction")
+        return value
     _fail_syntax(f"{where}: probability must be a number or fraction string")
     raise AssertionError("unreachable")
 
@@ -279,6 +299,7 @@ def load_explicit_model(text: str) -> EnvironmentModel:
     action_table: dict[StateVector, tuple[str, ...]] = {}
     raw_rows: dict[tuple[StateVector, str], list[tuple[StateVector, float]]] = {}
     reward_table: dict[tuple[StateVector, str], float] = {}
+    fractions: dict[str, float] = {}
 
     for k, entry in enumerate(doc["states"]):
         where = f"states[{k}]"
@@ -315,7 +336,7 @@ def load_explicit_model(text: str) -> EnvironmentModel:
                 if not isinstance(branch, dict) or set(branch) != {"to", "p"}:
                     _fail_syntax(f"{spot}: must be an object with keys 'to' and 'p'")
                 target = _parse_state_vector(branch["to"], width, f"{spot}.to")
-                pairs.append((target, _parse_probability(branch["p"], f"{spot}.p")))
+                pairs.append((target, _parse_probability(branch["p"], f"{spot}.p", fractions)))
             raw_rows[(state, action)] = pairs
         # Keep action order aligned with the schema, not document order.
         action_table[state] = tuple(a for a in actions if a in act)
@@ -442,7 +463,9 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
     distribution is well formed (the Distribution type enforces mass and
     duplicate-target rules at construction), and action names fall inside
     the schema. For table-backed models, also reports declared states the
-    walk never reached.
+    walk never reached. The feature width, the action schema and the
+    model's two functions are read once before the walk; violations are
+    listed in the order the walk meets them.
 
     Args:
         env: the model to validate.
@@ -453,17 +476,21 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
         A ValidationReport with counts, violation strings and the reachable
         state set.
     """
+    width = len(env.feature_schema)
+    schema = frozenset(env.action_schema)
+    available_actions = env.available_actions
+    successors = env.successors
     violations: list[str] = []
     seen: set[StateVector] = {env.initial}
     frontier: deque[StateVector] = deque([env.initial])
-    order: list[StateVector] = []
+    visited = 0
     transitions = 0
 
     while frontier:
         state = frontier.popleft()
-        order.append(state)
+        visited += 1
         try:
-            actions = env.available_actions(state)
+            actions = available_actions(state)
         except ModelSemanticError as err:
             violations.append(str(err))
             continue
@@ -471,17 +498,18 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
             violations.append(f"deadlock at state {list(state)}: empty action set")
             continue
         for action in actions:
-            if action not in env.action_schema:
+            if action not in schema:
                 violations.append(f"state {list(state)}: action {action!r} outside the schema")
                 continue
             try:
-                dist = env.successors(state, action)
+                dist = successors(state, action)
             except ValueError as err:
                 violations.append(f"state {list(state)} action {action!r}: {err}")
                 continue
-            transitions += len(dist.support)
-            for target, _ in dist.support:
-                if len(target) != len(env.feature_schema):
+            support = dist.support
+            transitions += len(support)
+            for target, _ in support:
+                if len(target) != width:
                     violations.append(
                         f"state {list(state)} action {action!r}: target {list(target)} has wrong width"
                     )
@@ -502,7 +530,7 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
                 violations.append(f"declared state {list(state)} is unreachable")
 
     return ValidationReport(
-        states=len(order),
+        states=visited,
         transitions=transitions,
         violations=violations,
         reachable=frozenset(seen),

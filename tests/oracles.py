@@ -11,6 +11,8 @@ these oracles and the package is evidence, not circularity.
 * seq: a separately formulated monitor product (monitor consumes the
   current state on entry) plus the dense solver
 * environments: the taxi and chase rules rewritten from scratch
+* distributions: the ordered check whose first violation, in support
+  order, a Distribution must report word for word
 * reachability: set-fixpoint closure, no queues or indices
 """
 
@@ -157,6 +159,26 @@ def seq_linear(rows, a: set, b: set) -> list[float]:
     return [x[pid(s, consume(0, s))] for s in range(n)]
 
 
+# ===== Distribution check, in support order =====
+
+
+def distribution_check_in_order(support, tolerance=1e-9) -> None:
+    """Raise ValueError for the first rule a support breaks, pair by pair."""
+    if not support:
+        raise ValueError("distribution has empty support")
+    seen = set()
+    total = 0.0
+    for target, prob in support:
+        if not (0.0 < prob <= 1.0):
+            raise ValueError(f"probability {prob!r} outside (0, 1] for target {target}")
+        if target in seen:
+            raise ValueError(f"duplicate target {target} in distribution")
+        seen.add(target)
+        total += prob
+    if abs(total - 1.0) > tolerance:
+        raise ValueError(f"distribution mass {total!r} differs from 1 beyond tolerance")
+
+
 # ===== Set-fixpoint reachability closures =====
 
 
@@ -177,19 +199,17 @@ def closure(initial, expand) -> set:
 # ===== Taxi rules, rewritten =====
 
 
+def _moves_landing_inside(x, y, width, height):
+    """Moves whose landing cell lies on the grid, from any cell (on it or not)."""
+    landings = {"north": (x, y + 1), "south": (x, y - 1), "east": (x + 1, y), "west": (x - 1, y)}
+    return [name for name, (cx, cy) in landings.items() if 0 <= cx < width and 0 <= cy < height]
+
+
 def taxi_actions(state, width, height, spawn, dest, station):
     x, y, fuel, on_board, _jobs = state
     if fuel == 0:
         return ["north", "south", "east", "west", "pickup", "dropoff", "refuel"]
-    names = []
-    if y + 1 < height:
-        names.append("north")
-    if y - 1 >= 0:
-        names.append("south")
-    if x + 1 < width:
-        names.append("east")
-    if x - 1 >= 0:
-        names.append("west")
+    names = _moves_landing_inside(x, y, width, height)
     if (x, y) == spawn and on_board == 0:
         names.append("pickup")
     if (x, y) == dest and on_board == 1:
@@ -237,18 +257,7 @@ AVOID_ACTIONS = ["north", "south", "east", "west", "stay"]
 
 
 def avoid_actions(state, width, height):
-    ax, ay = state[0], state[1]
-    names = []
-    if ay + 1 < height:
-        names.append("north")
-    if ay - 1 >= 0:
-        names.append("south")
-    if ax + 1 < width:
-        names.append("east")
-    if ax - 1 >= 0:
-        names.append("west")
-    names.append("stay")
-    return names
+    return _moves_landing_inside(state[0], state[1], width, height) + ["stay"]
 
 
 def avoid_branches(state, action, move_prob):

@@ -376,3 +376,35 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    SUBCOMMAND_ARGS = {
+        "check": ["--model", CHAIN3, "--policy", "p.json", "--prop", 'P=? [F "goal"]'],
+        "prune": ["--policy", "p.json", "--method", "l1", "--layer", "1", "--fraction", "0.5"],
+        "sweep": [
+            "--model", CHAIN3, "--policy", "p.json", "--prop", 'P=? [F "goal"]',
+            "--method", "l1", "--layer", "1", "--fractions", "0:1:1",
+        ],
+        "features": ["--model", CHAIN3, "--policy", "p.json", "--prop", 'P=? [F "goal"]'],
+        "validate": ["--model", "builtin:avoidance?width=1&height=1"],
+        "export-dtmc": ["--model", CHAIN3, "--policy", "p.json"],
+    }
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+    def test_state_cap_below_one_is_a_parse_error(self, capsys, command, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.SUBCOMMAND_ARGS[command], "--max-states", cap])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument --max-states: must be at least 1, got {cap}" in captured.err
+
+    def test_state_cap_keeps_the_integer_wording(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *self.SUBCOMMAND_ARGS["validate"], "--max-states", "x"])
+        assert exc.value.code == 2
+        assert "argument --max-states: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_state_cap_of_one_walks_one_state(self, capsys):
+        assert main(["validate", *self.SUBCOMMAND_ARGS["validate"], "--max-states", "1"]) == 0
+        assert capsys.readouterr().out == "states: 1\ntransitions: 1\nok\n"

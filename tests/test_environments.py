@@ -225,6 +225,87 @@ class TestAvoidance:
         assert "collision" in env.labels(env.initial)
 
 
+# ===== Memoised action sets =====
+
+
+def _off_grid_ring(size: int) -> range:
+    """Coordinates on a grid axis plus one cell beyond each edge."""
+    return range(-1, size + 1)
+
+
+def _queries_in_both_orders(make_env, states, expected_actions, schema):
+    """Query every state on a fresh memo forward, then on another reversed.
+
+    Forward order meets a cell's fuel-0 (and on_board-0) states before the
+    others at that cell; the reverse meets them last, so a memo entry cached
+    by the first kind of state is read back for the second either way.
+    """
+    for order in (states, states[::-1]):
+        fresh = make_env()
+        for state in order:
+            expected = expected_actions(state)
+            assert list(fresh.available_actions(state)) == expected, state
+            for action in schema:
+                if action not in expected:
+                    with pytest.raises(ValueError, match="unavailable"):
+                        fresh.successors(state, action)
+
+
+class TestMemoisedActionSets:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            MiniTaxiConfig(width=3, height=3, max_fuel=3),
+            MiniTaxiConfig(width=3, height=2, max_fuel=2, jobs_target=1),
+            MiniTaxiConfig(width=2, height=2, max_fuel=2, station=(1, 1), passenger_spawn=(1, 1), jobs_target=2),
+            MiniTaxiConfig(width=1, height=1, max_fuel=1),
+        ],
+    )
+    def test_taxi_full_feature_product(self, cfg):
+        states = [
+            (x, y, fuel, on_board, jobs)
+            for fuel in range(cfg.max_fuel + 1)
+            for on_board in (0, 1)
+            for x in _off_grid_ring(cfg.width)
+            for y in _off_grid_ring(cfg.height)
+            for jobs in range(cfg.jobs_target + 1)
+        ]
+        _queries_in_both_orders(
+            lambda: mini_taxi(cfg),
+            states,
+            lambda s: oracles.taxi_actions(s, cfg.width, cfg.height, cfg.passenger_spawn, cfg.destination, cfg.station),
+            TAXI_ACTIONS,
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AvoidanceConfig(),
+            AvoidanceConfig(width=4, height=2, obstacle_start=(3, 0), obstacle_move_prob=0.25),
+            AvoidanceConfig(width=1, height=1),
+        ],
+    )
+    def test_avoidance_full_feature_product(self, cfg):
+        states = [
+            (ax, ay, ox, oy)
+            for ax in _off_grid_ring(cfg.width)
+            for ay in _off_grid_ring(cfg.height)
+            for ox in _off_grid_ring(cfg.width)
+            for oy in _off_grid_ring(cfg.height)
+        ]
+        _queries_in_both_orders(
+            lambda: avoidance(cfg),
+            states,
+            lambda s: oracles.avoid_actions(s, cfg.width, cfg.height),
+            AVOIDANCE_ACTIONS,
+        )
+
+    def test_environments_do_not_share_a_memo(self):
+        small, large = avoidance(AvoidanceConfig(width=2, height=2)), avoidance(AvoidanceConfig(width=3, height=3))
+        assert small.available_actions((1, 1, 0, 0)) == ("south", "west", "stay")
+        assert large.available_actions((1, 1, 0, 0)) == ("north", "south", "east", "west", "stay")
+
+
 # ===== URIs =====
 
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunecheck import (
@@ -21,17 +23,48 @@ from prunecheck import (
     validate_model,
 )
 
+from . import oracles
 from .conftest import fixture_doc, fixture_text
 
 # ===== Distributions =====
+
+_EDGE_PROBABILITIES = (0.0, -0.0, 5e-324, 0.25, 0.5, 1.0, 1.0 + 1e-9, math.nan, math.inf)
+
+
+@st.composite
+def _supports(draw):
+    """Supports of 0-4 pairs: normalised weights, some replaced by edge values.
+
+    Targets come from a pool of three, so repeats land before, after and on
+    either side of a bad probability.
+    """
+    weights = draw(st.lists(st.integers(1, 9), max_size=4))
+    probs = [w / sum(weights) for w in weights]
+    for i in range(len(probs)):
+        if draw(st.booleans()):
+            probs[i] = draw(st.sampled_from(_EDGE_PROBABILITIES))
+    targets = draw(st.lists(st.sampled_from([(0,), (1,), (2,)]), min_size=len(probs), max_size=len(probs)))
+    return tuple(zip(targets, probs))
+
+
+def _outcome(make, support):
+    """None if ``make(support)`` accepts it, else the error's type and message."""
+    try:
+        make(support)
+    except Exception as err:
+        return type(err), str(err)
+    return None
+
 
 
 class TestDistribution:
     def test_support_order_and_lookup(self):
         dist = Distribution((((0,), 0.25), ((1,), 0.75)))
-        assert dist.targets() == ((0,), (1,))
-        assert dist.probability((1,)) == 0.75
-        assert dist.probability((7,)) == 0.0
+        assert dist.support == (((0,), 0.25), ((1,), 0.75))
+        assert [target for target, _ in dist.support] == [(0,), (1,)]
+        assert dict(dist.support) == {(0,): 0.25, (1,): 0.75}
+        assert (7,) not in dict(dist.support)
+        assert dist != Distribution((((1,), 0.75), ((0,), 0.25)))
 
     def test_is_frozen(self):
         dist = Distribution((((0,), 1.0),))
@@ -62,8 +95,34 @@ class TestDistribution:
         total = sum(weights)
         pairs = tuple(((i,), w / total) for i, w in enumerate(weights))
         dist = Distribution(pairs)
-        for i, w in enumerate(weights):
-            assert dist.probability((i,)) == w / total
+        assert dist.support == tuple(((i,), w / total) for i, w in enumerate(weights))
+
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            # A repeated target before a bad probability is reported first ...
+            (((0,), 0.5), ((0,), 0.5), ((1,), math.nan)),
+            (((0,), 0.25), ((0,), 0.25), ((1,), 0.0)),
+            # ... and after one, the bad probability is.
+            (((0,), 0.5), ((1,), math.nan), ((0,), 0.5)),
+            (((0,), 0.5), ((1,), -0.0), ((0,), 0.5)),
+            (((0,), 0.5), ((1,), math.inf), ((0,), 0.5)),
+            (((0,), 1.0 + 1e-9),),
+            (((0,), 0.5), ((1,), 0.5), ((0,), 0.25)),
+            (((0,), 0.5), ((1,), 0.4)),
+            (((0,), 5e-324),),
+            (),
+        ],
+    )
+    def test_first_violation_in_support_order(self, support):
+        assert _outcome(Distribution, support) == _outcome(oracles.distribution_check_in_order, support)
+        assert _outcome(Distribution, support) is not None
+
+    @settings(max_examples=400)
+    @given(_supports())
+    def test_decides_as_the_ordered_check(self, support):
+        assert _outcome(Distribution, support) == _outcome(oracles.distribution_check_in_order, support)
 
 
 # ===== Chains =====
@@ -229,6 +288,82 @@ class TestLoadExplicitModel:
             chain3_env.available_actions((42,))
         with pytest.raises(ModelSemanticError, match="no distribution"):
             chain3_env.successors((0,), "jump")
+
+
+# ===== Explicit format: repeated fraction strings =====
+
+
+def _repeated_fractions_doc() -> dict:
+    """Four states whose branches repeat "13/60" and mix 0.25 with "1/4"."""
+    states = []
+    for k in range(4):
+        states.append(
+            {
+                "s": [k],
+                "act": {
+                    "a": [{"to": [(k + 1) % 4], "p": "13/60"}, {"to": [k], "p": "47/60"}],
+                    "b": [
+                        {"to": [0], "p": 0.25},
+                        {"to": [1], "p": "1/4"},
+                        {"to": [2], "p": "13/60" if k % 2 else "1/4"},
+                        {"to": [3], "p": "17/60" if k % 2 else 0.25},
+                    ],
+                },
+            }
+        )
+    return {"features": ["v"], "actions": ["a", "b"], "initial": [0], "states": states}
+
+
+class TestFractionStrings:
+    def test_every_branch_reads_its_own_value(self):
+        doc = _repeated_fractions_doc()
+        env = load_explicit_model(json.dumps(doc))
+        for entry in doc["states"]:
+            for action, branches in entry["act"].items():
+                expected = tuple(
+                    (tuple(b["to"]), float(Fraction(b["p"])) if isinstance(b["p"], str) else float(b["p"]))
+                    for b in branches
+                )
+                assert env.successors(tuple(entry["s"]), action).support == expected
+
+    def test_a_bad_string_is_reported_where_it_first_occurs(self):
+        doc = _repeated_fractions_doc()
+        doc["states"][1]["act"]["a"][0]["p"] = "13/6x"
+        doc["states"][2]["act"]["b"][1]["p"] = "13/6x"
+        with pytest.raises(ModelSyntaxError) as exc:
+            load_explicit_model(json.dumps(doc))
+        assert str(exc.value) == "states[1].act.a[0].p: cannot read '13/6x' as a fraction"
+
+    def test_a_bad_string_after_good_ones_is_still_reported(self):
+        doc = _repeated_fractions_doc()
+        doc["states"][3]["act"]["b"][1]["p"] = "1/0"
+        with pytest.raises(ModelSyntaxError) as exc:
+            load_explicit_model(json.dumps(doc))
+        assert str(exc.value) == "states[3].act.b[1].p: cannot read '1/0' as a fraction"
+
+    @pytest.mark.parametrize("earlier", [1, "1", "1/1", 1.0])
+    def test_a_boolean_is_rejected_after_an_equal_value(self, earlier):
+        doc = {
+            "features": ["v"],
+            "actions": ["a"],
+            "initial": [0],
+            "states": [
+                {"s": [0], "act": {"a": [{"to": [1], "p": earlier}]}},
+                {"s": [1], "act": {"a": [{"to": [0], "p": True}]}},
+            ],
+        }
+        with pytest.raises(ModelSyntaxError) as exc:
+            load_explicit_model(json.dumps(doc))
+        assert str(exc.value) == "states[1].act.a[0].p: probability must be a number or fraction string"
+
+    def test_round_trip_is_unchanged(self):
+        env = load_explicit_model(json.dumps(_repeated_fractions_doc()))
+        text = dump_explicit_model(env)
+        again = load_explicit_model(text)
+        assert dump_explicit_model(again) == text
+        for state in env.declared_states:
+            for action in env.available_actions(state):
+                assert again.successors(state, action) == env.successors(state, action)
 
 
 # ===== Explicit format: dumping =====

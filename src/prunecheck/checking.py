@@ -13,6 +13,10 @@ from 0.0 pair by pair, as a per-element loop would, so the results are the
 loop's bit for bit; a matrix product or a per-row reduction would sum in
 another order. SEQ goes through a three-state monitor product and the
 unbounded-until machinery.
+
+Every routine reads the chain's compressed sparse row arrays: the graph
+searches and the bounded operators as NumPy arrays, the Gauss-Seidel sweeps
+as Python lists in state order and row order.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, UnknownLabelWarning
-from .model import Dtmc, IndexRow
+from .model import Dtmc
 from .properties import (
     And,
     Eventually,
@@ -70,62 +74,74 @@ class CheckResult:
     residual: float
 
 
-# ===== Core routines over sparse rows =====
+# ===== Core routines over compressed sparse rows =====
+#
+# A chain is passed around as its three CSR arrays (``indptr``, ``indices``,
+# ``probs``) and state sets as boolean masks, so the SEQ product, which has
+# no state vectors, goes through the same routines as a Dtmc.
 
 
-def _predecessors(rows: list[IndexRow] | tuple[IndexRow, ...]) -> list[list[int]]:
-    preds: list[list[int]] = [[] for _ in rows]
-    for s, row in enumerate(rows):
-        for t, _ in row:
-            preds[t].append(s)
-    return preds
+def _mask(n: int, states) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(states, dtype=np.intp)] = True
+    return mask
 
 
-def _backward_set(preds: list[list[int]], seeds: set[int], allowed: set[int]) -> set[int]:
-    """Least fixpoint: seeds plus allowed states with an edge into the set."""
-    reached = set(seeds)
-    stack = list(seeds)
-    while stack:
-        t = stack.pop()
-        for s in preds[t]:
-            if s not in reached and s in allowed:
-                reached.add(s)
-                stack.append(s)
+def _sources(indptr: np.ndarray) -> np.ndarray:
+    """The source state of every transition, in row order."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _backward_set(rev_ptr: np.ndarray, rev_src: np.ndarray, seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Least fixpoint: seeds plus allowed states with an edge into the set.
+
+    State t's predecessors are ``rev_src[rev_ptr[t]:rev_ptr[t + 1]]``; the
+    search gathers those of a whole frontier at once.
+    """
+    reached = seeds.copy()
+    frontier = np.flatnonzero(seeds)
+    while frontier.size:
+        starts = rev_ptr[frontier]
+        counts = rev_ptr[frontier + 1] - starts
+        # Every frontier state's span of rev_src, laid end to end.
+        spans = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        preds = rev_src[spans]
+        frontier = np.unique(preds[allowed[preds] & ~reached[preds]])
+        reached[frontier] = True
     return reached
 
 
-def _prob01_sets(rows, a: set[int], b: set[int]) -> tuple[set[int], set[int]]:
-    n = len(rows)
-    preds = _predecessors(rows)
+def _prob01_sets(indptr, indices, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = len(indptr) - 1
+    rev_src = _sources(indptr)[np.argsort(indices, kind="stable")]
+    rev_ptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n))))
     # States with a chance of satisfying the until: can reach b through a.
-    can_reach = _backward_set(preds, set(b), a - b)
-    prob0 = set(range(n)) - can_reach
+    prob0 = ~_backward_set(rev_ptr, rev_src, b, a & ~b)
     # States with a chance of failing it: can reach a prob0 state before b.
-    can_fail = _backward_set(preds, prob0, set(range(n)) - b)
-    prob1 = set(range(n)) - can_fail
+    prob1 = ~_backward_set(rev_ptr, rev_src, prob0, ~b)
     return prob0, prob1
 
 
-def _gauss_seidel(rows, prob0: set[int], prob1: set[int]) -> tuple[list[float], int, float]:
+def _gauss_seidel(indptr, indices, probs, prob0: np.ndarray, prob1: np.ndarray) -> tuple[list[float], int, float]:
     """Solve x = Px on the uncertain states, in place, in index order.
 
     Each row's diagonal is eliminated exactly
     (x_s = (sum_{t != s} p_st * x_t) / (1 - p_ss)), which keeps self-loop
     mass from slowing convergence. Determined states stay pinned at 0/1.
+    The sweeps run over Python lists, which beat per-element NumPy here.
     """
-    n = len(rows)
-    x = [0.0] * n
-    for s in prob1:
-        x[s] = 1.0
-    uncertain = [s for s in range(n) if s not in prob0 and s not in prob1]
+    x = prob1.astype(np.float64).tolist()
+    uncertain = np.flatnonzero(~(prob0 | prob1)).tolist()
     if not uncertain:
         return x, 0, 0.0
 
+    indptr, indices, probs = indptr.tolist(), indices.tolist(), probs.tolist()
     prepared = []
     for s in uncertain:
         diag = 0.0
         off: list[tuple[int, float]] = []
-        for t, p in rows[s]:
+        for k in range(indptr[s], indptr[s + 1]):
+            t, p = indices[k], probs[k]
             if t == s:
                 diag += p
             else:
@@ -156,31 +172,24 @@ def _gauss_seidel(rows, prob0: set[int], prob1: set[int]) -> tuple[list[float], 
     )
 
 
-def _solve_until(rows, a: set[int], b: set[int]) -> tuple[list[float], int, float]:
-    prob0, prob1 = _prob01_sets(rows, a, b)
-    return _gauss_seidel(rows, prob0, prob1)
+def _solve_until(indptr, indices, probs, a: np.ndarray, b: np.ndarray) -> tuple[list[float], int, float]:
+    prob0, prob1 = _prob01_sets(indptr, indices, a, b)
+    return _gauss_seidel(indptr, indices, probs, prob0, prob1)
 
 
-def _mask(n: int, states) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(states, dtype=np.intp)] = True
-    return mask
-
-
-def _bounded_until(dtmc: Dtmc, a: set[int], b: set[int], k: int) -> list[float]:
+def _bounded_until(dtmc: Dtmc, a: np.ndarray, b: np.ndarray, k: int) -> list[float]:
     """Synchronous iteration x_s = sum_t p_st * x_t on the states of a - b.
 
-    ``np.bincount`` adds its weights in input order, and ``Dtmc.arrays``
-    lists transitions in row order, so every row is summed from 0.0 pair by
+    ``np.bincount`` adds its weights in input order, and the chain's arrays
+    list transitions in row order, so every row is summed from 0.0 pair by
     pair, exactly as a loop over the row would.
     """
     n = dtmc.num_states
-    source, target, prob = dtmc.arrays
-    in_b = _mask(n, b)
-    passthrough = _mask(n, a) & ~in_b
+    passthrough = a & ~b
+    source = _sources(dtmc.indptr)
     keep = passthrough[source]
-    source, target, prob = source[keep], target[keep], prob[keep]
-    x = in_b.astype(np.float64)
+    source, target, prob = source[keep], dtmc.indices[keep], dtmc.probs[keep]
+    x = b.astype(np.float64)
     for _ in range(k):
         x = np.where(passthrough, np.bincount(source, weights=prob * x[target], minlength=n), x)
     return np.clip(x, 0.0, 1.0).tolist()
@@ -191,13 +200,15 @@ def _bounded_until(dtmc: Dtmc, a: set[int], b: set[int], k: int) -> list[float]:
 
 def prob01(dtmc: Dtmc, a: frozenset[int] | set[int], b: frozenset[int] | set[int]):
     """Qualitative sets for ``a U b``: (probability-0, probability-1)."""
-    zero, one = _prob01_sets(dtmc.rows, set(a), set(b))
-    return frozenset(zero), frozenset(one)
+    n = dtmc.num_states
+    zero, one = _prob01_sets(dtmc.indptr, dtmc.indices, _mask(n, a), _mask(n, b))
+    return frozenset(np.flatnonzero(zero).tolist()), frozenset(np.flatnonzero(one).tolist())
 
 
 def until_probability(dtmc: Dtmc, a, b) -> list[float]:
     """Per-state probability of ``a U b``, exact at the qualitative states."""
-    vec, _, _ = _solve_until(dtmc.rows, set(a), set(b))
+    n = dtmc.num_states
+    vec, _, _ = _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, _mask(n, a), _mask(n, b))
     return vec
 
 
@@ -205,7 +216,8 @@ def bounded_until_probability(dtmc: Dtmc, a, b, k: int) -> list[float]:
     """Per-state probability of ``a U<=k b`` by exact iteration."""
     if k < 0:
         raise ValueError("bound must be non-negative")
-    return _bounded_until(dtmc, set(a), set(b), k)
+    n = dtmc.num_states
+    return _bounded_until(dtmc, _mask(n, a), _mask(n, b), k)
 
 
 def next_probability(dtmc: Dtmc, b) -> list[float]:
@@ -214,9 +226,9 @@ def next_probability(dtmc: Dtmc, b) -> list[float]:
     Each row's transitions into ``b`` are summed from 0.0 in row order.
     """
     n = dtmc.num_states
-    source, target, prob = dtmc.arrays
-    hit = _mask(n, b)[target]
-    return np.clip(np.bincount(source[hit], weights=prob[hit], minlength=n), 0.0, 1.0).tolist()
+    hit = _mask(n, b)[dtmc.indices]
+    source = _sources(dtmc.indptr)[hit]
+    return np.clip(np.bincount(source, weights=dtmc.probs[hit], minlength=n), 0.0, 1.0).tolist()
 
 
 # -- SEQ monitor product --
@@ -230,16 +242,6 @@ _WAIT_THEN = 1
 _ACCEPT = 2
 
 
-def _monitor_step(q: int, in_first: bool, in_then: bool) -> int:
-    if q == _WAIT_FIRST:
-        if in_first and in_then:
-            return _ACCEPT
-        if in_first:
-            return _WAIT_THEN
-        return _WAIT_FIRST
-    return _ACCEPT if in_then else _WAIT_THEN
-
-
 def seq_probability(dtmc: Dtmc, a, b) -> list[float]:
     """Per-state probability of reaching ``a`` and afterwards ``b``.
 
@@ -247,34 +249,40 @@ def seq_probability(dtmc: Dtmc, a, b) -> list[float]:
     unbounded-until machinery, and projected back to the fresh-monitor
     copy of each state.
     """
-    vec, _, _ = _seq_solve(dtmc, set(a), set(b))
+    n = dtmc.num_states
+    vec, _, _ = _seq_solve(dtmc, _mask(n, a), _mask(n, b))
     return vec
 
 
-def _seq_solve(dtmc: Dtmc, a: set[int], b: set[int]) -> tuple[list[float], int, float]:
+def _seq_solve(dtmc: Dtmc, a: np.ndarray, b: np.ndarray) -> tuple[list[float], int, float]:
+    """Solve SEQ on the product whose pair (s, q) is state ``2 * s + q``.
+
+    A pair whose read accepts is an absorbing target; any other pair copies
+    its state's row, each target t becoming the pair (t, monitor state
+    after reading s).
+    """
     n = dtmc.num_states
-    steps = [
-        (_monitor_step(_WAIT_FIRST, s in a, s in b), _monitor_step(_WAIT_THEN, s in a, s in b))
-        for s in range(n)
-    ]
+    indptr, indices, probs = dtmc.indptr, dtmc.indices, dtmc.probs
+    step = np.empty((n, 2), dtype=np.intp)
+    step[:, _WAIT_FIRST] = np.where(a & b, _ACCEPT, np.where(a, _WAIT_THEN, _WAIT_FIRST))
+    step[:, _WAIT_THEN] = np.where(b, _ACCEPT, _WAIT_THEN)
+    step = step.ravel()
+    accept = step == _ACCEPT
 
-    def pid(s: int, q: int) -> int:
-        return s * 2 + q
+    state = np.arange(2 * n) // 2
+    lengths = np.where(accept, 1, np.diff(indptr)[state])
+    product_indptr = np.concatenate(([0], np.cumsum(lengths)))
+    row = np.repeat(np.arange(2 * n), lengths)
+    product_indices = row.copy()
+    product_probs = np.ones(len(row))
+    copied = np.flatnonzero(~accept[row])
+    position = copied + (indptr[state] - product_indptr[:-1])[row[copied]]
+    product_indices[copied] = 2 * indices[position] + step[row[copied]]
+    product_probs[copied] = probs[position]
 
-    product_rows: list[IndexRow] = []
-    targets: set[int] = set()
-    for s in range(n):
-        for q in (_WAIT_FIRST, _WAIT_THEN):
-            q_next = steps[s][q]
-            if q_next == _ACCEPT:
-                targets.add(pid(s, q))
-                product_rows.append(((pid(s, q), 1.0),))
-            else:
-                product_rows.append(tuple((pid(t, q_next), p) for t, p in dtmc.rows[s]))
-
-    everything = set(range(2 * n))
-    vec, iterations, residual = _solve_until(product_rows, everything, targets)
-    return [vec[pid(s, _WAIT_FIRST)] for s in range(n)], iterations, residual
+    everything = np.ones(2 * n, dtype=bool)
+    vec, iterations, residual = _solve_until(product_indptr, product_indices, product_probs, everything, accept)
+    return vec[0::2], iterations, residual
 
 
 # ===== Formula evaluation =====
@@ -313,31 +321,32 @@ def _evaluate(dtmc: Dtmc, sf: StateFormula, alphabet: frozenset[str]) -> frozens
 
 
 def _path_vector(dtmc: Dtmc, path: PathFormula, alphabet: frozenset[str]) -> tuple[list[float], int, float]:
-    everything = set(range(dtmc.num_states))
+    n = dtmc.num_states
+    everything = np.ones(n, dtype=bool)
     if isinstance(path, Next):
         return next_probability(dtmc, _evaluate(dtmc, path.target, alphabet)), 0, 0.0
     if isinstance(path, Until):
-        a = set(_evaluate(dtmc, path.left, alphabet))
-        b = set(_evaluate(dtmc, path.right, alphabet))
+        a = _mask(n, _evaluate(dtmc, path.left, alphabet))
+        b = _mask(n, _evaluate(dtmc, path.right, alphabet))
         if path.bound is None:
-            return _solve_until(dtmc.rows, a, b)
+            return _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, a, b)
         return _bounded_until(dtmc, a, b, path.bound), path.bound, 0.0
     if isinstance(path, Eventually):
-        b = set(_evaluate(dtmc, path.target, alphabet))
+        b = _mask(n, _evaluate(dtmc, path.target, alphabet))
         if path.bound is None:
-            return _solve_until(dtmc.rows, everything, b)
+            return _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, everything, b)
         return _bounded_until(dtmc, everything, b, path.bound), path.bound, 0.0
     if isinstance(path, Globally):
         # G phi is the complement of eventually-not-phi, bounded or not.
-        bad = everything - set(_evaluate(dtmc, path.target, alphabet))
+        bad = ~_mask(n, _evaluate(dtmc, path.target, alphabet))
         if path.bound is None:
-            vec, iterations, residual = _solve_until(dtmc.rows, everything, bad)
+            vec, iterations, residual = _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, everything, bad)
         else:
             vec, iterations, residual = _bounded_until(dtmc, everything, bad, path.bound), path.bound, 0.0
         return [1.0 - v for v in vec], iterations, residual
     if isinstance(path, Seq):
-        first = set(_evaluate(dtmc, path.first, alphabet))
-        then = set(_evaluate(dtmc, path.then, alphabet))
+        first = _mask(n, _evaluate(dtmc, path.first, alphabet))
+        then = _mask(n, _evaluate(dtmc, path.then, alphabet))
         return _seq_solve(dtmc, first, then)
     raise TypeError(f"not a path formula: {path!r}")
 

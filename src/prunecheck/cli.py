@@ -234,30 +234,39 @@ def _build_parser() -> argparse.ArgumentParser:
     group = prop_flags.add_mutually_exclusive_group(required=True)
     group.add_argument("--prop", help="property text, e.g. 'P=? [ F \"goal\" ]'")
     group.add_argument("--prop-file", help="file holding the property text (# comments allowed)")
-    prop_flags.add_argument(
+
+    lower_flag = argparse.ArgumentParser(add_help=False)
+    lower_flag.add_argument(
         "--lower-is-safer",
         action="store_true",
         help="for P=? queries, treat smaller values as safer when classifying deltas",
     )
 
-    common_flags = argparse.ArgumentParser(add_help=False)
-    common_flags.add_argument("--max-states", type=_state_cap, default=BuildLimits().max_states, metavar="N")
-    common_flags.add_argument("--out", help="write output to this path instead of stdout")
-    common_flags.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common_flags.add_argument(
+    cap_flag = argparse.ArgumentParser(add_help=False)
+    cap_flag.add_argument("--max-states", type=_state_cap, default=BuildLimits().max_states, metavar="N")
+
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", help="write output to this path instead of stdout")
+
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+    timings_flag = argparse.ArgumentParser(add_help=False)
+    timings_flag.add_argument(
         "--timings",
         action="store_true",
         help="emit real wall-clock times (breaks byte-for-byte reproducibility)",
     )
 
+    # Each subcommand takes exactly the flags its handler reads.
     p = sub.add_parser(
         "check",
-        parents=[model_flags, policy_flags, prop_flags, common_flags],
+        parents=[model_flags, policy_flags, prop_flags, cap_flag, out_flag, json_flag, timings_flag],
         help="measure one property for one policy",
     )
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("prune", parents=[policy_flags, common_flags], help="write a pruned policy and its mask")
+    p = sub.add_parser("prune", parents=[policy_flags, out_flag], help="write a pruned policy and its mask")
     p.add_argument("--method", required=True, choices=("l1", "random", "feature"))
     p.add_argument("--layer", type=int, help="1-based layer index (l1, random)")
     p.add_argument("--fraction", type=float, help="fraction of nonzeros to zero (l1, random)")
@@ -268,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        parents=[model_flags, policy_flags, prop_flags, common_flags],
+        parents=[model_flags, policy_flags, prop_flags, lower_flag, cap_flag, out_flag, timings_flag],
         help="prune over a fraction grid and emit CSV",
     )
     p.add_argument("--method", required=True, choices=("l1", "random"))
@@ -279,17 +288,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "features",
-        parents=[model_flags, policy_flags, prop_flags, common_flags],
+        parents=[model_flags, policy_flags, prop_flags, lower_flag, cap_flag, out_flag, json_flag, timings_flag],
         help="prune each input feature and report the deltas",
     )
     p.set_defaults(handler=_cmd_features)
 
-    p = sub.add_parser("validate", parents=[model_flags, common_flags], help="walk a model and check invariants")
+    p = sub.add_parser(
+        "validate", parents=[model_flags, cap_flag, out_flag, json_flag], help="walk a model and check invariants"
+    )
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser(
         "export-dtmc",
-        parents=[model_flags, policy_flags, common_flags],
+        parents=[model_flags, policy_flags, cap_flag, out_flag],
         help="write the induced chain as an explicit model document",
     )
     p.set_defaults(handler=_cmd_export_dtmc)

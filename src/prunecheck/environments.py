@@ -86,7 +86,6 @@ class AvoidanceConfig:
     height: int = 3
     obstacle_start: tuple[int, int] | None = None
     obstacle_move_prob: float = 0.5
-    horizon_hint: int = 6
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -96,8 +95,6 @@ class AvoidanceConfig:
         _check_cell("obstacle_start", self.obstacle_start, self.width, self.height)
         if not (0.0 <= self.obstacle_move_prob <= 1.0):
             raise ConfigError("obstacle_move_prob must lie in [0, 1]")
-        if self.horizon_hint < 1:
-            raise ConfigError("horizon_hint must be at least 1")
 
 
 # ===== MiniTaxi =====
@@ -263,7 +260,7 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
 # ===== Builtin URIs =====
 
 _TAXI_KEYS = {"width", "height", "max_fuel", "station", "passenger_spawn", "destination", "jobs_target"}
-_AVOIDANCE_KEYS = {"width", "height", "obstacle_start", "obstacle_move_prob", "horizon_hint"}
+_AVOIDANCE_KEYS = {"width", "height", "obstacle_start", "obstacle_move_prob"}
 
 
 def is_builtin_uri(text: str) -> bool:
@@ -326,7 +323,7 @@ def from_uri(uri: str) -> EnvironmentModel:
         if unknown:
             raise ModelSyntaxError(f"unknown avoidance parameters {sorted(unknown)}")
         kwargs = {}
-        for key in ("width", "height", "horizon_hint"):
+        for key in ("width", "height"):
             if key in params:
                 kwargs[key] = _parse_int(key, params[key])
         if "obstacle_start" in params:

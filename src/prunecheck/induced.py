@@ -9,17 +9,17 @@ a FIFO frontier gives, and new states are indexed in the order their
 distributions mention them, which makes state numbering a deterministic
 function of (environment, policy). The batched forward pass gives each state
 bit for bit the logits of a one-state pass, so the chosen actions are those
-``NeuralPolicy.select_action`` would choose.
+``NeuralPolicy.select_action`` would choose. Each visited state's row is
+appended straight onto the chain's compressed sparse row arrays.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 
 from .errors import LimitExceededError, ModelSemanticError
-from .model import Dtmc, EnvironmentModel, StateVector
+from .model import Dtmc, EnvironmentModel, StateVector, check_cap
 from .policy import NeuralPolicy
 
 # ===== Limits and results =====
@@ -27,21 +27,25 @@ from .policy import NeuralPolicy
 
 @dataclass(frozen=True)
 class BuildLimits:
+    """Exploration caps, each at least 1 (else ValueError)."""
+
     max_states: int = 1_000_000
     max_transitions: int = 5_000_000
+
+    def __post_init__(self) -> None:
+        check_cap("max_states", self.max_states)
+        check_cap("max_transitions", self.max_transitions)
 
 
 @dataclass(frozen=True)
 class BuildStats:
     states: int
     transitions: int
-    duration_ms: float
 
 
 @dataclass(frozen=True)
 class BuildResult:
     dtmc: Dtmc
-    state_index: dict[StateVector, int]
     chosen_actions: tuple[str, ...]
     stats: BuildStats
 
@@ -68,12 +72,13 @@ def build_induced_dtmc(
     """
     limits = limits or BuildLimits()
     policy.check_schemas(env)
-    started = time.perf_counter()
 
     index: dict[StateVector, int] = {env.initial: 0}
     order: list[StateVector] = [env.initial]
     level: list[StateVector] = [env.initial]
-    rows: list[tuple[tuple[int, float], ...]] = []
+    indptr: list[int] = [0]
+    indices: list[int] = []
+    probs: list[float] = []
     chosen: list[str] = []
     labels: list[frozenset[str]] = []
     transitions = 0
@@ -93,7 +98,6 @@ def build_induced_dtmc(
                     states_seen=len(index),
                     transitions_seen=transitions,
                 )
-            row = []
             for target, prob in dist.support:
                 if target not in index:
                     if len(index) >= limits.max_states:
@@ -105,20 +109,16 @@ def build_induced_dtmc(
                     index[target] = len(index)
                     order.append(target)
                     next_level.append(target)
-                row.append((index[target], prob))
-            rows.append(tuple(row))
+                indices.append(index[target])
+                probs.append(prob)
+            indptr.append(transitions)
             chosen.append(action)
             labels.append(env.labels(state))
         level = next_level
 
-    dtmc = Dtmc(
-        state_vectors=tuple(order),
-        state_labels=tuple(labels),
-        rows=tuple(rows),
-    )
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    stats = BuildStats(states=dtmc.num_states, transitions=dtmc.num_transitions, duration_ms=elapsed_ms)
-    return BuildResult(dtmc=dtmc, state_index=index, chosen_actions=tuple(chosen), stats=stats)
+    dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs)
+    stats = BuildStats(states=dtmc.num_states, transitions=dtmc.num_transitions)
+    return BuildResult(dtmc=dtmc, chosen_actions=tuple(chosen), stats=stats)
 
 
 # ===== Export =====
@@ -130,17 +130,16 @@ def induced_to_explicit(dtmc: Dtmc, feature_schema: tuple[str, ...]) -> str:
     The result loads back through the explicit model loader as an MDP with
     a single choice everywhere, which is exactly what a chain is.
     """
+    vectors = dtmc.state_vectors
+    indptr, indices, probs = dtmc.indptr.tolist(), dtmc.indices.tolist(), dtmc.probs.tolist()
     states_out = []
     for i in range(dtmc.num_states):
-        entry: dict[str, object] = {"s": list(dtmc.state_vectors[i])}
+        entry: dict[str, object] = {"s": list(vectors[i])}
         labels = sorted(dtmc.state_labels[i])
         if labels:
             entry["labels"] = labels
-        entry["act"] = {
-            "pi": [
-                {"to": list(dtmc.state_vectors[j]), "p": prob} for j, prob in dtmc.rows[i]
-            ]
-        }
+        span = slice(indptr[i], indptr[i + 1])
+        entry["act"] = {"pi": [{"to": list(vectors[j]), "p": p} for j, p in zip(indices[span], probs[span])]}
         states_out.append(entry)
     doc = {
         "features": list(feature_schema),

@@ -5,16 +5,15 @@ An environment model is a Markov decision process given behaviorally, as
 pure functions of the state; an explicit JSON table format covers models
 small enough to write down, while builtin environments generate the same
 interface lazily. A ``Dtmc`` is the action-free chain that remains once a
-policy has picked one action per state.
+policy has picked one action per state, stored as compressed sparse rows.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,9 +32,6 @@ DEFAULT_MAX_STATES = 1_000_000
 
 # A state vector: one integer per feature, in schema order.
 StateVector = tuple[int, ...]
-
-# One row of a Dtmc: (target state index, probability) pairs.
-IndexRow = tuple[tuple[int, float], ...]
 
 
 # ===== Distributions =====
@@ -110,8 +106,6 @@ class EnvironmentModel:
         successors: maps (state, action) to a Distribution. Must be a pure
             function: equal inputs return identical distributions.
         labels: maps a state to its set of atomic propositions.
-        reward: maps (state, action) to a float; optional extra, zero when
-            the model declares none.
         declared_states: for table-backed models, the full declared state
             list in document order; None for lazily generated models.
     """
@@ -122,27 +116,35 @@ class EnvironmentModel:
     available_actions: Callable[[StateVector], tuple[str, ...]]
     successors: Callable[[StateVector, str], Distribution]
     labels: Callable[[StateVector], frozenset[str]]
-    reward: Callable[[StateVector, str], float] = field(default=lambda state, action: 0.0)
     declared_states: tuple[StateVector, ...] | None = None
 
 
 # ===== Induced chains =====
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dtmc:
     """A discrete-time Markov chain over indexed states.
 
     State index 0 is the initial state. ``state_vectors`` keeps the original
-    factored identity of each state; ``rows`` hold sparse transition rows as
-    (target index, probability) pairs in construction order. ``rows`` is the
-    one source of truth; ``arrays`` is a read-only view of it computed on
-    first use.
+    factored identity of each state. Transitions are compressed sparse rows:
+    state i's (target, probability) pairs are ``indices[k]``, ``probs[k]``
+    for k in ``indptr[i]:indptr[i + 1]``, in construction order. The three
+    arrays are the chain's only transition storage; they are copied on
+    construction and read-only. Chains compare by identity.
     """
 
     state_vectors: tuple[StateVector, ...]
     state_labels: tuple[frozenset[str], ...]
-    rows: tuple[IndexRow, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("indptr", np.intp), ("indices", np.intp), ("probs", np.float64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def num_states(self) -> int:
@@ -150,24 +152,7 @@ class Dtmc:
 
     @property
     def num_transitions(self) -> int:
-        return sum(len(row) for row in self.rows)
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``rows`` flattened in row order: (source, target, probability).
-
-        Entry i is the i-th transition when the rows are read one after
-        another, so anything that accumulates over these arrays in order
-        adds up each row from its first pair to its last.
-        """
-        counts = [len(row) for row in self.rows]
-        total = sum(counts)
-        source = np.repeat(np.arange(len(self.rows)), counts)
-        target = np.fromiter((t for row in self.rows for t, _ in row), dtype=np.intp, count=total)
-        prob = np.fromiter((p for row in self.rows for _, p in row), dtype=np.float64, count=total)
-        for array in (source, target, prob):
-            array.flags.writeable = False
-        return source, target, prob
+        return len(self.indices)
 
     def alphabet(self) -> frozenset[str]:
         """All labels that occur on some state."""
@@ -184,14 +169,19 @@ class Dtmc:
         n = self.num_states
         if n == 0:
             raise ValueError("chain has no states")
-        if not (len(self.state_labels) == len(self.rows) == n):
+        if not (len(self.state_labels) == len(self.indptr) - 1 == n):
             raise ValueError("state_vectors, state_labels and rows disagree on length")
-        for i, row in enumerate(self.rows):
-            if not row:
+        indptr = self.indptr.tolist()
+        if indptr[0] != 0 or indptr[-1] != len(self.indices) or len(self.probs) != len(self.indices):
+            raise ValueError("indptr, indices and probs disagree on length")
+        indices, probs = self.indices.tolist(), self.probs.tolist()
+        for i in range(n):
+            start, stop = indptr[i], indptr[i + 1]
+            if start >= stop:
                 raise ValueError(f"state {i} has no outgoing transitions")
             total = 0.0
             seen: set[int] = set()
-            for j, prob in row:
+            for j, prob in zip(indices[start:stop], probs[start:stop]):
                 if not (0 <= j < n):
                     raise ValueError(f"state {i} references out-of-range target {j}")
                 if j in seen:
@@ -298,14 +288,13 @@ def load_explicit_model(text: str) -> EnvironmentModel:
     label_table: dict[StateVector, frozenset[str]] = {}
     action_table: dict[StateVector, tuple[str, ...]] = {}
     raw_rows: dict[tuple[StateVector, str], list[tuple[StateVector, float]]] = {}
-    reward_table: dict[tuple[StateVector, str], float] = {}
     fractions: dict[str, float] = {}
 
     for k, entry in enumerate(doc["states"]):
         where = f"states[{k}]"
         if not isinstance(entry, dict):
             _fail_syntax(f"{where}: must be an object")
-        unknown = set(entry) - {"s", "labels", "act", "rew"}
+        unknown = set(entry) - {"s", "labels", "act"}
         if unknown:
             _fail_syntax(f"{where}: unknown keys {sorted(unknown)}")
         if "s" not in entry or "act" not in entry:
@@ -340,16 +329,6 @@ def load_explicit_model(text: str) -> EnvironmentModel:
             raw_rows[(state, action)] = pairs
         # Keep action order aligned with the schema, not document order.
         action_table[state] = tuple(a for a in actions if a in act)
-
-        rew = entry.get("rew", {})
-        if not isinstance(rew, dict):
-            _fail_syntax(f"{where}.rew: must be an object")
-        for action, value in rew.items():
-            if action not in act:
-                _fail_semantic(f"state {list(state)} declares a reward for absent action {action!r}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                _fail_syntax(f"{where}.rew.{action}: must be a number")
-            reward_table[(state, action)] = float(value)
 
     declared_set = set(declared)
     if initial not in declared_set:
@@ -387,9 +366,6 @@ def load_explicit_model(text: str) -> EnvironmentModel:
         except KeyError:
             raise ModelSemanticError(f"state {list(state)} is not part of the model") from None
 
-    def reward(state: StateVector, action: str) -> float:
-        return reward_table.get((state, action), 0.0)
-
     return EnvironmentModel(
         feature_schema=tuple(features),
         action_schema=tuple(actions),
@@ -397,49 +373,17 @@ def load_explicit_model(text: str) -> EnvironmentModel:
         available_actions=available_actions,
         successors=successors,
         labels=labels,
-        reward=reward,
         declared_states=tuple(declared),
     )
 
 
-def dump_explicit_model(env: EnvironmentModel) -> str:
-    """Serialize a table-backed model to the explicit JSON format.
-
-    Floats are written with their shortest round-tripping representation, so
-    a load/dump/load cycle reproduces distributions bit for bit. Models with
-    lazily generated state spaces cannot be dumped directly; build the
-    reachable chain or enumerate them first.
-    """
-    if env.declared_states is None:
-        raise ModelSemanticError("model has no declared state table to serialize")
-    states_out = []
-    for state in env.declared_states:
-        entry: dict[str, object] = {"s": list(state)}
-        labels = sorted(env.labels(state))
-        if labels:
-            entry["labels"] = labels
-        act: dict[str, object] = {}
-        rew: dict[str, float] = {}
-        for action in env.available_actions(state):
-            dist = env.successors(state, action)
-            act[action] = [{"to": list(t), "p": p} for t, p in dist.support]
-            value = env.reward(state, action)
-            if value != 0.0:
-                rew[action] = value
-        entry["act"] = act
-        if rew:
-            entry["rew"] = rew
-        states_out.append(entry)
-    doc = {
-        "features": list(env.feature_schema),
-        "actions": list(env.action_schema),
-        "initial": list(env.initial),
-        "states": states_out,
-    }
-    return json.dumps(doc, indent=2)
-
-
 # ===== Validation =====
+
+
+def check_cap(name: str, value: int) -> None:
+    """Reject an exploration cap below 1, which would still admit the initial state."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -469,13 +413,17 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
 
     Args:
         env: the model to validate.
-        max_states: exploration cap; exceeding it raises LimitExceededError,
-            which signals size rather than invalidity.
+        max_states: exploration cap, at least 1; exceeding it raises
+            LimitExceededError, which signals size rather than invalidity.
 
     Returns:
         A ValidationReport with counts, violation strings and the reachable
         state set.
+
+    Raises:
+        ValueError: ``max_states`` is below 1.
     """
+    check_cap("max_states", max_states)
     width = len(env.feature_schema)
     schema = frozenset(env.action_schema)
     available_actions = env.available_actions

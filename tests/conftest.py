@@ -14,13 +14,32 @@ from prunecheck.environments import AVOIDANCE_ACTIONS, AVOIDANCE_FEATURES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# ===== Chains written as rows =====
+
+
+def dtmc_from_rows(state_vectors, state_labels, rows) -> Dtmc:
+    """A Dtmc from rows of (target, probability) pairs, kept in row order."""
+    indptr = np.cumsum([0, *(len(row) for row in rows)])
+    indices = [t for row in rows for t, _ in row]
+    probs = [p for row in rows for _, p in row]
+    return Dtmc(tuple(state_vectors), tuple(state_labels), indptr, indices, probs)
+
+
+def rows_of(dtmc: Dtmc) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """A chain's transitions as rows of (target, probability) pairs."""
+    indptr, indices, probs = dtmc.indptr.tolist(), dtmc.indices.tolist(), dtmc.probs.tolist()
+    return tuple(
+        tuple(zip(indices[indptr[i] : indptr[i + 1]], probs[indptr[i] : indptr[i + 1]])) for i in range(dtmc.num_states)
+    )
+
+
 # ===== Small hand-built chains =====
 
 
 @pytest.fixture
 def chain3() -> Dtmc:
     """Fair split into an absorbing goal state and an absorbing bad state."""
-    return Dtmc(
+    return dtmc_from_rows(
         state_vectors=((0,), (1,), (2,)),
         state_labels=(frozenset(), frozenset({"goal"}), frozenset({"bad"})),
         rows=(((1, 0.5), (2, 0.5)), ((1, 1.0),), ((2, 1.0),)),
@@ -30,7 +49,7 @@ def chain3() -> Dtmc:
 @pytest.fixture
 def loop() -> Dtmc:
     """Self-loop with a 0.1 escape into an absorbing goal state."""
-    return Dtmc(
+    return dtmc_from_rows(
         state_vectors=((0,), (1,)),
         state_labels=(frozenset(), frozenset({"goal"})),
         rows=(((0, 0.9), (1, 0.1)), ((1, 1.0),)),
@@ -40,7 +59,7 @@ def loop() -> Dtmc:
 @pytest.fixture
 def two_coin() -> Dtmc:
     """Two fair coin flips must both succeed to reach the goal."""
-    return Dtmc(
+    return dtmc_from_rows(
         state_vectors=((0,), (1,), (2,), (3,)),
         state_labels=(frozenset(), frozenset(), frozenset({"bad"}), frozenset({"goal"})),
         rows=(((1, 0.5), (2, 0.5)), ((3, 0.5), (2, 0.5)), ((2, 1.0),), ((3, 1.0),)),
@@ -141,7 +160,7 @@ def random_dtmc(rng: random.Random, max_states: int = 8, max_successors: int = 3
         if rng.random() < 0.4:
             tags.add("b")
         labels.append(frozenset(tags))
-    return Dtmc(
+    return dtmc_from_rows(
         state_vectors=tuple((s,) for s in range(n)),
         state_labels=tuple(labels),
         rows=tuple(rows),
@@ -176,10 +195,12 @@ __all__ = [
     "NO_COLLISION_6",
     "chaser_policy",
     "drift_avoidance_env",
+    "dtmc_from_rows",
     "fixture_doc",
     "fixture_text",
     "label_sets",
     "lazy_walker_policy",
     "random_dtmc",
     "random_policy",
+    "rows_of",
 ]

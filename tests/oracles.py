@@ -14,6 +14,8 @@ these oracles and the package is evidence, not circularity.
 * distributions: the ordered check whose first violation, in support
   order, a Distribution must report word for word
 * reachability: set-fixpoint closure, no queues or indices
+* unbounded operators as the row-based solver the checker once ran, which
+  its array form must match bit for bit
 """
 
 from __future__ import annotations
@@ -122,6 +124,120 @@ def until_linear(rows, a: set, b: set) -> list[float]:
         for s in unknowns:
             x[s] = float(solution[pos[s]])
     return x
+
+
+# ===== The row-based unbounded solver =====
+#
+# The checker once solved unbounded U, F, G and SEQ with these routines over
+# tuples of (target, probability) rows. They fix the Gauss-Seidel state
+# order, the summation order inside each row and the SEQ product numbering
+# (pair (s, q) is state 2 * s + q), so the checker's array form must equal
+# them with ==, iteration counts and residuals included.
+
+ROW_SOLVER_TOLERANCE = 1e-10
+ROW_SOLVER_MAX_SWEEPS = 1_000_000
+
+
+def _row_predecessors(rows) -> list[list[int]]:
+    preds: list[list[int]] = [[] for _ in rows]
+    for s, row in enumerate(rows):
+        for t, _ in row:
+            preds[t].append(s)
+    return preds
+
+
+def _row_backward_set(preds, seeds: set, allowed: set) -> set:
+    reached = set(seeds)
+    stack = list(seeds)
+    while stack:
+        t = stack.pop()
+        for s in preds[t]:
+            if s not in reached and s in allowed:
+                reached.add(s)
+                stack.append(s)
+    return reached
+
+
+def row_prob01_sets(rows, a: set, b: set) -> tuple[set, set]:
+    n = len(rows)
+    preds = _row_predecessors(rows)
+    can_reach = _row_backward_set(preds, set(b), a - b)
+    prob0 = set(range(n)) - can_reach
+    can_fail = _row_backward_set(preds, prob0, set(range(n)) - b)
+    prob1 = set(range(n)) - can_fail
+    return prob0, prob1
+
+
+def row_gauss_seidel(rows, prob0: set, prob1: set) -> tuple[list[float], int, float]:
+    n = len(rows)
+    x = [0.0] * n
+    for s in prob1:
+        x[s] = 1.0
+    uncertain = [s for s in range(n) if s not in prob0 and s not in prob1]
+    if not uncertain:
+        return x, 0, 0.0
+
+    prepared = []
+    for s in uncertain:
+        diag = 0.0
+        off = []
+        for t, p in rows[s]:
+            if t == s:
+                diag += p
+            else:
+                off.append((t, p))
+        prepared.append((s, 1.0 - diag, off))
+
+    for sweep in range(1, ROW_SOLVER_MAX_SWEEPS + 1):
+        residual = 0.0
+        for s, scale, off in prepared:
+            total = 0.0
+            for t, p in off:
+                total += p * x[t]
+            new = total / scale
+            delta = new - x[s]
+            if delta < 0.0:
+                delta = -delta
+            if delta > residual:
+                residual = delta
+            x[s] = new
+        if residual <= ROW_SOLVER_TOLERANCE:
+            for s, _, _ in prepared:
+                x[s] = min(1.0, max(0.0, x[s]))
+            return x, sweep, residual
+    raise RuntimeError("row-based Gauss-Seidel did not converge")
+
+
+def row_solve_until(rows, a: set, b: set) -> tuple[list[float], int, float]:
+    prob0, prob1 = row_prob01_sets(rows, a, b)
+    return row_gauss_seidel(rows, prob0, prob1)
+
+
+def row_seq_solve(rows, a: set, b: set) -> tuple[list[float], int, float]:
+    """SEQ on the product pairing each state with the monitor state before
+    reading it: 0 waits for a, 1 has seen a and waits for b, and a pair
+    whose read completes the sequence is an absorbing target."""
+    n = len(rows)
+
+    def step(q: int, s: int) -> int:
+        if q == 0:
+            if s in a and s in b:
+                return 2
+            return 1 if s in a else 0
+        return 2 if s in b else 1
+
+    product_rows = []
+    targets = set()
+    for s in range(n):
+        for q in (0, 1):
+            q_next = step(q, s)
+            if q_next == 2:
+                targets.add(2 * s + q)
+                product_rows.append(((2 * s + q, 1.0),))
+            else:
+                product_rows.append(tuple((2 * t + q_next, p) for t, p in rows[s]))
+    vec, iterations, residual = row_solve_until(product_rows, set(range(2 * n)), targets)
+    return [vec[2 * s] for s in range(n)], iterations, residual
 
 
 # ===== Seq by an entry-consuming monitor product =====

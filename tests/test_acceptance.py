@@ -39,6 +39,7 @@ from .conftest import (
     lazy_walker_policy,
     random_dtmc,
     random_policy,
+    rows_of,
 )
 from .oracles import (
     argmax_in_schema,
@@ -76,7 +77,7 @@ def test_criterion_01_bounded_checker_matches_path_enumeration():
     for _ in range(200):
         dtmc = random_dtmc(rng, max_states=8, max_successors=3)
         a, b = label_sets(dtmc)
-        rows = dtmc.rows
+        rows = rows_of(dtmc)
         everything = set(range(dtmc.num_states))
         k = rng.randint(0, 12)
         kind = rng.choice(("until", "eventually", "globally", "next"))
@@ -281,13 +282,15 @@ def test_criterion_07_induced_chain_matches_oracle():
 
         assert set(result.dtmc.state_vectors) == closure((0, 0, 8, 0, 0), expand)
 
+        index = {vector: i for i, vector in enumerate(result.dtmc.state_vectors)}
+        rows = rows_of(result.dtmc)
         for i, vector in enumerate(result.dtmc.state_vectors):
             action = policy.select_action(vector, env.available_actions(vector))
             expected = tuple(
-                (result.state_index[target], p)
+                (index[target], p)
                 for target, p in env.successors(vector, action).support
             )
-            assert result.dtmc.rows[i] == expected
+            assert rows[i] == expected
         sizes.append(result.dtmc.num_states)
     report(7, f"5 taxi policies, chains of {sizes} states match the oracle walk")
 

@@ -22,8 +22,18 @@ from prunecheck import (
     until_probability,
 )
 
-from .conftest import label_sets, random_dtmc
-from .oracles import bounded_until_loop, next_loop, next_paths, seq_linear, until_linear, until_paths
+from .conftest import dtmc_from_rows, label_sets, random_dtmc, rows_of
+from .oracles import (
+    bounded_until_loop,
+    next_loop,
+    next_paths,
+    row_prob01_sets,
+    row_seq_solve,
+    row_solve_until,
+    seq_linear,
+    until_linear,
+    until_paths,
+)
 
 # Random chains legitimately miss a label now and then; those warnings are
 # the subject of TestEvaluateStates, noise everywhere else.
@@ -88,7 +98,7 @@ class TestProb01:
         a, b = label_sets(dtmc)
         zero, one = prob01(dtmc, a | b, b)
         values = until_probability(dtmc, a | b, b)
-        oracle = until_linear(dtmc.rows, a | b, b)
+        oracle = until_linear(rows_of(dtmc), a | b, b)
         for s in zero:
             assert values[s] == 0.0
             assert oracle[s] == 0.0
@@ -109,7 +119,7 @@ class TestBoundedAgainstEnumeration:
         k = rng.randint(0, 9)
         values = bounded_until_probability(dtmc, a, b, k)
         for s in range(dtmc.num_states):
-            assert values[s] == pytest.approx(until_paths(dtmc.rows, a, b, k, s), abs=1e-9)
+            assert values[s] == pytest.approx(until_paths(rows_of(dtmc), a, b, k, s), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_parsed_bounded_forms_match_paths(self, seed):
@@ -123,12 +133,12 @@ class TestBoundedAgainstEnumeration:
         eventually = check(dtmc, parse_property(f'P=?[ F<={k} "b" ]'))
         globally = check(dtmc, parse_property(f'P=?[ G<={k} "a" ]'))
         for s in range(dtmc.num_states):
-            assert until.per_state[s] == pytest.approx(until_paths(dtmc.rows, a, b, k, s), abs=1e-9)
+            assert until.per_state[s] == pytest.approx(until_paths(rows_of(dtmc), a, b, k, s), abs=1e-9)
             assert eventually.per_state[s] == pytest.approx(
-                until_paths(dtmc.rows, everything, b, k, s), abs=1e-9
+                until_paths(rows_of(dtmc), everything, b, k, s), abs=1e-9
             )
             assert globally.per_state[s] == pytest.approx(
-                globally_oracle(dtmc.rows, a, k, s), abs=1e-9
+                globally_oracle(rows_of(dtmc), a, k, s), abs=1e-9
             )
 
     def test_zero_bound_is_the_indicator(self, chain3):
@@ -152,7 +162,7 @@ class TestUnboundedAgainstLinearSolve:
         dtmc = random_dtmc(random.Random(3000 + seed))
         a, b = label_sets(dtmc)
         values = until_probability(dtmc, a | b, b)
-        oracle = until_linear(dtmc.rows, a | b, b)
+        oracle = until_linear(rows_of(dtmc), a | b, b)
         for got, want in zip(values, oracle):
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -161,7 +171,7 @@ class TestUnboundedAgainstLinearSolve:
         dtmc = random_dtmc(random.Random(4000 + seed))
         a, b = label_sets(dtmc)
         result = check(dtmc, parse_property('P=?[ "a" U "b" ]'))
-        oracle = until_linear(dtmc.rows, a, b)
+        oracle = until_linear(rows_of(dtmc), a, b)
         for got, want in zip(result.per_state, oracle):
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -191,7 +201,7 @@ def labeled_chains(draw, shape: str) -> Dtmc:
     if shape == "a_in_b":
         b |= a
     labels = tuple(frozenset({"a"} if s in a else ()) | frozenset({"b"} if s in b else ()) for s in range(n))
-    return Dtmc(state_vectors=tuple((s,) for s in range(n)), state_labels=labels, rows=tuple(rows))
+    return dtmc_from_rows(tuple((s,) for s in range(n)), labels, rows)
 
 
 class TestBoundedBitIdentity:
@@ -202,7 +212,7 @@ class TestBoundedBitIdentity:
     def test_operators_equal_the_loops(self, shape, data):
         dtmc = data.draw(labeled_chains(shape))
         k = data.draw(st.integers(1, 12))
-        rows = dtmc.rows
+        rows = rows_of(dtmc)
         a, b = label_sets(dtmc)
         everything = set(range(dtmc.num_states))
         assert check(dtmc, parse_property('P=? [X "b"]')).per_state == tuple(next_loop(rows, b))
@@ -222,7 +232,7 @@ class TestBoundedBitIdentity:
         # 0.1 + 0.2 + 0.7 and 0.7 + 0.2 + 0.1 differ in the last bit, so a
         # sum in any order but the row's own would show here.
         forward = ((1, 0.1), (2, 0.2), (3, 0.7))
-        dtmc = Dtmc(
+        dtmc = dtmc_from_rows(
             state_vectors=tuple((s,) for s in range(6)),
             state_labels=(frozenset(),) + (frozenset({"b"}),) * 3 + (frozenset(),) * 2,
             rows=(forward, ((1, 1.0),), ((2, 1.0),), ((3, 1.0),), forward[::-1], ((5, 1.0),)),
@@ -231,7 +241,79 @@ class TestBoundedBitIdentity:
         assert values[0] == 0.1 + 0.2 + 0.7
         assert values[4] == 0.7 + 0.2 + 0.1
         assert values[0] != values[4]
-        assert bounded_until_probability(dtmc, {0, 4}, {1, 2, 3}, 1) == next_loop(dtmc.rows, {1, 2, 3})
+        assert bounded_until_probability(dtmc, {0, 4}, {1, 2, 3}, 1) == next_loop(rows_of(dtmc), {1, 2, 3})
+
+
+# ===== Unbounded operators against the row-based solver =====
+
+UNBOUNDED = (
+    ('P=? ["a" U "b"]', lambda rows, a, b, everything: row_solve_until(rows, a, b)),
+    ('P=? [F "b"]', lambda rows, a, b, everything: row_solve_until(rows, everything, b)),
+    ('P=? [G "a"]', lambda rows, a, b, everything: complement(row_solve_until(rows, everything, everything - a))),
+    ('P=? [G !"b"]', lambda rows, a, b, everything: complement(row_solve_until(rows, everything, b))),
+    ('P=? [SEQ("a", "b")]', lambda rows, a, b, everything: row_seq_solve(rows, a, b)),
+    ('P=? [SEQ("b", "a")]', lambda rows, a, b, everything: row_seq_solve(rows, b, a)),
+)
+
+
+def complement(solved):
+    vec, iterations, residual = solved
+    return [1.0 - v for v in vec], iterations, residual
+
+
+def gamblers_ruin(p: float, top: int = 40) -> Dtmc:
+    """Capital c is state c: win 1 with probability p, else lose 1; 0 and
+    ``top`` absorb. "b" marks ``top``; "a" marks the capitals in between
+    except multiples of 13, so ``"a" U "b"`` has probability-0 states."""
+    rows = [((0, 1.0),), *(((c + 1, p), (c - 1, 1.0 - p)) for c in range(1, top)), ((top, 1.0),)]
+    labels = [frozenset({"a"}) if 0 < c < top and c % 13 else frozenset() for c in range(top)]
+    return dtmc_from_rows(tuple((c,) for c in range(top + 1)), (*labels, frozenset({"b"})), rows)
+
+
+def drifting_walk(top: int = 30) -> Dtmc:
+    """States 0..top; 0, 1, top - 1 and top absorb, every other state steps
+    by -2..2 with probabilities .15, .25, .1, .3, .2, so each row sums four
+    off-diagonal terms whose order shows in the last bits. "b" marks the
+    two top states, "a" the others but multiples of 7."""
+    moves = ((1, 0.3), (-1, 0.25), (2, 0.2), (-2, 0.15), (0, 0.1))
+    absorbing = {0, 1, top - 1, top}
+    rows = [((c, 1.0),) if c in absorbing else tuple((c + d, p) for d, p in moves) for c in range(top + 1)]
+    labels = [
+        frozenset({"b"}) if c >= top - 1 else frozenset({"a"}) if c % 7 else frozenset() for c in range(top + 1)
+    ]
+    return dtmc_from_rows(tuple((c,) for c in range(top + 1)), labels, rows)
+
+
+def assert_unbounded_bit_identity(dtmc: Dtmc) -> None:
+    rows = rows_of(dtmc)
+    a, b = label_sets(dtmc)
+    everything = set(range(dtmc.num_states))
+    for first, then in ((a, b), (everything, b), (everything, everything - a), (b, a)):
+        assert prob01(dtmc, first, then) == tuple(map(frozenset, row_prob01_sets(rows, first, then)))
+    for text, reference in UNBOUNDED:
+        result = check(dtmc, parse_property(text))
+        vec, iterations, residual = reference(rows, a, b, everything)
+        assert (result.per_state, result.iterations, result.residual) == (tuple(vec), iterations, residual), text
+
+
+class TestUnboundedBitIdentity:
+    """prob01, and ``per_state``, ``iterations`` and ``residual`` of unbounded
+    U, F, G and SEQ, equal the row-based solver's with ==."""
+
+    @pytest.mark.parametrize("shape", ["any", "empty_b", "a_in_b"])
+    @given(data=st.data())
+    def test_random_chains(self, shape, data):
+        assert_unbounded_bit_identity(data.draw(labeled_chains(shape)))
+
+    @pytest.mark.parametrize("p", [0.5, 0.49, 1 / 3])
+    def test_gamblers_ruin(self, p):
+        dtmc = gamblers_ruin(p)
+        assert_unbounded_bit_identity(dtmc)
+        # Enough sweeps for any change of order to show in the last bits.
+        assert check(dtmc, parse_property('P=? [F "b"]')).iterations > 100
+
+    def test_wide_rows(self):
+        assert_unbounded_bit_identity(drifting_walk())
 
 
 # ===== Next =====
@@ -250,7 +332,7 @@ class TestNext:
         _, b = label_sets(dtmc)
         values = next_probability(dtmc, b)
         for s in range(dtmc.num_states):
-            assert values[s] == pytest.approx(next_paths(dtmc.rows, b, s), abs=1e-12)
+            assert values[s] == pytest.approx(next_paths(rows_of(dtmc), b, s), abs=1e-12)
 
 
 # ===== Seq =====
@@ -262,7 +344,7 @@ def labeled_chain(*labels: str) -> Dtmc:
     rows = tuple(
         ((s + 1, 1.0),) if s + 1 < n else ((s, 1.0),) for s in range(n)
     )
-    return Dtmc(
+    return dtmc_from_rows(
         state_vectors=tuple((s,) for s in range(n)),
         state_labels=tuple(frozenset(l.split()) if l else frozenset() for l in labels),
         rows=rows,
@@ -300,7 +382,7 @@ class TestSeq:
         dtmc = random_dtmc(random.Random(6000 + seed))
         a, b = label_sets(dtmc)
         values = seq_probability(dtmc, a, b)
-        oracle = seq_linear(dtmc.rows, a, b)
+        oracle = seq_linear(rows_of(dtmc), a, b)
         for got, want in zip(values, oracle):
             assert got == pytest.approx(want, abs=1e-8)
 

@@ -390,7 +390,7 @@ class TestParser:
     }
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
-    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+    @pytest.mark.parametrize("command", sorted(set(SUBCOMMAND_ARGS) - {"prune"}))
     def test_state_cap_below_one_is_a_parse_error(self, capsys, command, cap):
         with pytest.raises(SystemExit) as exc:
             main([command, *self.SUBCOMMAND_ARGS[command], "--max-states", cap])
@@ -398,6 +398,27 @@ class TestParser:
         assert exc.value.code == 2
         assert captured.out == ""
         assert f"argument --max-states: must be at least 1, got {cap}" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("prune", "--max-states=7"),
+            ("prune", "--json"),
+            ("prune", "--timings"),
+            ("validate", "--timings"),
+            ("check", "--lower-is-safer"),
+            ("sweep", "--json"),
+            ("export-dtmc", "--json"),
+            ("export-dtmc", "--timings"),
+        ],
+    )
+    def test_flags_the_handler_does_not_read_are_usage_errors(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.SUBCOMMAND_ARGS[command], flag])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
 
     def test_state_cap_keeps_the_integer_wording(self, capsys):
         with pytest.raises(SystemExit) as exc:

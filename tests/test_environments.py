@@ -58,7 +58,7 @@ class TestConfigs:
             {"obstacle_start": (3, 0)},
             {"obstacle_move_prob": 1.5},
             {"obstacle_move_prob": -0.1},
-            {"horizon_hint": 0},
+            {"width": 0},
         ],
     )
     def test_avoidance_rejects_bad_config(self, kwargs):

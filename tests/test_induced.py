@@ -27,7 +27,7 @@ from prunecheck import (
 )
 from prunecheck.environments import AVOIDANCE_ACTIONS, AVOIDANCE_FEATURES, TAXI_ACTIONS, TAXI_FEATURES
 
-from .conftest import random_policy
+from .conftest import random_policy, rows_of
 from .oracles import (
     argmax_in_schema,
     avoid_induced_chain,
@@ -58,29 +58,29 @@ class TestFixtureChains:
         result = build_induced_dtmc(chain3_env, step_policy)
         assert result.dtmc.state_vectors == chain3.state_vectors
         assert result.dtmc.state_labels == chain3.state_labels
-        assert result.dtmc.rows == chain3.rows
+        assert rows_of(result.dtmc) == rows_of(chain3)
 
     def test_loop_rebuilds_exactly(self, loop_env, loop, step_policy):
         result = build_induced_dtmc(loop_env, step_policy)
-        assert result.dtmc.rows == loop.rows
+        assert rows_of(result.dtmc) == rows_of(loop)
 
     def test_two_coin_rebuilds_exactly(self, two_coin_env, two_coin, step_policy):
         result = build_induced_dtmc(two_coin_env, step_policy)
         assert result.dtmc.state_vectors == two_coin.state_vectors
-        assert result.dtmc.rows == two_coin.rows
+        assert rows_of(result.dtmc) == rows_of(two_coin)
 
     def test_chosen_actions_and_stats(self, chain3_env, step_policy):
         result = build_induced_dtmc(chain3_env, step_policy)
         assert result.chosen_actions == ("step", "step", "step")
         assert result.stats.states == result.dtmc.num_states == 3
         assert result.stats.transitions == result.dtmc.num_transitions == 4
-        assert result.stats.duration_ms >= 0.0
 
     def test_state_index_matches_vector_order(self, two_coin_env, step_policy):
+        # Every state vector appears once, so its position is its index.
         result = build_induced_dtmc(two_coin_env, step_policy)
-        for vector, i in result.state_index.items():
-            assert result.dtmc.state_vectors[i] == vector
-        assert len(result.state_index) == result.dtmc.num_states
+        index = {vector: i for i, vector in enumerate(result.dtmc.state_vectors)}
+        assert len(index) == result.dtmc.num_states
+        assert max(result.dtmc.indices) < result.dtmc.num_states
 
 
 # ===== Discovery order =====
@@ -110,7 +110,7 @@ class TestDiscoveryOrder:
         )
         result = build_induced_dtmc(env, step_policy)
         assert result.dtmc.state_vectors == ((0,), (2,), (1,))
-        assert result.state_index == {(0,): 0, (2,): 1, (1,): 2}
+        assert rows_of(result.dtmc)[0] == ((1, 0.5), (2, 0.5))
 
     def test_rebuild_is_deterministic(self, step_policy):
         env = avoidance()
@@ -118,7 +118,7 @@ class TestDiscoveryOrder:
         first = build_induced_dtmc(env, policy)
         second = build_induced_dtmc(env, policy)
         assert first.dtmc.state_vectors == second.dtmc.state_vectors
-        assert first.dtmc.rows == second.dtmc.rows
+        assert rows_of(first.dtmc) == rows_of(second.dtmc)
         assert first.chosen_actions == second.chosen_actions
 
 
@@ -149,6 +149,13 @@ class TestFailureModes:
         assert exc.value.states_seen == 3
         assert exc.value.transitions_seen == 4
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("name", ["max_states", "max_transitions"])
+    def test_caps_below_one_are_rejected(self, name, cap):
+        with pytest.raises(ValueError) as exc:
+            BuildLimits(**{name: cap})
+        assert str(exc.value) == f"{name} must be at least 1, got {cap}"
+
     def test_exact_fit_passes(self, chain3_env, step_policy):
         limits = BuildLimits(max_states=3, max_transitions=4)
         result = build_induced_dtmc(chain3_env, step_policy, limits)
@@ -171,9 +178,10 @@ class TestAvoidanceFidelity:
         states, rows = avoid_induced_chain(weights, bias, 3, 3, (2, 2), 0.5)
 
         assert sorted(result.dtmc.state_vectors) == states
+        built_rows = rows_of(result.dtmc)
         for i, vector in enumerate(result.dtmc.state_vectors):
             built = sorted(
-                (result.dtmc.state_vectors[j], p) for j, p in result.dtmc.rows[i]
+                (result.dtmc.state_vectors[j], p) for j, p in built_rows[i]
             )
             assert built == sorted(rows[vector])
 
@@ -192,14 +200,16 @@ class TestTaxiFidelity:
         env = mini_taxi()
         policy = random_policy(seed, TAXI_FEATURES, TAXI_ACTIONS, hidden=(6,))
         result = build_induced_dtmc(env, policy)
+        index = {vector: i for i, vector in enumerate(result.dtmc.state_vectors)}
+        rows = rows_of(result.dtmc)
         for i, vector in enumerate(result.dtmc.state_vectors):
             action = policy.select_action(vector, env.available_actions(vector))
             assert result.chosen_actions[i] == action
             expected = tuple(
-                (result.state_index[target], p)
+                (index[target], p)
                 for target, p in env.successors(vector, action).support
             )
-            assert result.dtmc.rows[i] == expected
+            assert rows[i] == expected
 
     def test_reachable_set_matches_independent_walk(self):
         env = mini_taxi()
@@ -271,7 +281,7 @@ def per_state_build(env, policy, limits):
 def package_build(env, policy, limits):
     result = build_induced_dtmc(env, policy, limits)
     dtmc = result.dtmc
-    return dtmc.state_vectors, dtmc.rows, dtmc.state_labels, result.chosen_actions
+    return dtmc.state_vectors, rows_of(dtmc), dtmc.state_labels, result.chosen_actions
 
 
 def outcome(build, env, policy, limits):
@@ -428,7 +438,7 @@ class TestExport:
 
         assert round_tripped.state_vectors == built.state_vectors
         assert round_tripped.state_labels == built.state_labels
-        assert round_tripped.rows == built.rows
+        assert rows_of(round_tripped) == rows_of(built)
 
     def test_document_shape(self, chain3_env, step_policy):
         built = build_induced_dtmc(chain3_env, step_policy).dtmc

@@ -7,6 +7,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,13 +19,16 @@ from prunecheck import (
     LimitExceededError,
     ModelSemanticError,
     ModelSyntaxError,
-    dump_explicit_model,
+    build_induced_dtmc,
+    from_uri,
+    induced_to_explicit,
     load_explicit_model,
+    make_policy,
     validate_model,
 )
 
 from . import oracles
-from .conftest import fixture_doc, fixture_text
+from .conftest import dtmc_from_rows, fixture_doc, fixture_text
 
 # ===== Distributions =====
 
@@ -142,29 +146,56 @@ class TestDtmc:
         two_coin.validate()
 
     def test_validate_rejects_empty_row(self):
-        bad = Dtmc(((0,),), (frozenset(),), ((),))
+        bad = dtmc_from_rows(((0,),), (frozenset(),), ((),))
         with pytest.raises(ValueError, match="no outgoing"):
             bad.validate()
 
     def test_validate_rejects_length_mismatch(self):
-        bad = Dtmc(((0,), (1,)), (frozenset(),), (((0, 1.0),),))
+        bad = dtmc_from_rows(((0,), (1,)), (frozenset(),), (((0, 1.0),),))
         with pytest.raises(ValueError, match="disagree"):
             bad.validate()
 
     def test_validate_rejects_dangling_target(self):
-        bad = Dtmc(((0,),), (frozenset(),), (((3, 1.0),),))
+        bad = dtmc_from_rows(((0,),), (frozenset(),), (((3, 1.0),),))
         with pytest.raises(ValueError, match="out-of-range"):
             bad.validate()
 
     def test_validate_rejects_repeated_target(self):
-        bad = Dtmc(((0,), (1,)), (frozenset(), frozenset()), (((1, 0.5), (1, 0.5)), ((1, 1.0),)))
+        bad = dtmc_from_rows(((0,), (1,)), (frozenset(), frozenset()), (((1, 0.5), (1, 0.5)), ((1, 1.0),)))
         with pytest.raises(ValueError, match="repeats"):
             bad.validate()
 
     def test_validate_rejects_bad_row_sum(self):
-        bad = Dtmc(((0,), (1,)), (frozenset(), frozenset()), (((1, 0.5),), ((1, 1.0),)))
+        bad = dtmc_from_rows(((0,), (1,)), (frozenset(), frozenset()), (((1, 0.5),), ((1, 1.0),)))
         with pytest.raises(ValueError, match="sums to"):
             bad.validate()
+
+    @pytest.mark.parametrize(
+        "indptr, indices, probs",
+        [([1, 2], [0, 0], [1.0, 1.0]), ([0, 2], [0], [1.0]), ([0, 1], [0], [0.5, 0.5])],
+    )
+    def test_validate_rejects_arrays_that_disagree(self, indptr, indices, probs):
+        bad = Dtmc(((0,),), (frozenset(),), indptr, indices, probs)
+        with pytest.raises(ValueError, match="indptr, indices and probs disagree"):
+            bad.validate()
+
+    def test_validate_reports_the_first_violation_in_row_order(self):
+        # State 0 breaks the sum only after its out-of-range and repeated
+        # targets; state 1's bad probability comes after all of them.
+        rows = (((0, 0.5), (7, 0.2), (0, 0.1)), ((1, 2.0),))
+        bad = dtmc_from_rows(((0,), (1,)), (frozenset(),) * 2, rows)
+        with pytest.raises(ValueError) as exc:
+            bad.validate()
+        assert str(exc.value) == "state 0 references out-of-range target 7"
+
+    def test_arrays_are_read_only_copies(self):
+        probs = np.array([1.0])
+        dtmc = Dtmc(((0,),), (frozenset(),), [0, 1], [0], probs)
+        probs[0] = 0.5
+        assert dtmc.probs.tolist() == [1.0]
+        for array in (dtmc.indptr, dtmc.indices, dtmc.probs):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 # ===== Explicit format: loading =====
@@ -180,7 +211,6 @@ class TestLoadExplicitModel:
         assert env.available_actions((0,)) == ("step",)
         assert env.labels((1,)) == frozenset({"goal"})
         assert env.labels((0,)) == frozenset()
-        assert env.reward((0,), "step") == 0.0
 
     def test_fraction_probabilities_are_exact(self, chain3_env):
         dist = chain3_env.successors((0,), "step")
@@ -198,12 +228,12 @@ class TestLoadExplicitModel:
         env = load_explicit_model(json.dumps(doc))
         assert env.available_actions((0,)) == ("a", "b")
 
-    def test_rewards_loaded(self):
+    def test_rew_key_is_unknown(self):
         doc = fixture_doc("chain3.json")
         doc["states"][0]["rew"] = {"step": 2.5}
-        env = load_explicit_model(json.dumps(doc))
-        assert env.reward((0,), "step") == 2.5
-        assert env.reward((1,), "step") == 0.0
+        with pytest.raises(ModelSyntaxError) as exc:
+            load_explicit_model(json.dumps(doc))
+        assert str(exc.value) == "states[0]: unknown keys ['rew']"
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ModelSyntaxError, match="line 1 column"):
@@ -270,7 +300,6 @@ class TestLoadExplicitModel:
                 "mass",
             ),
             (lambda d: d["states"].append(dict(d["states"][0])), "declared twice"),
-            (lambda d: d["states"][0].update(rew={"other": 1.0}), "absent action"),
         ],
     )
     def test_semantic_errors(self, mutate, message):
@@ -357,50 +386,18 @@ class TestFractionStrings:
         assert str(exc.value) == "states[1].act.a[0].p: probability must be a number or fraction string"
 
     def test_round_trip_is_unchanged(self):
+        # Export the chain each action induces and load it back: the values
+        # parsed from the repeated strings survive bit for bit.
         env = load_explicit_model(json.dumps(_repeated_fractions_doc()))
-        text = dump_explicit_model(env)
-        again = load_explicit_model(text)
-        assert dump_explicit_model(again) == text
-        for state in env.declared_states:
-            for action in env.available_actions(state):
-                assert again.successors(state, action) == env.successors(state, action)
-
-
-# ===== Explicit format: dumping =====
-
-
-class TestDumpExplicitModel:
-    def test_round_trip_preserves_everything(self, two_coin_env):
-        text = dump_explicit_model(two_coin_env)
-        again = load_explicit_model(text)
-        assert again.feature_schema == two_coin_env.feature_schema
-        assert again.action_schema == two_coin_env.action_schema
-        assert again.initial == two_coin_env.initial
-        assert again.declared_states == two_coin_env.declared_states
-        for state in two_coin_env.declared_states:
-            assert again.labels(state) == two_coin_env.labels(state)
-            assert again.available_actions(state) == two_coin_env.available_actions(state)
-            for action in again.available_actions(state):
-                assert again.successors(state, action) == two_coin_env.successors(state, action)
-
-    def test_nonzero_rewards_survive(self):
-        doc = fixture_doc("chain3.json")
-        doc["states"][0]["rew"] = {"step": -1.5}
-        env = load_explicit_model(json.dumps(doc))
-        again = load_explicit_model(dump_explicit_model(env))
-        assert again.reward((0,), "step") == -1.5
-
-    def test_lazy_model_refuses_to_dump(self):
-        env = EnvironmentModel(
-            feature_schema=("v",),
-            action_schema=("a",),
-            initial=(0,),
-            available_actions=lambda s: ("a",),
-            successors=lambda s, a: Distribution((((0,), 1.0),)),
-            labels=lambda s: frozenset(),
-        )
-        with pytest.raises(ModelSemanticError, match="no declared state table"):
-            dump_explicit_model(env)
+        for bias in ([1.0, 0.0], [0.0, 1.0]):
+            policy = make_policy(("v",), ("a", "b"), [(np.zeros((2, 1)), np.array(bias))])
+            action = "a" if bias[0] else "b"
+            text = induced_to_explicit(build_induced_dtmc(env, policy).dtmc, ("v",))
+            again = load_explicit_model(text)
+            pi = make_policy(("v",), ("pi",), [(np.zeros((1, 1)), np.zeros(1))])
+            assert induced_to_explicit(build_induced_dtmc(again, pi).dtmc, ("v",)) == text
+            for state in env.declared_states:
+                assert again.successors(state, "pi") == env.successors(state, action)
 
 
 # ===== Validation walks =====
@@ -449,6 +446,13 @@ class TestValidateModel:
             validate_model(counter_env(), max_states=4)
         assert exc.value.exit_code == 4
         assert exc.value.states_seen == 4
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_state_cap_below_one_is_rejected(self, cap):
+        env = from_uri("builtin:avoidance?width=1&height=1")
+        with pytest.raises(ValueError) as exc:
+            validate_model(env, max_states=cap)
+        assert str(exc.value) == f"max_states must be at least 1, got {cap}"
 
     def test_wrong_width_successor_is_flagged(self):
         env = EnvironmentModel(

@@ -16,7 +16,10 @@ unbounded-until machinery.
 
 Every routine reads the chain's compressed sparse row arrays: the graph
 searches and the bounded operators as NumPy arrays, the Gauss-Seidel sweeps
-as Python lists in state order and row order.
+as Python lists in state order and row order. State sets are boolean masks
+from the label lookup to the solver; a label that no state carries is the
+empty mask and emits UnknownLabelWarning. The public helpers, which take
+and give sets of state indices, convert at that boundary.
 """
 
 from __future__ import annotations
@@ -221,12 +224,14 @@ def bounded_until_probability(dtmc: Dtmc, a, b, k: int) -> list[float]:
 
 
 def next_probability(dtmc: Dtmc, b) -> list[float]:
-    """Per-state probability that the next state satisfies ``b``.
+    """Per-state probability that the next state satisfies ``b``."""
+    return _next(dtmc, _mask(dtmc.num_states, b))
 
-    Each row's transitions into ``b`` are summed from 0.0 in row order.
-    """
+
+def _next(dtmc: Dtmc, b: np.ndarray) -> list[float]:
+    """Each row's transitions into ``b``, summed from 0.0 in row order."""
     n = dtmc.num_states
-    hit = _mask(n, b)[dtmc.indices]
+    hit = b[dtmc.indices]
     source = _sources(dtmc.indptr)[hit]
     return np.clip(np.bincount(source, weights=dtmc.probs[hit], minlength=n), 0.0, 1.0).tolist()
 
@@ -289,66 +294,59 @@ def _seq_solve(dtmc: Dtmc, a: np.ndarray, b: np.ndarray) -> tuple[list[float], i
 
 
 def evaluate_states(dtmc: Dtmc, sf: StateFormula) -> frozenset[int]:
-    """Bottom-up state-set semantics of a state formula.
+    """The states satisfying a state formula, read off the checker's mask.
 
-    A label absent from the chain's alphabet denotes the empty set; that is
-    almost always a typo, so it additionally emits UnknownLabelWarning.
+    A label that no state carries denotes the empty mask; that is almost
+    always a typo, so it additionally emits UnknownLabelWarning.
     """
-    return _evaluate(dtmc, sf, dtmc.alphabet())
+    return frozenset(np.flatnonzero(_evaluate(dtmc, sf)).tolist())
 
 
-def _evaluate(dtmc: Dtmc, sf: StateFormula, alphabet: frozenset[str]) -> frozenset[int]:
-    everything = frozenset(range(dtmc.num_states))
+def _evaluate(dtmc: Dtmc, sf: StateFormula) -> np.ndarray:
+    n = dtmc.num_states
     if isinstance(sf, TrueFormula):
-        return everything
+        return np.ones(n, dtype=bool)
     if isinstance(sf, FalseFormula):
-        return frozenset()
+        return np.zeros(n, dtype=bool)
     if isinstance(sf, Label):
-        if sf.name not in alphabet:
+        mask = np.fromiter((sf.name in labels for labels in dtmc.state_labels), dtype=bool, count=n)
+        if not mask.any():
             warnings.warn(
                 f"label {sf.name!r} does not occur in the model; treating it as the empty set",
                 UnknownLabelWarning,
                 stacklevel=4,
             )
-        return dtmc.states_with(sf.name)
+        return mask
     if isinstance(sf, Not):
-        return everything - _evaluate(dtmc, sf.operand, alphabet)
+        return ~_evaluate(dtmc, sf.operand)
     if isinstance(sf, And):
-        return _evaluate(dtmc, sf.left, alphabet) & _evaluate(dtmc, sf.right, alphabet)
+        return _evaluate(dtmc, sf.left) & _evaluate(dtmc, sf.right)
     if isinstance(sf, Or):
-        return _evaluate(dtmc, sf.left, alphabet) | _evaluate(dtmc, sf.right, alphabet)
+        return _evaluate(dtmc, sf.left) | _evaluate(dtmc, sf.right)
     raise TypeError(f"not a state formula: {sf!r}")
 
 
-def _path_vector(dtmc: Dtmc, path: PathFormula, alphabet: frozenset[str]) -> tuple[list[float], int, float]:
-    n = dtmc.num_states
-    everything = np.ones(n, dtype=bool)
+def _path_vector(dtmc: Dtmc, path: PathFormula) -> tuple[list[float], int, float]:
     if isinstance(path, Next):
-        return next_probability(dtmc, _evaluate(dtmc, path.target, alphabet)), 0, 0.0
-    if isinstance(path, Until):
-        a = _mask(n, _evaluate(dtmc, path.left, alphabet))
-        b = _mask(n, _evaluate(dtmc, path.right, alphabet))
-        if path.bound is None:
-            return _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, a, b)
-        return _bounded_until(dtmc, a, b, path.bound), path.bound, 0.0
-    if isinstance(path, Eventually):
-        b = _mask(n, _evaluate(dtmc, path.target, alphabet))
-        if path.bound is None:
-            return _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, everything, b)
-        return _bounded_until(dtmc, everything, b, path.bound), path.bound, 0.0
-    if isinstance(path, Globally):
-        # G phi is the complement of eventually-not-phi, bounded or not.
-        bad = ~_mask(n, _evaluate(dtmc, path.target, alphabet))
-        if path.bound is None:
-            vec, iterations, residual = _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, everything, bad)
-        else:
-            vec, iterations, residual = _bounded_until(dtmc, everything, bad, path.bound), path.bound, 0.0
-        return [1.0 - v for v in vec], iterations, residual
+        return _next(dtmc, _evaluate(dtmc, path.target)), 0, 0.0
     if isinstance(path, Seq):
-        first = _mask(n, _evaluate(dtmc, path.first, alphabet))
-        then = _mask(n, _evaluate(dtmc, path.then, alphabet))
-        return _seq_solve(dtmc, first, then)
-    raise TypeError(f"not a path formula: {path!r}")
+        return _seq_solve(dtmc, _evaluate(dtmc, path.first), _evaluate(dtmc, path.then))
+    # U, F and G are each one until a U b; G phi is the complement of F !phi.
+    if isinstance(path, Until):
+        a, b = _evaluate(dtmc, path.left), _evaluate(dtmc, path.right)
+    elif isinstance(path, Eventually):
+        a, b = np.ones(dtmc.num_states, dtype=bool), _evaluate(dtmc, path.target)
+    elif isinstance(path, Globally):
+        a, b = np.ones(dtmc.num_states, dtype=bool), ~_evaluate(dtmc, path.target)
+    else:
+        raise TypeError(f"not a path formula: {path!r}")
+    if path.bound is None:
+        vec, iterations, residual = _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, a, b)
+    else:
+        vec, iterations, residual = _bounded_until(dtmc, a, b, path.bound), path.bound, 0.0
+    if isinstance(path, Globally):
+        vec = [1.0 - v for v in vec]
+    return vec, iterations, residual
 
 
 _COMPARE = {
@@ -366,8 +364,7 @@ def check(dtmc: Dtmc, prop: Prob) -> CheckResult:
     probability for both query and bounded forms; bounded forms answer the
     comparator in ``satisfied`` as well.
     """
-    alphabet = dtmc.alphabet()
-    vector, iterations, residual = _path_vector(dtmc, prop.path, alphabet)
+    vector, iterations, residual = _path_vector(dtmc, prop.path)
     value = vector[0]
     satisfied = None
     if prop.comparator is not None:

@@ -23,6 +23,7 @@ from .workflow import (
     measure,
     report_to_dict,
     sweep,
+    write_text,
 )
 
 
@@ -39,8 +40,7 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return
     try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_text(out, text)
     except OSError as err:
         raise PrunecheckError(f"cannot write {out}: {err.strerror}") from err
 
@@ -139,14 +139,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fraction_grid=args.fractions,
         seeds=seeds,
         limits=_limits(args),
-        out_path=args.out,
         lower_is_safer=args.lower_is_safer,
         include_timings=args.timings,
-        model_id=args.model,
-        policy_id=args.policy,
     )
-    if args.out is None:
-        sys.stdout.write(text)
+    _write_output(text, args.out)
     return 0
 
 

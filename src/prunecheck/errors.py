@@ -8,7 +8,6 @@ from __future__ import annotations
 
 # ===== Exit codes =====
 
-EXIT_OK = 0
 # Input could not be parsed: property text, model document, policy document,
 # builtin URI, or mismatched schemas between inputs.
 EXIT_PARSE = 2
@@ -109,4 +108,4 @@ class SolverError(PrunecheckError):
 
 
 class UnknownLabelWarning(UserWarning):
-    """A property mentions a label absent from the model's alphabet."""
+    """A property mentions a label that no state of the chain carries."""

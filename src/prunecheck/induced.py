@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import LimitExceededError, ModelSemanticError
-from .model import Dtmc, EnvironmentModel, StateVector, check_cap
+from .model import DEFAULT_MAX_STATES, Dtmc, EnvironmentModel, StateVector, check_cap
 from .policy import NeuralPolicy
 
 # ===== Limits and results =====
@@ -29,7 +29,7 @@ from .policy import NeuralPolicy
 class BuildLimits:
     """Exploration caps, each at least 1 (else ValueError)."""
 
-    max_states: int = 1_000_000
+    max_states: int = DEFAULT_MAX_STATES
     max_transitions: int = 5_000_000
 
     def __post_init__(self) -> None:

@@ -27,7 +27,7 @@ from .errors import LimitExceededError, ModelSemanticError, ModelSyntaxError
 # consume this slack.
 SUM_TOLERANCE = 1e-9
 
-# Default cap on explored states for validation walks.
+# Default cap on explored states for validation walks and chain builds.
 DEFAULT_MAX_STATES = 1_000_000
 
 # A state vector: one integer per feature, in schema order.
@@ -153,16 +153,6 @@ class Dtmc:
     @property
     def num_transitions(self) -> int:
         return len(self.indices)
-
-    def alphabet(self) -> frozenset[str]:
-        """All labels that occur on some state."""
-        atoms: set[str] = set()
-        for labels in self.state_labels:
-            atoms |= labels
-        return frozenset(atoms)
-
-    def states_with(self, label: str) -> frozenset[int]:
-        return frozenset(i for i, labels in enumerate(self.state_labels) if label in labels)
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""

@@ -30,14 +30,6 @@ class Layer:
     weights: np.ndarray  # shape (d_out, d_in)
     bias: np.ndarray  # shape (d_out,)
 
-    @property
-    def d_in(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class NeuralPolicy:

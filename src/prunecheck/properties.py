@@ -130,8 +130,6 @@ _TOKEN_RE = re.compile(
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_KEYWORDS = {"P", "X", "U", "F", "G", "SEQ", "true", "false"}
-
 
 @dataclass(frozen=True)
 class _Token:

@@ -153,14 +153,6 @@ def _nonzero_coords(weights: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _rebuild(policy: NeuralPolicy, layer: int, weights: np.ndarray) -> NeuralPolicy:
-    pairs = [
-        (weights if k == layer - 1 else lay.weights, lay.bias)
-        for k, lay in enumerate(policy.layers)
-    ]
-    return make_policy(policy.feature_names, policy.action_names, pairs)
-
-
 def apply_mask(policy: NeuralPolicy, mask: PruneMask) -> NeuralPolicy:
     """Zero every coordinate listed in the mask (idempotent)."""
     arrays = [np.array(lay.weights) for lay in policy.layers]

@@ -357,8 +357,6 @@ def sweep(
     *,
     lower_is_safer: bool = False,
     include_timings: bool = False,
-    model_id: str = "",
-    policy_id: str = "",
 ) -> str:
     """Prune and re-measure over a fraction grid and emit CSV.
 
@@ -421,14 +419,23 @@ def sweep(
     text = buffer.getvalue()
 
     if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except BaseException:
-            if os.path.exists(out_path):
-                os.remove(out_path)
-            raise
+        write_text(out_path, text)
     return text
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path``, newlines untranslated.
+
+    A write that fails once the file is open removes the partial file; a
+    failed open touches nothing.
+    """
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(text)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _sweep_row(report: SafetyReport, fraction: float, seed, include_timings: bool) -> list[str]:

@@ -182,11 +182,14 @@ def random_policy(
     return make_policy(features, actions, layers)
 
 
+def states_labelled(dtmc: Dtmc, label: str) -> set[int]:
+    """Indices of the states that carry ``label``."""
+    return {i for i, tags in enumerate(dtmc.state_labels) if label in tags}
+
+
 def label_sets(dtmc: Dtmc) -> tuple[set, set]:
     """Index sets for the labels "a" and "b"."""
-    a = {i for i, tags in enumerate(dtmc.state_labels) if "a" in tags}
-    b = {i for i, tags in enumerate(dtmc.state_labels) if "b" in tags}
-    return a, b
+    return states_labelled(dtmc, "a"), states_labelled(dtmc, "b")
 
 
 __all__ = [
@@ -203,4 +206,5 @@ __all__ = [
     "random_dtmc",
     "random_policy",
     "rows_of",
+    "states_labelled",
 ]

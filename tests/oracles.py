@@ -16,11 +16,18 @@ these oracles and the package is evidence, not circularity.
 * reachability: set-fixpoint closure, no queues or indices
 * unbounded operators as the row-based solver the checker once ran, which
   its array form must match bit for bit
+* state formulas as frozensets over the labels' alphabet, which the
+  checker's boolean masks must match state for state and warning for warning
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+
+from prunecheck.errors import UnknownLabelWarning
+from prunecheck.properties import And, FalseFormula, Label, Not, Or, TrueFormula
 
 # ===== Bounded path enumeration =====
 
@@ -238,6 +245,41 @@ def row_seq_solve(rows, a: set, b: set) -> tuple[list[float], int, float]:
                 product_rows.append(tuple((2 * t + q_next, p) for t, p in rows[s]))
     vec, iterations, residual = row_solve_until(product_rows, set(range(2 * n)), targets)
     return [vec[2 * s] for s in range(n)], iterations, residual
+
+
+# ===== State formulas as frozensets =====
+
+
+def evaluate_sets(state_labels, sf) -> frozenset:
+    """The states satisfying ``sf``, given each state's label set.
+
+    A label outside the alphabet (the labels some state carries) is the
+    empty set and emits UnknownLabelWarning, once per occurrence.
+    """
+    alphabet = frozenset().union(*state_labels)
+    return _evaluate_sets(state_labels, sf, alphabet)
+
+
+def _evaluate_sets(state_labels, sf, alphabet: frozenset) -> frozenset:
+    everything = frozenset(range(len(state_labels)))
+    if isinstance(sf, TrueFormula):
+        return everything
+    if isinstance(sf, FalseFormula):
+        return frozenset()
+    if isinstance(sf, Label):
+        if sf.name not in alphabet:
+            warnings.warn(
+                f"label {sf.name!r} does not occur in the model; treating it as the empty set",
+                UnknownLabelWarning,
+            )
+        return frozenset(i for i, labels in enumerate(state_labels) if sf.name in labels)
+    if isinstance(sf, Not):
+        return everything - _evaluate_sets(state_labels, sf.operand, alphabet)
+    if isinstance(sf, And):
+        return _evaluate_sets(state_labels, sf.left, alphabet) & _evaluate_sets(state_labels, sf.right, alphabet)
+    if isinstance(sf, Or):
+        return _evaluate_sets(state_labels, sf.left, alphabet) | _evaluate_sets(state_labels, sf.right, alphabet)
+    raise TypeError(f"not a state formula: {sf!r}")
 
 
 # ===== Seq by an entry-consuming monitor product =====

@@ -153,7 +153,7 @@ def test_criterion_04_duality_and_monotonicity(chain3, loop, two_coin):
     fixtures = {"chain3": chain3, "loop": loop, "two_coin": two_coin}
     worst = 0.0
     for dtmc in fixtures.values():
-        for label in sorted(dtmc.alphabet()):
+        for label in sorted(frozenset().union(*dtmc.state_labels)):
             for k in range(13):
                 g = check(dtmc, parse_property(f'P=? [G<={k} "{label}"]')).value
                 f = check(dtmc, parse_property(f'P=? [F<={k} !"{label}"]')).value

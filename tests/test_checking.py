@@ -10,8 +10,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prunecheck import (
+    And,
     Dtmc,
+    Eventually,
+    FalseFormula,
+    Globally,
+    Label,
+    Next,
+    Not,
+    Or,
+    Prob,
+    Seq,
+    TrueFormula,
     UnknownLabelWarning,
+    Until,
     bounded_until_probability,
     check,
     evaluate_states,
@@ -22,9 +34,10 @@ from prunecheck import (
     until_probability,
 )
 
-from .conftest import dtmc_from_rows, label_sets, random_dtmc, rows_of
+from .conftest import dtmc_from_rows, label_sets, random_dtmc, rows_of, states_labelled
 from .oracles import (
     bounded_until_loop,
+    evaluate_sets,
     next_loop,
     next_paths,
     row_prob01_sets,
@@ -78,12 +91,12 @@ class TestUnboundedFixtures:
 class TestProb01:
     def test_chain3_sets(self, chain3):
         everything = frozenset(range(3))
-        zero, one = prob01(chain3, everything, chain3.states_with("goal"))
+        zero, one = prob01(chain3, everything, states_labelled(chain3, "goal"))
         assert zero == frozenset({2})
         assert one == frozenset({1})
 
     def test_loop_is_all_prob1(self, loop):
-        zero, one = prob01(loop, frozenset(range(2)), loop.states_with("goal"))
+        zero, one = prob01(loop, frozenset(range(2)), states_labelled(loop, "goal"))
         assert zero == frozenset()
         assert one == frozenset({0, 1})
 
@@ -366,7 +379,7 @@ class TestSeq:
 
     def test_seq_from_everything_equals_eventually(self, two_coin):
         everything = set(range(two_coin.num_states))
-        goal = two_coin.states_with("goal")
+        goal = states_labelled(two_coin, "goal")
         seq = seq_probability(two_coin, everything, goal)
         reach = until_probability(two_coin, everything, goal)
         for got, want in zip(seq, reach):
@@ -440,6 +453,91 @@ class TestEvaluateStates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             check(chain3, parse_property('P=?[F "goal"]'))
+
+
+# The chains carry "a", "b" and "c" on random states and "d" on none, so
+# every label is absent from some chains and "d" from all of them.
+LABEL_POOL = ("a", "b", "c", "d")
+
+
+@st.composite
+def pooled_chains(draw) -> Dtmc:
+    dtmc = draw(labeled_chains("any"))
+    carried = st.frozensets(st.sampled_from(LABEL_POOL[:-1]))
+    labels = tuple(draw(carried) for _ in range(dtmc.num_states))
+    return Dtmc(dtmc.state_vectors, labels, dtmc.indptr, dtmc.indices, dtmc.probs)
+
+
+state_formulas = st.recursive(
+    st.one_of(st.just(TrueFormula()), st.just(FalseFormula()), st.sampled_from(LABEL_POOL).map(Label)),
+    lambda sub: st.one_of(sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+    max_leaves=6,
+)
+bounds = st.one_of(st.none(), st.integers(0, 8))
+path_formulas = st.one_of(
+    st.builds(Next, state_formulas),
+    st.builds(Until, state_formulas, state_formulas, bounds),
+    st.builds(Eventually, state_formulas, bounds),
+    st.builds(Globally, state_formulas, bounds),
+    st.builds(Seq, state_formulas, state_formulas),
+)
+
+
+def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int, float]:
+    """Reference sets, then the public set-taking helpers; the unbounded
+    sweep count and residual come from the row-based solver."""
+    rows = rows_of(dtmc)
+    everything = frozenset(range(dtmc.num_states))
+
+    def states(sf):
+        return evaluate_sets(dtmc.state_labels, sf)
+
+    if isinstance(path, Next):
+        return next_probability(dtmc, states(path.target)), 0, 0.0
+    if isinstance(path, Seq):
+        a, b = states(path.first), states(path.then)
+        _, iterations, residual = row_seq_solve(rows, a, b)
+        return seq_probability(dtmc, a, b), iterations, residual
+    if isinstance(path, Until):
+        a, b = states(path.left), states(path.right)
+    elif isinstance(path, Eventually):
+        a, b = everything, states(path.target)
+    else:
+        a, b = everything, everything - states(path.target)
+    if path.bound is None:
+        _, iterations, residual = row_solve_until(rows, a, b)
+        vec = until_probability(dtmc, a, b)
+    else:
+        vec, iterations, residual = bounded_until_probability(dtmc, a, b, path.bound), path.bound, 0.0
+    if isinstance(path, Globally):
+        vec = [1.0 - v for v in vec]
+    return vec, iterations, residual
+
+
+def recorded(call, *args):
+    """The call's result and the messages of the UnknownLabelWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, [str(w.message) for w in caught if issubclass(w.category, UnknownLabelWarning)]
+
+
+class TestMaskSemantics:
+    """The checker's masks against the frozenset reference semantics."""
+
+    @given(dtmc=pooled_chains(), sf=state_formulas)
+    def test_evaluate_states_equals_the_sets(self, dtmc, sf):
+        got, got_warnings = recorded(evaluate_states, dtmc, sf)
+        want, want_warnings = recorded(evaluate_sets, dtmc.state_labels, sf)
+        assert got == want
+        assert got_warnings == want_warnings
+
+    @given(dtmc=pooled_chains(), path=path_formulas)
+    def test_check_equals_the_reference_route(self, dtmc, path):
+        result, got_warnings = recorded(check, dtmc, Prob(None, None, path))
+        (vec, iterations, residual), want_warnings = recorded(reference_path_vector, dtmc, path)
+        assert (result.per_state, result.iterations, result.residual) == (tuple(vec), iterations, residual)
+        assert got_warnings == want_warnings
 
 
 # ===== Comparator verdicts =====

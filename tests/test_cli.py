@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import time
 
 import pytest
@@ -216,6 +218,23 @@ class TestSweep:
         assert text.startswith("method,layer,fraction,seed,property,")
         assert text.count("\n") == 13
 
+    @pytest.mark.parametrize("target", ["missing/sweep.csv", "directory"])
+    def test_unwritable_out_is_a_clean_error(self, capsys, tmp_path, lazy_policy_path, target):
+        (tmp_path / "directory").mkdir()
+        out = tmp_path / target
+        code = main(
+            [
+                "sweep", "--model", AVOID_URI, "--policy", lazy_policy_path,
+                "--prop", NO_COLLISION_6, "--method", "l1", "--layer", "1", "--fractions", "0:1:0.5",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "directory").is_dir()
+
     def test_bad_seed_list(self, capsys, lazy_policy_path):
         code = main(
             [
@@ -246,6 +265,36 @@ class TestSweep:
                 ]
             )
         assert exc.value.code == 2
+
+
+# ===== output files =====
+
+
+class _FullDisk:
+    """A real file handle whose write stores half the text, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_write_failing_midway_removes_the_partial_file(capsys, monkeypatch, tmp_path, step_policy_path):
+    monkeypatch.setattr(workflow, "open", lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)), raising=False)
+    out = tmp_path / "out.txt"
+    code = main(["check", "--model", CHAIN3, "--policy", step_policy_path, "--prop", 'P=?[F "goal"]', "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
 
 
 # ===== features =====

@@ -136,9 +136,7 @@ class TestDtmc:
     def test_counts_and_labels(self, chain3):
         assert chain3.num_states == 3
         assert chain3.num_transitions == 4
-        assert chain3.alphabet() == frozenset({"goal", "bad"})
-        assert chain3.states_with("goal") == frozenset({1})
-        assert chain3.states_with("nope") == frozenset()
+        assert chain3.state_labels == (frozenset(), frozenset({"goal"}), frozenset({"bad"}))
 
     def test_validate_accepts_fixtures(self, chain3, loop, two_coin):
         chain3.validate()

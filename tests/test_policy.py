@@ -186,7 +186,7 @@ class TestMakePolicy:
 
     def test_layer_dimensions_exposed(self):
         policy = two_layer_policy()
-        assert (policy.layers[0].d_in, policy.layers[0].d_out) == (2, 2)
+        assert policy.layers[0].weights.shape == (2, 2)
 
     @pytest.mark.parametrize(
         "layers, fragment",

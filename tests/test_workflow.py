@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
+import os
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from prunecheck import (
     report_to_dict,
     sweep,
 )
+from prunecheck import workflow
 from prunecheck.workflow import CSV_HEADER
 
 from .conftest import (
@@ -331,6 +334,25 @@ class TestSweep:
                 "0:0:1",
                 out_path=str(tmp_path / "missing" / "sweep.csv"),
             )
+
+    def test_directory_out_path_raises_the_open_error_and_survives(self, tmp_path):
+        with pytest.raises(IsADirectoryError) as exc:
+            sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:0:1", out_path=str(tmp_path))
+        # The open's own error, not one raised while cleaning up after it.
+        assert exc.value.__context__ is None
+        assert tmp_path.is_dir()
+
+    def test_failed_open_leaves_an_existing_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        out.write_text("kept")
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(workflow, "open", refuse, raising=False)
+        with pytest.raises(PermissionError):
+            sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:0:1", out_path=str(out))
+        assert out.read_text() == "kept"
 
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -180,19 +180,19 @@ def _solve_until(indptr, indices, probs, a: np.ndarray, b: np.ndarray) -> tuple[
     return _gauss_seidel(indptr, indices, probs, prob0, prob1)
 
 
-def _bounded_until(dtmc: Dtmc, a: np.ndarray, b: np.ndarray, k: int) -> list[float]:
-    """Synchronous iteration x_s = sum_t p_st * x_t on the states of a - b.
+def _bounded_until(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: int) -> list[float]:
+    """``k`` synchronous steps x_s = sum_t p_st * x_t on ``passthrough``, from the ``start`` mask.
 
     ``np.bincount`` adds its weights in input order, and the chain's arrays
     list transitions in row order, so every row is summed from 0.0 pair by
-    pair, exactly as a loop over the row would.
+    pair, exactly as a loop over the row would. A transition into a state
+    at 0 adds ``p * 0.0 = +0.0``, which leaves the non-negative sum as it was.
     """
     n = dtmc.num_states
-    passthrough = a & ~b
     source = _sources(dtmc.indptr)
     keep = passthrough[source]
     source, target, prob = source[keep], dtmc.indices[keep], dtmc.probs[keep]
-    x = b.astype(np.float64)
+    x = start.astype(np.float64)
     for _ in range(k):
         x = np.where(passthrough, np.bincount(source, weights=prob * x[target], minlength=n), x)
     return np.clip(x, 0.0, 1.0).tolist()
@@ -220,20 +220,14 @@ def bounded_until_probability(dtmc: Dtmc, a, b, k: int) -> list[float]:
     if k < 0:
         raise ValueError("bound must be non-negative")
     n = dtmc.num_states
-    return _bounded_until(dtmc, _mask(n, a), _mask(n, b), k)
+    b = _mask(n, b)
+    return _bounded_until(dtmc, _mask(n, a) & ~b, b, k)
 
 
 def next_probability(dtmc: Dtmc, b) -> list[float]:
     """Per-state probability that the next state satisfies ``b``."""
-    return _next(dtmc, _mask(dtmc.num_states, b))
-
-
-def _next(dtmc: Dtmc, b: np.ndarray) -> list[float]:
-    """Each row's transitions into ``b``, summed from 0.0 in row order."""
     n = dtmc.num_states
-    hit = b[dtmc.indices]
-    source = _sources(dtmc.indptr)[hit]
-    return np.clip(np.bincount(source, weights=dtmc.probs[hit], minlength=n), 0.0, 1.0).tolist()
+    return _bounded_until(dtmc, np.ones(n, dtype=bool), _mask(n, b), 1)
 
 
 # -- SEQ monitor product --
@@ -327,23 +321,24 @@ def _evaluate(dtmc: Dtmc, sf: StateFormula) -> np.ndarray:
 
 
 def _path_vector(dtmc: Dtmc, path: PathFormula) -> tuple[list[float], int, float]:
-    if isinstance(path, Next):
-        return _next(dtmc, _evaluate(dtmc, path.target)), 0, 0.0
     if isinstance(path, Seq):
         return _seq_solve(dtmc, _evaluate(dtmc, path.first), _evaluate(dtmc, path.then))
+    everything = np.ones(dtmc.num_states, dtype=bool)
+    if isinstance(path, Next):
+        return _bounded_until(dtmc, everything, _evaluate(dtmc, path.target), 1), 0, 0.0
     # U, F and G are each one until a U b; G phi is the complement of F !phi.
     if isinstance(path, Until):
         a, b = _evaluate(dtmc, path.left), _evaluate(dtmc, path.right)
     elif isinstance(path, Eventually):
-        a, b = np.ones(dtmc.num_states, dtype=bool), _evaluate(dtmc, path.target)
+        a, b = everything, _evaluate(dtmc, path.target)
     elif isinstance(path, Globally):
-        a, b = np.ones(dtmc.num_states, dtype=bool), ~_evaluate(dtmc, path.target)
+        a, b = everything, ~_evaluate(dtmc, path.target)
     else:
         raise TypeError(f"not a path formula: {path!r}")
     if path.bound is None:
         vec, iterations, residual = _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, a, b)
     else:
-        vec, iterations, residual = _bounded_until(dtmc, a, b, path.bound), path.bound, 0.0
+        vec, iterations, residual = _bounded_until(dtmc, a & ~b, b, path.bound), path.bound, 0.0
     if isinstance(path, Globally):
         vec = [1.0 - v for v in vec]
     return vec, iterations, residual

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -116,7 +117,12 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     if mask_out is None and args.out is not None:
         mask_out = args.out + ".mask.json"
     if mask_out is not None:
-        _write_output(dump_mask(mask) + "\n", mask_out)
+        try:
+            _write_output(dump_mask(mask) + "\n", mask_out)
+        except PrunecheckError:
+            if args.out is not None:  # leave no policy without its mask
+                os.remove(args.out)
+            raise
     sys.stderr.write(f"zeroed {mask.size} weights\n")
     return 0
 

@@ -187,21 +187,37 @@ class Dtmc:
 # ===== Explicit model format =====
 
 
-def _fail_syntax(message: str) -> None:
-    raise ModelSyntaxError(message)
+def read_json_object(text: str, keys: tuple[str, ...], error: type[Exception], where: str) -> dict:
+    """Parse a JSON document whose top level is an object with exactly ``keys``.
 
+    Malformed or undecodable JSON (with the decoder's line and column when it
+    gives them), a key repeated in any object (named "in ``where``"), and a
+    top level that is not an object or lacks or adds a key raise ``error``.
+    """
 
-def _fail_semantic(message: str) -> None:
-    raise ModelSemanticError(message)
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        mapping = dict(pairs)
+        if len(mapping) < len(pairs):
+            keys_read = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys_read) if key in keys_read[:i])
+            raise error(f"duplicate key {repeated!r} in {where}")
+        return mapping
 
-
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    mapping: dict = {}
-    for key, value in pairs:
-        if key in mapping:
-            _fail_syntax(f"duplicate key {key!r} in object")
-        mapping[key] = value
-    return mapping
+    try:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as err:
+        raise error(f"line {err.lineno} column {err.colno}: {err.msg}") from err
+    except (ValueError, RecursionError) as err:  # an integer past the digit limit, or deep nesting
+        raise error(str(err)) from err
+    if not isinstance(doc, dict):
+        raise error("top level must be an object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise error(f"unknown top-level keys {sorted(unknown)}")
+    for key in keys:
+        if key not in doc:
+            raise error(f"missing top-level key {key!r}")
+    return doc
 
 
 def _parse_probability(raw: object, where: str, fractions: dict[str, float]) -> float:
@@ -211,27 +227,26 @@ def _parse_probability(raw: object, where: str, fractions: dict[str, float]) -> 
     string repeated across a document is parsed once; a string that fails
     to parse is never stored, and raises again wherever it occurs.
     """
-    if isinstance(raw, bool):
-        _fail_syntax(f"{where}: probability must be a number or fraction string")
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ModelSyntaxError(f"{where}: probability must be a number or fraction string")
+    try:
+        if not isinstance(raw, str):
+            return float(raw)
         value = fractions.get(raw)
         if value is None:
-            try:
-                value = fractions[raw] = float(Fraction(raw))
-            except (ValueError, ZeroDivisionError):
-                _fail_syntax(f"{where}: cannot read {raw!r} as a fraction")
+            value = fractions[raw] = float(Fraction(raw))
         return value
-    _fail_syntax(f"{where}: probability must be a number or fraction string")
-    raise AssertionError("unreachable")
+    except (ValueError, ZeroDivisionError):
+        raise ModelSyntaxError(f"{where}: cannot read {raw!r} as a fraction")
+    except OverflowError:
+        raise ModelSyntaxError(f"{where}: probability is too large for a float")
 
 
 def _parse_state_vector(raw: object, width: int, where: str) -> StateVector:
     if not isinstance(raw, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
-        _fail_syntax(f"{where}: state must be a list of integers")
+        raise ModelSyntaxError(f"{where}: state must be a list of integers")
     if len(raw) != width:
-        _fail_syntax(f"{where}: state has {len(raw)} features, schema declares {width}")
+        raise ModelSyntaxError(f"{where}: state has {len(raw)} features, schema declares {width}")
     return tuple(raw)
 
 
@@ -244,35 +259,23 @@ def load_explicit_model(text: str) -> EnvironmentModel:
     initial state, a state without actions) raise ModelSemanticError naming
     the offending state and action.
     """
-    try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as err:
-        raise ModelSyntaxError(f"line {err.lineno} column {err.colno}: {err.msg}") from err
-
-    if not isinstance(doc, dict):
-        _fail_syntax("top level must be an object")
-    unknown = set(doc) - {"features", "actions", "initial", "states"}
-    if unknown:
-        _fail_syntax(f"unknown top-level keys {sorted(unknown)}")
-    for key in ("features", "actions", "initial", "states"):
-        if key not in doc:
-            _fail_syntax(f"missing top-level key {key!r}")
+    doc = read_json_object(text, ("features", "actions", "initial", "states"), ModelSyntaxError, "object")
 
     features = doc["features"]
     actions = doc["actions"]
     if not isinstance(features, list) or not all(isinstance(f, str) for f in features) or not features:
-        _fail_syntax("'features' must be a non-empty list of strings")
+        raise ModelSyntaxError("'features' must be a non-empty list of strings")
     if not isinstance(actions, list) or not all(isinstance(a, str) for a in actions) or not actions:
-        _fail_syntax("'actions' must be a non-empty list of strings")
+        raise ModelSyntaxError("'actions' must be a non-empty list of strings")
     if len(set(features)) != len(features):
-        _fail_syntax("'features' contains duplicates")
+        raise ModelSyntaxError("'features' contains duplicates")
     if len(set(actions)) != len(actions):
-        _fail_syntax("'actions' contains duplicates")
+        raise ModelSyntaxError("'actions' contains duplicates")
     width = len(features)
     initial = _parse_state_vector(doc["initial"], width, "'initial'")
 
     if not isinstance(doc["states"], list) or not doc["states"]:
-        _fail_syntax("'states' must be a non-empty list")
+        raise ModelSyntaxError("'states' must be a non-empty list")
 
     declared: list[StateVector] = []
     label_table: dict[StateVector, frozenset[str]] = {}
@@ -283,37 +286,37 @@ def load_explicit_model(text: str) -> EnvironmentModel:
     for k, entry in enumerate(doc["states"]):
         where = f"states[{k}]"
         if not isinstance(entry, dict):
-            _fail_syntax(f"{where}: must be an object")
+            raise ModelSyntaxError(f"{where}: must be an object")
         unknown = set(entry) - {"s", "labels", "act"}
         if unknown:
-            _fail_syntax(f"{where}: unknown keys {sorted(unknown)}")
+            raise ModelSyntaxError(f"{where}: unknown keys {sorted(unknown)}")
         if "s" not in entry or "act" not in entry:
-            _fail_syntax(f"{where}: needs keys 's' and 'act'")
+            raise ModelSyntaxError(f"{where}: needs keys 's' and 'act'")
         state = _parse_state_vector(entry["s"], width, f"{where}.s")
         if state in label_table:
-            _fail_semantic(f"state {list(state)} declared twice")
+            raise ModelSemanticError(f"state {list(state)} declared twice")
 
         raw_labels = entry.get("labels", [])
         if not isinstance(raw_labels, list) or not all(isinstance(l, str) for l in raw_labels):
-            _fail_syntax(f"{where}.labels: must be a list of strings")
+            raise ModelSyntaxError(f"{where}.labels: must be a list of strings")
         label_table[state] = frozenset(raw_labels)
         declared.append(state)
 
         act = entry["act"]
         if not isinstance(act, dict):
-            _fail_syntax(f"{where}.act: must be an object")
+            raise ModelSyntaxError(f"{where}.act: must be an object")
         if not act:
-            _fail_semantic(f"state {list(state)} has zero actions")
+            raise ModelSemanticError(f"state {list(state)} has zero actions")
         for action, branches in act.items():
             if action not in actions:
-                _fail_syntax(f"{where}.act: action {action!r} not in the action schema")
+                raise ModelSyntaxError(f"{where}.act: action {action!r} not in the action schema")
             if not isinstance(branches, list) or not branches:
-                _fail_syntax(f"{where}.act.{action}: must be a non-empty list of branches")
+                raise ModelSyntaxError(f"{where}.act.{action}: must be a non-empty list of branches")
             pairs: list[tuple[StateVector, float]] = []
             for b, branch in enumerate(branches):
                 spot = f"{where}.act.{action}[{b}]"
                 if not isinstance(branch, dict) or set(branch) != {"to", "p"}:
-                    _fail_syntax(f"{spot}: must be an object with keys 'to' and 'p'")
+                    raise ModelSyntaxError(f"{spot}: must be an object with keys 'to' and 'p'")
                 target = _parse_state_vector(branch["to"], width, f"{spot}.to")
                 pairs.append((target, _parse_probability(branch["p"], f"{spot}.p", fractions)))
             raw_rows[(state, action)] = pairs
@@ -322,19 +325,19 @@ def load_explicit_model(text: str) -> EnvironmentModel:
 
     declared_set = set(declared)
     if initial not in declared_set:
-        _fail_semantic(f"initial state {list(initial)} is not declared")
+        raise ModelSemanticError(f"initial state {list(initial)} is not declared")
 
     distributions: dict[tuple[StateVector, str], Distribution] = {}
     for (state, action), pairs in raw_rows.items():
         for target, _ in pairs:
             if target not in declared_set:
-                _fail_semantic(
+                raise ModelSemanticError(
                     f"state {list(state)} action {action!r} references undeclared state {list(target)}"
                 )
         try:
             distributions[(state, action)] = Distribution(tuple(pairs))
         except ValueError as err:
-            _fail_semantic(f"state {list(state)} action {action!r}: {err}")
+            raise ModelSemanticError(f"state {list(state)} action {action!r}: {err}")
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         try:

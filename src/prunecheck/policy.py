@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PolicyFormatError, SchemaMismatchError
-from .model import EnvironmentModel, StateVector
+from .model import EnvironmentModel, StateVector, read_json_object
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -121,8 +121,11 @@ def make_policy(
     if not layers:
         raise PolicyFormatError("policy needs at least one layer")
     for k, (w, b) in enumerate(layers, start=1):
-        w = np.array(w, dtype=np.float64)
-        b = np.array(b, dtype=np.float64)
+        not_finite = PolicyFormatError(f"layer {k}: weights and biases must be finite (no NaN or Infinity)")
+        try:
+            w, b = np.array(w, dtype=np.float64), np.array(b, dtype=np.float64)
+        except OverflowError:  # an integer too large for a float
+            raise not_finite from None
         if w.ndim != 2:
             raise PolicyFormatError(f"layer {k}: weight matrix must be 2-dimensional")
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
@@ -134,7 +137,7 @@ def make_policy(
                 f"layer {k}: weight matrix has {w.shape[1]} columns, expected {d_prev}"
             )
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise PolicyFormatError(f"layer {k}: weights and biases must be finite (no NaN or Infinity)")
+            raise not_finite
         built.append(Layer(_frozen(w), _frozen(b)))
         d_prev = w.shape[0]
     if d_prev != len(action_names):
@@ -142,15 +145,6 @@ def make_policy(
             f"output layer emits {d_prev} logits, action schema has {len(action_names)}"
         )
     return NeuralPolicy(tuple(feature_names), tuple(action_names), tuple(built))
-
-
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    mapping: dict = {}
-    for key, value in pairs:
-        if key in mapping:
-            raise PolicyFormatError(f"duplicate key {key!r} in policy document")
-        mapping[key] = value
-    return mapping
 
 
 def load_policy(text: str) -> NeuralPolicy:
@@ -164,18 +158,7 @@ def load_policy(text: str) -> NeuralPolicy:
     Dimension mismatches anywhere along the layer chain raise
     PolicyFormatError naming the layer.
     """
-    try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as err:
-        raise PolicyFormatError(f"line {err.lineno} column {err.colno}: {err.msg}") from err
-    if not isinstance(doc, dict):
-        raise PolicyFormatError("top level must be an object")
-    unknown = set(doc) - {"features", "actions", "layers"}
-    if unknown:
-        raise PolicyFormatError(f"unknown top-level keys {sorted(unknown)}")
-    for key in ("features", "actions", "layers"):
-        if key not in doc:
-            raise PolicyFormatError(f"missing top-level key {key!r}")
+    doc = read_json_object(text, ("features", "actions", "layers"), PolicyFormatError, "policy document")
     features = doc["features"]
     actions = doc["actions"]
     for name, value in (("features", features), ("actions", actions)):

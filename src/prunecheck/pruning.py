@@ -24,11 +24,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PruneSpecError
+from .model import read_json_object
 from .policy import NeuralPolicy, make_policy
 
 # ===== Specs and masks =====
 
 METHODS = ("l1", "random", "feature")
+
+# Each spec key's accepted types, as errors word them; a boolean is never a number.
+_SPEC_TYPES = {
+    "method": (str, "a string"), "layer": (int, "an integer"), "fraction": ((int, float), "a number"),
+    "seed": (int, "an integer"), "feature": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -73,9 +80,13 @@ class PruneSpec:
     def from_dict(cls, doc: dict) -> "PruneSpec":
         if not isinstance(doc, dict) or "method" not in doc:
             raise PruneSpecError("prune spec must be an object with a 'method' key")
-        unknown = set(doc) - {"method", "layer", "fraction", "seed", "feature"}
+        unknown = set(doc) - _SPEC_TYPES.keys()
         if unknown:
             raise PruneSpecError(f"unknown prune spec keys {sorted(unknown)}")
+        for key, value in doc.items():
+            types, wording = _SPEC_TYPES[key]
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise PruneSpecError(f"prune spec {key!r} must be {wording}, got {value!r}")
         return cls(**doc)
 
 
@@ -104,18 +115,15 @@ def dump_mask(mask: PruneMask) -> str:
 
 
 def load_mask(text: str) -> PruneMask:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise PruneSpecError(f"mask document: line {err.lineno}: {err.msg}") from err
-    if not isinstance(doc, dict) or set(doc) != {"spec", "zeroed"}:
-        raise PruneSpecError("mask document must have exactly the keys 'spec' and 'zeroed'")
-    coords = []
-    for c in doc["zeroed"]:
-        if not (isinstance(c, list) and len(c) == 3 and all(isinstance(v, int) for v in c)):
+    doc = read_json_object(text, ("spec", "zeroed"), PruneSpecError, "mask document")
+    zeroed = doc["zeroed"]
+    if not isinstance(zeroed, list):
+        raise PruneSpecError(f"'zeroed' must be a list of [layer, row, column] triples, got {zeroed!r}")
+    for c in zeroed:
+        # JSON integers decode to exactly int; true and false decode to bool.
+        if not (isinstance(c, list) and len(c) == 3 and all(type(v) is int for v in c)):
             raise PruneSpecError(f"bad mask coordinate {c!r}")
-        coords.append(tuple(c))
-    return PruneMask(spec=PruneSpec.from_dict(doc["spec"]), zeroed=tuple(coords))
+    return PruneMask(spec=PruneSpec.from_dict(doc["spec"]), zeroed=tuple(map(tuple, zeroed)))
 
 
 # ===== Shared helpers =====

@@ -364,9 +364,10 @@ def sweep(
     keeps every action of the original chain reuse its measurement.
 
     l1 yields one row per fraction; random yields one row per (fraction,
-    seed) plus a per-fraction mean row (seed column "mean"). Rows are
-    ordered by (fraction, seed). The returned text is also written to
-    ``out_path`` when given; a failed write removes the partial file.
+    seed) plus a per-fraction mean row (seed column "mean"); a seed given
+    twice raises PruneSpecError. Rows are ordered by (fraction, seed). The
+    returned text is also written to ``out_path`` when given; a failed
+    write removes the partial file.
     """
     if method not in SWEEP_METHODS:
         raise PruneSpecError(f"sweep method must be one of {list(SWEEP_METHODS)}")
@@ -376,6 +377,9 @@ def sweep(
         raise PruneSpecError("l1 sweeps take no seeds")
     fractions = parse_fraction_grid(fraction_grid)
     ordered_seeds = tuple(sorted(seeds))
+    for seed, following in zip(ordered_seeds, ordered_seeds[1:]):
+        if seed == following:
+            raise PruneSpecError(f"seed {seed} is given more than once")
 
     original = _measure_original(env, policy, property_text, limits)
 

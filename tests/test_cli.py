@@ -187,6 +187,32 @@ class TestPrune:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_mask_leaves_no_policy(self, capsys, tmp_path, lazy_policy_path):
+        out = tmp_path / "p.json"
+        (tmp_path / "p.json.mask.json").mkdir()
+        code = main(
+            ["prune", "--policy", lazy_policy_path, "--method", "l1", "--layer", "1", "--fraction", "0.5",
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}.mask.json: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unwritable_policy_leaves_no_mask(self, capsys, tmp_path, lazy_policy_path):
+        out = tmp_path / "missing" / "p.json"
+        mask_path = tmp_path / "mask.json"
+        code = main(
+            ["prune", "--policy", lazy_policy_path, "--method", "l1", "--layer", "1", "--fraction", "0.5",
+             "--out", str(out), "--mask-out", str(mask_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lazy.json"]
+
 
 # ===== sweep =====
 
@@ -246,6 +272,19 @@ class TestSweep:
         assert code == 2
         assert "comma-separated integers" in capsys.readouterr().err
 
+    def test_repeated_seed(self, capsys, lazy_policy_path):
+        code = main(
+            [
+                "sweep", "--model", AVOID_URI, "--policy", lazy_policy_path,
+                "--prop", NO_COLLISION_6, "--method", "random", "--layer", "1",
+                "--fractions", "0:1:0.5", "--seeds", "1,1,2",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed 1 is given more than once\n"
+
     def test_random_without_seeds(self, capsys, lazy_policy_path):
         code = main(
             [
@@ -295,6 +334,82 @@ def test_a_write_failing_midway_removes_the_partial_file(capsys, monkeypatch, tm
     assert code == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
     assert not out.exists()
+
+
+# ===== malformed input documents =====
+
+MODEL_DOC = (
+    '{"features": ["pos"], "actions": ["step"], "initial": [0], '
+    '"states": [{"s": [0], "act": {"step": [{"to": [0], "p": 1}]}}]}'
+)
+POLICY_DOC = '{"features": ["pos"], "actions": ["step"], "layers": [{"w": [[0]], "b": [0]}]}'
+
+
+@pytest.mark.parametrize(
+    "kind, text, line",
+    [
+        ("model", MODEL_DOC[:-1], "line 1 column 122: Expecting ',' delimiter"),
+        ("model", "[1, 2]", "top level must be an object"),
+        ("model", MODEL_DOC[:-1] + ', "extra": 1}', "unknown top-level keys ['extra']"),
+        ("model", MODEL_DOC.replace('"initial": [0], ', ""), "missing top-level key 'initial'"),
+        (
+            "model",
+            MODEL_DOC.replace('"initial": [0]', '"initial": [0], "initial": [0]'),
+            "duplicate key 'initial' in object",
+        ),
+        ("model", MODEL_DOC.replace('"s": [0]', '"s": [0], "s": [0]'), "duplicate key 's' in object"),
+        ("policy", POLICY_DOC[:-1], "line 1 column 78: Expecting ',' delimiter"),
+        ("policy", '"text"', "top level must be an object"),
+        ("policy", POLICY_DOC[:-1] + ', "extra": 1}', "unknown top-level keys ['extra']"),
+        ("policy", POLICY_DOC.replace('"actions": ["step"], ', ""), "missing top-level key 'actions'"),
+        (
+            "policy",
+            POLICY_DOC.replace('"actions": ["step"]', '"actions": ["step"], "actions": ["step"]'),
+            "duplicate key 'actions' in policy document",
+        ),
+        ("policy", POLICY_DOC.replace('"b": [0]', '"b": [0], "b": [0]'), "duplicate key 'b' in policy document"),
+    ],
+    ids=[
+        f"{kind}-{case}"
+        for kind in ("model", "policy")
+        for case in ("malformed", "not-an-object", "unknown-key", "missing-key", "repeated-key", "repeated-nested-key")
+    ],
+)
+def test_malformed_document_is_one_error_line(capsys, tmp_path, kind, text, line):
+    code = main(_read_document(tmp_path, kind, text))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("kind", ["model", "policy"])
+@pytest.mark.parametrize(
+    "text, fragment",
+    [("[" * 100_000 + "]" * 100_000, "recursion depth"), ("[%s]" % ("1" * 5000), "digits")],
+    ids=["nested-too-deep", "past-digit-limit"],
+)
+def test_document_python_cannot_decode_is_one_error_line(capsys, tmp_path, kind, text, fragment):
+    code = main(_read_document(tmp_path, kind, text))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, text", [("model", MODEL_DOC), ("policy", POLICY_DOC)])
+def test_documents_behind_the_malformed_cases_are_well_formed(capsys, tmp_path, kind, text):
+    assert main(_read_document(tmp_path, kind, text)) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _read_document(tmp_path, kind: str, text: str) -> list[str]:
+    """Write ``text`` to a file and return the arguments of a call that reads it as ``kind``."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    if kind == "model":
+        return ["validate", "--model", str(path)]
+    return ["check", "--model", CHAIN3, "--policy", str(path), "--prop", 'P=? [F "goal"]']
 
 
 # ===== features =====

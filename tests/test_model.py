@@ -260,6 +260,25 @@ class TestLoadExplicitModel:
         with pytest.raises(ModelSyntaxError, match=message):
             load_explicit_model(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pytest.param("1" * 400, id="integer"),
+            pytest.param('"%s/3"' % ("1" * 400), id="fraction"),
+            pytest.param('"1e400"', id="decimal-string"),
+        ],
+    )
+    def test_probability_too_large_for_a_float(self, p):
+        text = json.dumps(fixture_doc("loop.json")).replace('"p": 0.1', f'"p": {p}', 1)
+        with pytest.raises(ModelSyntaxError, match=r"^states\[0\]\.act\.step\[1\]\.p: ") as caught:
+            load_explicit_model(text)
+        assert caught.value.exit_code == 2
+
+    def test_integer_past_the_digit_limit(self):
+        text = json.dumps(fixture_doc("loop.json")).replace('"p": 0.1', f'"p": {"1" * 5000}', 1)
+        with pytest.raises(ModelSyntaxError):
+            load_explicit_model(text)
+
     def test_boolean_is_not_a_probability(self):
         doc = fixture_doc("loop.json")
         doc["states"][1]["act"]["step"][0]["p"] = True

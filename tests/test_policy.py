@@ -210,6 +210,13 @@ class TestMakePolicy:
         with pytest.raises(PolicyFormatError, match="layer 2: weights and biases must be finite"):
             make_policy(("f1", "f2"), ("a", "b"), [(np.eye(2), np.zeros(2)), (w, b)])
 
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_integer_too_large_for_a_float_is_not_finite(self, where):
+        w, b = [[1, 0], [0, 1]], [0, 0]
+        (w[1] if where == "weights" else b)[1] = -(10**400)
+        with pytest.raises(PolicyFormatError, match="^layer 2: weights and biases must be finite"):
+            make_policy(("f1", "f2"), ("a", "b"), [(np.eye(2), np.zeros(2)), (w, b)])
+
 
 # ===== Serialization =====
 
@@ -278,6 +285,21 @@ class TestSerialization:
     def test_non_finite_literals_rejected(self, w, b):
         text = f'{{"features": ["f"], "actions": ["a"], "layers": [{{"w": {w}, "b": {b}}}]}}'
         with pytest.raises(PolicyFormatError, match="must be finite") as caught:
+            load_policy(text)
+        assert caught.value.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "w, b, fragment",
+        [
+            ("[[%s]]" % ("1" * 400), "[0]", "^layer 1: weights and biases must be finite"),
+            ("[[1]]", "[-%s]" % ("1" * 400), "^layer 1: weights and biases must be finite"),
+            ("[[%s]]" % ("1" * 5000), "[0]", "digits|must be finite"),
+        ],
+        ids=["weight", "bias", "past-digit-limit"],
+    )
+    def test_integer_too_large_for_a_float(self, w, b, fragment):
+        text = f'{{"features": ["f"], "actions": ["a"], "layers": [{{"w": {w}, "b": {b}}}]}}'
+        with pytest.raises(PolicyFormatError, match=fragment) as caught:
             load_policy(text)
         assert caught.value.exit_code == 2
 

@@ -133,6 +133,24 @@ class TestPruneSpec:
         with pytest.raises(PruneSpecError, match="unknown prune spec keys"):
             PruneSpec.from_dict({"method": "l1", "layer": 1, "fraction": 0.5, "rate": 2})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"method": 5},
+            {"method": "l1", "layer": 1, "fraction": "0.5"},
+            {"method": "l1", "layer": True, "fraction": 0.5},
+            {"method": "l1", "layer": 1.0, "fraction": 0.5},
+            {"method": "l1", "layer": 1, "fraction": True},
+            {"method": "random", "layer": 1, "fraction": 0.5, "seed": "abc"},
+            {"method": "random", "layer": 1, "fraction": 0.5, "seed": False},
+            {"method": "feature", "feature": 3},
+            {"method": "feature", "feature": "x", "layer": None},
+        ],
+    )
+    def test_from_dict_rejects_wrong_value_types(self, doc):
+        with pytest.raises(PruneSpecError, match=r"^prune spec '\w+' must be (a string|an integer|a number), got "):
+            PruneSpec.from_dict(doc)
+
     @pytest.mark.parametrize("doc", [7, ["l1"], {"layer": 1}])
     def test_from_dict_needs_method_object(self, doc):
         with pytest.raises(PruneSpecError, match="object with a 'method' key"):
@@ -163,12 +181,43 @@ class TestPruneMask:
         assert load_mask(dump_mask(mask)) == mask
 
     def test_load_rejects_invalid_json(self):
-        with pytest.raises(PruneSpecError, match="mask document: line 1"):
+        with pytest.raises(PruneSpecError, match="^line 1 column 2: "):
             load_mask("{nope")
 
     def test_load_rejects_wrong_keys(self):
-        with pytest.raises(PruneSpecError, match="exactly the keys 'spec' and 'zeroed'"):
+        with pytest.raises(PruneSpecError, match="^missing top-level key 'zeroed'$"):
             load_mask('{"spec": {"method": "feature", "feature": "x"}}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"spec": {"method": "feature", "feature": "x"}, "zeroed": 5}', "^'zeroed' must be a list"),
+            ('{"spec": {"method": "feature", "feature": "x"}, "zeroed": [[true, 1, 1]]}', "^bad mask coordinate"),
+            ('{"spec": {"method": "feature", "feature": "x"}, "zeroed": [[1, 1, false]]}', "^bad mask coordinate"),
+            ('{"spec": {"method": "l1", "layer": 1, "fraction": "0.5"}, "zeroed": []}', "^prune spec 'fraction'"),
+            ('{"spec": {"method": "l1", "layer": true, "fraction": 0.5}, "zeroed": []}', "^prune spec 'layer'"),
+            ('{"spec": {"method": "feature", "feature": "x"}, "zeroed": [], "zeroed": []}', "^duplicate key 'zeroed'"),
+            ('{"spec": {"method": "feature", "feature": "x", "feature": "y"}, "zeroed": []}', "^duplicate key 'feature'"),
+            ('{"spec": {"method": "l1", "layer": 1, "fraction": %s}, "zeroed": []}' % ("1" * 5000), "digits|outside"),
+        ],
+        ids=[
+            "zeroed-not-a-list",
+            "boolean-layer",
+            "boolean-column",
+            "string-fraction",
+            "boolean-spec-layer",
+            "repeated-top-level-key",
+            "repeated-spec-key",
+            "past-digit-limit",
+        ],
+    )
+    def test_load_rejects_bad_values(self, text, message):
+        with pytest.raises(PruneSpecError, match=message):
+            load_mask(text)
+
+    def test_repeated_key_wording(self):
+        with pytest.raises(PruneSpecError, match=r"^duplicate key 'spec' in mask document$"):
+            load_mask('{"spec": {"method": "feature", "feature": "x"}, "spec": {}, "zeroed": []}')
 
     @pytest.mark.parametrize("coord", ["[1, 1]", "[1, 1, 1.5]", '"111"'])
     def test_load_rejects_bad_coordinates(self, coord):

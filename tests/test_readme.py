@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from prunecheck import cli, from_uri
+from prunecheck import cli, from_uri, load_explicit_model, load_mask, load_policy
 
 README = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text(encoding="utf-8")
 
@@ -23,6 +24,29 @@ def test_readme_names_builtin_uris():
 def test_builtin_uri_loads(uri):
     env = from_uri(uri)
     assert env.available_actions(env.initial)
+
+
+# ===== JSON blocks =====
+
+JSON_BLOCKS = re.findall(r"```json\n(.*?)```", README, re.DOTALL)
+
+# The reader of each documented format, keyed by its top-level keys.
+LOADERS = {
+    frozenset({"features", "actions", "initial", "states"}): load_explicit_model,
+    frozenset({"features", "actions", "layers"}): load_policy,
+    frozenset({"spec", "zeroed"}): load_mask,
+}
+
+
+def test_readme_documents_every_input_format():
+    assert {frozenset(json.loads(block)) for block in JSON_BLOCKS} == set(LOADERS)
+
+
+@pytest.mark.parametrize("block", [pytest.param(block, id=f"block{i}") for i, block in enumerate(JSON_BLOCKS)])
+def test_json_block_loads_through_its_reader(block):
+    keys = frozenset(json.loads(block))
+    assert keys in LOADERS, f"no reader takes the keys {sorted(keys)}"
+    LOADERS[keys](block)
 
 
 # ===== Console blocks =====

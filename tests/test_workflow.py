@@ -354,6 +354,11 @@ class TestSweep:
             sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:0:1", out_path=str(out))
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("seeds", [(1, 1, 2), (2, 1, 2)])
+    def test_repeated_seed_rejected(self, seeds):
+        with pytest.raises(PruneSpecError, match=r"^seed \d is given more than once$"):
+            sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "random", 1, "0:1:0.5", seeds=seeds)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [

@@ -54,6 +54,10 @@ class PruneSpec:
     feature: str | None = None
 
     def __post_init__(self) -> None:
+        for key, (types, wording) in _SPEC_TYPES.items():
+            value = getattr(self, key)
+            if value is not None and (not isinstance(value, types) or isinstance(value, bool)):
+                raise PruneSpecError(f"prune spec {key!r} must be {wording}, got {value!r}")
         if self.method not in METHODS:
             raise PruneSpecError(f"unknown prune method {self.method!r}")
         if self.method in ("l1", "random"):
@@ -84,9 +88,9 @@ class PruneSpec:
         if unknown:
             raise PruneSpecError(f"unknown prune spec keys {sorted(unknown)}")
         for key, value in doc.items():
-            types, wording = _SPEC_TYPES[key]
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise PruneSpecError(f"prune spec {key!r} must be {wording}, got {value!r}")
+            # A null names a field without giving it; only an absent key means None.
+            if value is None:
+                raise PruneSpecError(f"prune spec {key!r} must be {_SPEC_TYPES[key][1]}, got None")
         return cls(**doc)
 
 
@@ -94,16 +98,16 @@ class PruneSpec:
 class PruneMask:
     """The exact zeroed coordinate set produced by one pruning call.
 
-    ``zeroed`` holds 1-based (layer, row, col) triples in ascending order.
-    Biases are never masked.
+    ``zeroed`` holds distinct 1-based (layer, row, col) triples in ascending
+    order. Biases are never masked.
     """
 
     spec: PruneSpec
     zeroed: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if list(self.zeroed) != sorted(self.zeroed):
-            raise PruneSpecError("mask coordinates must be sorted ascending")
+        if any(a >= b for a, b in zip(self.zeroed, self.zeroed[1:])):
+            raise PruneSpecError("mask coordinates must be sorted ascending, each once")
 
     @property
     def size(self) -> int:

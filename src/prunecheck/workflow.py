@@ -1,5 +1,11 @@
 """The measurement loop: check a policy, prune it, check again, compare.
 
+``measure`` checks one policy. Every pruned report comes from
+``_prune_reports``, which measures the original once and then yields one
+report per PruneSpec of a stream; ``prune_and_measure``, the rows of
+``feature_importance`` and the rows of ``sweep`` differ only in the specs
+they stream.
+
 Everything here returns SafetyReports or CSV text built only from the
 inputs and declared seeds, so repeated runs are byte-identical. Wall-clock
 timings are collected on the report objects but serialized as zero unless
@@ -12,8 +18,10 @@ import csv
 import io
 import os
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -162,101 +170,78 @@ def measure(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Original:
-    """The unpruned policy's measurement, shared by every pruned row.
+def _keeps_every_action(logits: np.ndarray, chosen: np.ndarray, available: np.ndarray) -> bool:
+    """Whether ``logits``, one row per state, keep each state's ``chosen`` action.
 
-    ``inputs``, ``chosen`` and ``available`` describe the original chain's
-    states in index order: their feature vectors, the schema index of the
-    action the policy chose, and which schema actions were available.
+    An ``available`` action displaces the choice exactly when ``pick`` would
+    prefer it: a larger logit, or an equal one at a smaller schema index. NaN
+    logits order nothing, so they count as a flip and send the row to a full
+    rebuild.
     """
-
-    property_text: str
-    prop: Prob
-    result: CheckResult
-    stats: ChainStats
-    inputs: np.ndarray
-    chosen: np.ndarray
-    available: np.ndarray
-
-
-def _measure_original(
-    env: EnvironmentModel, policy: NeuralPolicy, property_text: str, limits: BuildLimits | None
-) -> _Original:
-    prop = parse_property(property_text)
-    result, stats, build = _measure_once(env, policy, prop, limits)
-    states = build.dtmc.state_vectors
-    index = policy.action_index
-    available = np.zeros((len(states), len(index)), dtype=bool)
-    for s, state in enumerate(states):
-        available[s, [index[name] for name in env.available_actions(state)]] = True
-    return _Original(
-        property_text=property_text,
-        prop=prop,
-        result=result,
-        stats=stats,
-        inputs=np.array(states, dtype=np.float64),
-        chosen=np.array([index[name] for name in build.chosen_actions]),
-        available=available,
-    )
-
-
-def _keeps_every_action(original: _Original, policy: NeuralPolicy) -> bool:
-    """Whether ``policy`` chooses the original's action on every original state.
-
-    An available action displaces the original choice exactly when
-    ``select_action`` would prefer it: a larger logit, or an equal one at a
-    smaller schema index. NaN logits order nothing, so they count as a flip
-    and send the row to a full rebuild.
-    """
-    logits = policy.forward(original.inputs)
-    kept = logits[np.arange(len(logits)), original.chosen][:, None]
-    earlier = np.arange(logits.shape[1]) < original.chosen[:, None]
+    kept = logits[np.arange(len(logits)), chosen][:, None]
+    earlier = np.arange(logits.shape[1]) < chosen[:, None]
     preferred = (logits > kept) | ((logits == kept) & earlier)
-    return not ((preferred & original.available).any() or np.isnan(logits).any())
+    return not ((preferred & available).any() or np.isnan(logits).any())
 
 
-def _pruned_report(
+def _prune_reports(
     env: EnvironmentModel,
     policy: NeuralPolicy,
-    original: _Original,
-    spec: PruneSpec,
+    property_text: str,
+    specs: Iterable[PruneSpec],
     limits: BuildLimits | None,
     *,
     lower_is_safer: bool,
-    model_id: str = "",
-    policy_id: str = "",
-) -> SafetyReport:
-    """Prune ``policy`` per ``spec``, re-measure, and compare with the original.
+    model_id: str,
+    policy_id: str,
+) -> Iterator[SafetyReport]:
+    """Measure the original once, then yield one pruned report per spec.
 
-    A pruned policy that keeps every action of the original chain induces
-    that same chain, so its measurement is the original's, reused without
-    a rebuild or a solve; any flip rebuilds and re-checks the chain in
-    full. ``time_ms`` of the pruned chain is the time this decision and
-    any re-measurement took.
+    ``specs`` is read only after the original is measured, so a bad property
+    or an exceeded cap is reported before any bad spec. A pruned policy that
+    keeps every action of the original chain induces that same chain, so its
+    measurement is the original's, reused without a rebuild or a solve; any
+    flip rebuilds and re-checks the chain in full. ``time_ms`` of the pruned
+    chain is the time this decision and any re-measurement took.
     """
-    pruned_policy, mask = prune(policy, spec)
-    started = time.perf_counter()
-    if _keeps_every_action(original, pruned_policy):
-        pruned, pruned_stats = original.result, original.stats
-    else:
-        pruned, pruned_stats, _ = _measure_once(env, pruned_policy, original.prop, limits)
-    pruned_stats = replace(pruned_stats, time_ms=(time.perf_counter() - started) * 1000.0)
-    delta = pruned.value - original.result.value
-    return SafetyReport(
-        property_text=original.property_text,
-        m=original.result.value,
-        satisfied=original.result.satisfied,
-        original=original.stats,
-        m_hat=pruned.value,
-        delta=delta,
-        verdict=_verdict(original.prop, pruned, delta, lower_is_safer),
-        prune_spec=spec,
-        mask_size=mask.size,
-        pruned=pruned_stats,
+    prop = parse_property(property_text)
+    result, stats, build = _measure_once(env, policy, prop, limits)
+    original = SafetyReport(
+        property_text=property_text,
+        m=result.value,
+        satisfied=result.satisfied,
+        original=stats,
         model_id=model_id,
         policy_id=policy_id,
     )
+    # The original chain's states in index order: feature vectors, the
+    # schema index of the chosen action, and the available schema actions.
+    states = build.dtmc.state_vectors
+    index = policy.action_index
+    inputs = np.array(states, dtype=np.float64)
+    chosen = np.array([index[name] for name in build.chosen_actions])
+    available = np.zeros((len(states), len(index)), dtype=bool)
+    for s, state in enumerate(states):
+        available[s, [index[name] for name in env.available_actions(state)]] = True
+
+    for spec in specs:
+        pruned_policy, mask = prune(policy, spec)
+        started = time.perf_counter()
+        if _keeps_every_action(pruned_policy.forward(inputs), chosen, available):
+            pruned, pruned_stats = result, stats
+        else:
+            pruned, pruned_stats, _ = _measure_once(env, pruned_policy, prop, limits)
+        pruned_stats = replace(pruned_stats, time_ms=(time.perf_counter() - started) * 1000.0)
+        delta = pruned.value - result.value
+        yield replace(
+            original,
+            m_hat=pruned.value,
+            delta=delta,
+            verdict=_verdict(prop, pruned, delta, lower_is_safer),
+            prune_spec=spec,
+            mask_size=mask.size,
+            pruned=pruned_stats,
+        )
 
 
 def prune_and_measure(
@@ -276,10 +261,10 @@ def prune_and_measure(
     comparator (>= means higher is safer, <= the opposite); plain queries
     default to higher-is-safer unless ``lower_is_safer`` is set.
     """
-    original = _measure_original(env, policy, property_text, limits)
-    return _pruned_report(
-        env, policy, original, spec, limits, lower_is_safer=lower_is_safer, model_id=model_id, policy_id=policy_id
-    )
+    return next(_prune_reports(
+        env, policy, property_text, [spec], limits,
+        lower_is_safer=lower_is_safer, model_id=model_id, policy_id=policy_id,
+    ))
 
 
 def feature_importance(
@@ -297,20 +282,11 @@ def feature_importance(
     The original measurement is computed once and shared across rows; each
     report's prune_spec names the feature it describes.
     """
-    original = _measure_original(env, policy, property_text, limits)
-    return [
-        _pruned_report(
-            env,
-            policy,
-            original,
-            PruneSpec(method="feature", feature=feature),
-            limits,
-            lower_is_safer=lower_is_safer,
-            model_id=model_id,
-            policy_id=policy_id,
-        )
-        for feature in policy.feature_names
-    ]
+    specs = (PruneSpec(method="feature", feature=feature) for feature in policy.feature_names)
+    return list(_prune_reports(
+        env, policy, property_text, specs, limits,
+        lower_is_safer=lower_is_safer, model_id=model_id, policy_id=policy_id,
+    ))
 
 
 # ===== Sweeps =====
@@ -381,45 +357,26 @@ def sweep(
         if seed == following:
             raise PruneSpecError(f"seed {seed} is given more than once")
 
-    original = _measure_original(env, policy, property_text, limits)
-
-    def measure_row(spec: PruneSpec) -> SafetyReport:
-        return _pruned_report(env, policy, original, spec, limits, lower_is_safer=lower_is_safer)
-
-    rows: list[list[str]] = []
+    row_seeds = ordered_seeds or (None,)
+    specs = (PruneSpec(method, layer, float(f), seed) for f in fractions for seed in row_seeds)
+    reports = _prune_reports(
+        env, policy, property_text, specs, limits, lower_is_safer=lower_is_safer, model_id="", policy_id=""
+    )
+    rows: list[tuple] = []
     for fraction in fractions:
-        fraction_value = float(fraction)
-        if method == "l1":
-            report = measure_row(PruneSpec(method="l1", layer=layer, fraction=fraction_value))
-            rows.append(_sweep_row(report, fraction_value, seed="", include_timings=include_timings))
-        else:
-            batch = []
-            for seed in ordered_seeds:
-                report = measure_row(PruneSpec(method="random", layer=layer, fraction=fraction_value, seed=seed))
-                batch.append(report)
-                rows.append(_sweep_row(report, fraction_value, seed=seed, include_timings=include_timings))
-            mean_m_hat = sum(r.m_hat for r in batch) / len(batch)
-            mean_delta = sum(r.delta for r in batch) / len(batch)
+        batch = list(islice(reports, len(row_seeds)))
+        rows.extend(_sweep_row(report, include_timings) for report in batch)
+        if method == "random":
+            m_hat = sum(r.m_hat for r in batch) / len(batch)
+            delta = sum(r.delta for r in batch) / len(batch)
             rows.append(
-                [
-                    "random",
-                    _csv_cell(layer),
-                    _csv_cell(fraction_value),
-                    "mean",
-                    property_text,
-                    _csv_cell(batch[0].m),
-                    _csv_cell(mean_m_hat),
-                    _csv_cell(mean_delta),
-                    "",
-                    "",
-                    _csv_cell(0),
-                ]
+                ("random", layer, float(fraction), "mean", property_text, batch[0].m, m_hat, delta, None, None, 0)
             )
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
+    writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
     text = buffer.getvalue()
 
     if out_path is not None:
@@ -442,19 +399,10 @@ def write_text(path: str, text: str) -> None:
         raise
 
 
-def _sweep_row(report: SafetyReport, fraction: float, seed, include_timings: bool) -> list[str]:
-    spec = report.prune_spec
-    time_ms = round(report.pruned.time_ms, 3) if include_timings else 0
-    return [
-        spec.method,
-        _csv_cell(spec.layer),
-        _csv_cell(fraction),
-        _csv_cell(seed),
-        report.property_text,
-        _csv_cell(report.m),
-        _csv_cell(report.m_hat),
-        _csv_cell(report.delta),
-        _csv_cell(report.pruned.states if report.pruned else None),
-        _csv_cell(report.pruned.transitions if report.pruned else None),
-        _csv_cell(time_ms),
-    ]
+def _sweep_row(report: SafetyReport, include_timings: bool) -> tuple:
+    spec, pruned = report.prune_spec, report.pruned
+    time_ms = round(pruned.time_ms, 3) if include_timings else 0
+    return (
+        spec.method, spec.layer, spec.fraction, spec.seed, report.property_text,
+        report.m, report.m_hat, report.delta, pruned.states, pruned.transitions, time_ms,
+    )

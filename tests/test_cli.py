@@ -295,6 +295,31 @@ class TestSweep:
         assert code == 2
         assert "at least one seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, seeds", [("l1", []), ("random", ["--seeds", "1"])])
+    def test_property_error_comes_before_a_bad_layer(self, capsys, lazy_policy_path, method, seeds):
+        code = main(
+            [
+                "sweep", "--model", AVOID_URI, "--policy", lazy_policy_path,
+                "--prop", "P=? [", "--method", method, "--layer", "0", "--fractions", "0:1:0.5", *seeds,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: expected a state formula at position 5, found end of input\n"
+
+    def test_state_cap_comes_before_a_bad_layer(self, capsys, lazy_policy_path):
+        code = main(
+            [
+                "sweep", "--model", AVOID_URI, "--policy", lazy_policy_path, "--prop", NO_COLLISION_6,
+                "--method", "l1", "--layer", "0", "--fractions", "0:1:0.5", "--max-states", "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: state count exceeds max_states=1\n"
+
     def test_feature_method_rejected_by_parser(self, capsys, lazy_policy_path):
         with pytest.raises(SystemExit) as exc:
             main(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,22 @@ class TestPruneSpec:
         with pytest.raises(PruneSpecError, match=message):
             PruneSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"method": "l1", "layer": 1, "fraction": "0.5"}, "'fraction' must be a number, got '0.5'"),
+            ({"method": "l1", "layer": 1.5, "fraction": 0.5}, "'layer' must be an integer, got 1.5"),
+            ({"method": "l1", "layer": True, "fraction": 0.5}, "'layer' must be an integer, got True"),
+            ({"method": "l1", "layer": 1, "fraction": Fraction(1, 2)}, "'fraction' must be a number, got Fraction(1, 2)"),
+            ({"method": "random", "layer": 1, "fraction": 0.5, "seed": "7"}, "'seed' must be an integer, got '7'"),
+            ({"method": "feature", "feature": 3}, "'feature' must be a string, got 3"),
+            ({"method": "feature", "feature": "x", "layer": "1"}, "'layer' must be an integer, got '1'"),
+        ],
+    )
+    def test_constructor_checks_value_types(self, kwargs, message):
+        with pytest.raises(PruneSpecError, match=f"^prune spec {re.escape(message)}$"):
+            PruneSpec(**kwargs)
+
     def test_to_dict_drops_unused_fields(self):
         spec = PruneSpec(method="feature", feature="x")
         assert spec.to_dict() == {"method": "feature", "feature": "x"}
@@ -171,6 +188,15 @@ class TestPruneMask:
     def test_coordinates_must_be_sorted(self):
         with pytest.raises(PruneSpecError, match="sorted ascending"):
             PruneMask(spec=self.spec(), zeroed=((1, 2, 2), (1, 1, 1)))
+
+    def test_coordinates_must_not_repeat(self):
+        with pytest.raises(PruneSpecError, match="sorted ascending"):
+            PruneMask(spec=self.spec(), zeroed=((1, 1, 1), (1, 1, 1)))
+
+    def test_load_rejects_a_repeated_coordinate(self):
+        text = '{"spec": {"method": "feature", "feature": "x"}, "zeroed": [[1, 1, 1], [1, 1, 1]]}'
+        with pytest.raises(PruneSpecError, match="^mask coordinates must be sorted ascending, each once$"):
+            load_mask(text)
 
     def test_serialization_round_trip(self):
         _, mask = random_prune(random_policy(3, ("a", "b"), ("x", "y")), 1, 0.5, seed=9)

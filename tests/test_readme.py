@@ -89,3 +89,20 @@ def test_console_block_prints_what_it_shows(command, printed, tmp_path, monkeypa
     assert argv[0] == "prunecheck"
     assert cli.main(argv[1:]) == 0
     assert capsys.readouterr().out == printed
+
+
+# ===== Python blocks =====
+
+PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
+
+
+def test_readme_shows_library_use():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("block", [pytest.param(block, id=f"block{i}") for i, block in enumerate(PYTHON_BLOCKS)])
+def test_python_block_prints_what_its_comments_show(block, tmp_path, monkeypatch, capsys):
+    (tmp_path / "walker.json").write_text(WALKER, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "".join(f"{shown}\n" for shown in re.findall(r"# (.*)", block))

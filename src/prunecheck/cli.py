@@ -37,8 +37,11 @@ def _read_file(path: str) -> str:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or to the file ``out``; either way it ends in a newline."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
         return
     try:
         write_text(out, text)
@@ -105,20 +108,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
             lines.append(f"satisfied: {'yes' if report.satisfied else 'no'}")
         lines.append(f"states: {report.original.states}")
         lines.append(f"transitions: {report.original.transitions}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_output("\n".join(lines), args.out)
     return 0
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     policy = _load_policy(args.policy)
     pruned, mask = prune(policy, _spec_from_args(args))
-    _write_output(dump_policy(pruned) + "\n", args.out)
+    _write_output(dump_policy(pruned), args.out)
     mask_out = args.mask_out
     if mask_out is None and args.out is not None:
         mask_out = args.out + ".mask.json"
     if mask_out is not None:
         try:
-            _write_output(dump_mask(mask) + "\n", mask_out)
+            _write_output(dump_mask(mask), mask_out)
         except PrunecheckError:
             if args.out is not None:  # leave no policy without its mask
                 os.remove(args.out)
@@ -173,7 +176,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
         lines.append(
             f"{report.prune_spec.feature:<16}{report.m_hat!r:<24}{report.delta!r:<26}{report.verdict}"
         )
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output("\n".join(lines), args.out)
     return 0
 
 
@@ -193,7 +196,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             lines.append("ok")
         else:
             lines.extend(f"violation: {v}" for v in report.violations)
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_output("\n".join(lines), args.out)
     return 0 if report.ok else 3
 
 
@@ -201,7 +204,7 @@ def _cmd_export_dtmc(args: argparse.Namespace) -> int:
     env = _load_model(args.model)
     policy = _load_policy(args.policy)
     build = build_induced_dtmc(env, policy, _limits(args))
-    _write_output(induced_to_explicit(build.dtmc, env.feature_schema) + "\n", args.out)
+    _write_output(induced_to_explicit(build.dtmc, env.feature_schema), args.out)
     return 0
 
 

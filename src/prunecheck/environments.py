@@ -16,16 +16,19 @@ Two small factored MDPs with deliberately simple rules:
 Both are deterministic functions of their config: equal configs give
 environments with identical behavior, distribution order included.
 
-Each environment memoises its action sets on exactly the inputs its rule
-reads: the agent's cell for ``avoidance``; the cab's cell, whether the tank
-is empty and ``on_board`` for ``mini_taxi``. An entry is computed the first
-time its key is asked for and kept for the environment's lifetime, so
-``successors`` rejects an unavailable action by a dict lookup instead of
-re-deriving the set.
+Each environment memoises its action sets with ``functools.cache`` on a
+function defined inside its factory, so no two environments share a cache.
+The cached function takes exactly the inputs its rule reads: the agent's
+cell for ``avoidance``; the cab's cell, whether the tank is empty and
+``on_board`` for ``mini_taxi``. An entry is computed the first time its key
+is asked for and kept for the environment's lifetime, so ``successors``
+rejects an unavailable action by a cache lookup instead of re-deriving the
+set.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from urllib.parse import parse_qsl, urlsplit
@@ -43,6 +46,11 @@ AVOIDANCE_ACTIONS = ("north", "south", "east", "west", "stay")
 
 # Grid displacement per move action, as (dx, dy) with north increasing y.
 _MOVES = {"north": (0, 1), "south": (0, -1), "east": (1, 0), "west": (-1, 0)}
+
+
+def _moves_inside(x: int, y: int, width: int, height: int) -> tuple[str, ...]:
+    """The moves from (x, y) that stay on a width x height grid, in schema order."""
+    return tuple(move for move, (dx, dy) in _MOVES.items() if 0 <= x + dx < width and 0 <= y + dy < height)
 
 
 # ===== Configs =====
@@ -112,35 +120,21 @@ def mini_taxi(config: MiniTaxiConfig | None = None) -> EnvironmentModel:
     every action self-loops and the state is labeled "empty".
     """
     cfg = config or MiniTaxiConfig()
-    action_sets: dict[tuple, tuple[str, ...]] = {}
+
+    @functools.cache
+    def action_set(x: int, y: int, empty: bool, on_board: int) -> tuple[str, ...]:
+        if empty:
+            return TAXI_ACTIONS
+        services = {
+            "pickup": (x, y) == cfg.passenger_spawn and on_board == 0,
+            "dropoff": (x, y) == cfg.destination and on_board == 1,
+            "refuel": (x, y) == cfg.station,
+        }
+        return _moves_inside(x, y, cfg.width, cfg.height) + tuple(a for a, offered in services.items() if offered)
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         x, y, fuel, on_board, _jobs = state
-        key = (x, y, fuel == 0, on_board)
-        actions = action_sets.get(key)
-        if actions is None:
-            actions = action_sets[key] = _action_set(x, y, fuel, on_board)
-        return actions
-
-    def _action_set(x: int, y: int, fuel: int, on_board: int) -> tuple[str, ...]:
-        if fuel == 0:
-            return TAXI_ACTIONS
-        out = []
-        for action in TAXI_ACTIONS:
-            if action in _MOVES:
-                dx, dy = _MOVES[action]
-                if 0 <= x + dx < cfg.width and 0 <= y + dy < cfg.height:
-                    out.append(action)
-            elif action == "pickup":
-                if (x, y) == cfg.passenger_spawn and on_board == 0:
-                    out.append(action)
-            elif action == "dropoff":
-                if (x, y) == cfg.destination and on_board == 1:
-                    out.append(action)
-            elif action == "refuel":
-                if (x, y) == cfg.station:
-                    out.append(action)
-        return tuple(out)
+        return action_set(x, y, fuel == 0, on_board)
 
     def successors(state: StateVector, action: str) -> Distribution:
         x, y, fuel, on_board, jobs = state
@@ -197,25 +191,14 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
     where both share a cell are labeled "collision".
     """
     cfg = config or AvoidanceConfig()
-    action_sets: dict[tuple[int, int], tuple[str, ...]] = {}
+
+    @functools.cache
+    def action_set(ax: int, ay: int) -> tuple[str, ...]:
+        return _moves_inside(ax, ay, cfg.width, cfg.height) + ("stay",)
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         ax, ay, _ox, _oy = state
-        actions = action_sets.get((ax, ay))
-        if actions is None:
-            actions = action_sets[ax, ay] = _action_set(ax, ay)
-        return actions
-
-    def _action_set(ax: int, ay: int) -> tuple[str, ...]:
-        out = []
-        for action in AVOIDANCE_ACTIONS:
-            if action in _MOVES:
-                dx, dy = _MOVES[action]
-                if 0 <= ax + dx < cfg.width and 0 <= ay + dy < cfg.height:
-                    out.append(action)
-            else:  # stay
-                out.append(action)
-        return tuple(out)
+        return action_set(ax, ay)
 
     def _chase_step(ox: int, oy: int, ax: int, ay: int) -> tuple[int, int]:
         if ox != ax:
@@ -259,9 +242,6 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
 
 # ===== Builtin URIs =====
 
-_TAXI_KEYS = {"width", "height", "max_fuel", "station", "passenger_spawn", "destination", "jobs_target"}
-_AVOIDANCE_KEYS = {"width", "height", "obstacle_start", "obstacle_move_prob"}
-
 
 def is_builtin_uri(text: str) -> bool:
     return text.startswith("builtin:")
@@ -284,8 +264,27 @@ def _parse_cell(key: str, value: str) -> tuple[int, int]:
 def _parse_prob(key: str, value: str) -> float:
     try:
         return float(Fraction(value))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ModelSyntaxError(f"query parameter {key}={value!r}: expected a probability") from None
+
+
+# name -> (factory, config type, {query key: value parser}). Keys are parsed
+# in this order, so of two malformed values the first listed is reported.
+_BUILTINS = {
+    "mini_taxi": (
+        mini_taxi,
+        MiniTaxiConfig,
+        {
+            "width": _parse_int, "height": _parse_int, "max_fuel": _parse_int, "jobs_target": _parse_int,
+            "station": _parse_cell, "passenger_spawn": _parse_cell, "destination": _parse_cell,
+        },
+    ),
+    "avoidance": (
+        avoidance,
+        AvoidanceConfig,
+        {"width": _parse_int, "height": _parse_int, "obstacle_start": _parse_cell, "obstacle_move_prob": _parse_prob},
+    ),
+}
 
 
 def from_uri(uri: str) -> EnvironmentModel:
@@ -298,38 +297,15 @@ def from_uri(uri: str) -> EnvironmentModel:
     parts = urlsplit(uri)
     if parts.scheme != "builtin":
         raise ModelSyntaxError(f"not a builtin URI: {uri!r}")
-    name = parts.path
     pairs = parse_qsl(parts.query, keep_blank_values=True)
-    keys = [k for k, _ in pairs]
-    if len(set(keys)) != len(keys):
-        raise ModelSyntaxError(f"repeated query parameter in {uri!r}")
     params = dict(pairs)
-
-    if name == "mini_taxi":
-        unknown = set(params) - _TAXI_KEYS
-        if unknown:
-            raise ModelSyntaxError(f"unknown mini_taxi parameters {sorted(unknown)}")
-        kwargs: dict = {}
-        for key in ("width", "height", "max_fuel", "jobs_target"):
-            if key in params:
-                kwargs[key] = _parse_int(key, params[key])
-        for key in ("station", "passenger_spawn", "destination"):
-            if key in params:
-                kwargs[key] = _parse_cell(key, params[key])
-        return mini_taxi(MiniTaxiConfig(**kwargs))
-
-    if name == "avoidance":
-        unknown = set(params) - _AVOIDANCE_KEYS
-        if unknown:
-            raise ModelSyntaxError(f"unknown avoidance parameters {sorted(unknown)}")
-        kwargs = {}
-        for key in ("width", "height"):
-            if key in params:
-                kwargs[key] = _parse_int(key, params[key])
-        if "obstacle_start" in params:
-            kwargs["obstacle_start"] = _parse_cell("obstacle_start", params["obstacle_start"])
-        if "obstacle_move_prob" in params:
-            kwargs["obstacle_move_prob"] = _parse_prob("obstacle_move_prob", params["obstacle_move_prob"])
-        return avoidance(AvoidanceConfig(**kwargs))
-
-    raise ModelSyntaxError(f"unknown builtin environment {name!r}")
+    if len(params) != len(pairs):
+        raise ModelSyntaxError(f"repeated query parameter in {uri!r}")
+    name = parts.path
+    if name not in _BUILTINS:
+        raise ModelSyntaxError(f"unknown builtin environment {name!r}")
+    factory, config_type, parsers = _BUILTINS[name]
+    unknown = params.keys() - parsers.keys()
+    if unknown:
+        raise ModelSyntaxError(f"unknown {name} parameters {sorted(unknown)}")
+    return factory(config_type(**{key: parse(key, params[key]) for key, parse in parsers.items() if key in params}))

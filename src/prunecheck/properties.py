@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NoReturn, Union
 
 from .errors import PropertySemanticError, PropertySyntaxError
 
@@ -158,7 +158,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.at = 0
 
@@ -172,128 +171,99 @@ class _Parser:
         self.at += 1
         return token
 
-    def fail(self, expected: str) -> None:
+    def fail(self, expected: str) -> NoReturn:
         token = self.peek()
         found = "end of input" if token.kind == "eof" else repr(token.text)
         raise PropertySyntaxError(
             f"expected {expected} at position {token.pos}, found {found}", token.pos
         )
 
-    def expect_punct(self, char: str) -> None:
-        token = self.peek()
-        if token.kind == "punct" and token.text == char:
-            self.advance()
-        else:
-            self.fail(f"'{char}'")
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``.
 
-    def expect_word(self, word: str) -> None:
-        token = self.peek()
-        if token.kind == "word" and token.text == word:
-            self.advance()
-        else:
-            self.fail(f"'{word}'")
+        A label token keeps its quotes, so a label never matches a keyword.
+        """
+        if self.peek().text != text:
+            return False
+        self.at += 1
+        return True
 
-    def at_word(self, word: str) -> bool:
-        token = self.peek()
-        return token.kind == "word" and token.text == word
-
-    def at_punct(self, char: str) -> bool:
-        token = self.peek()
-        return token.kind == "punct" and token.text == char
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            self.fail(f"'{text}'")
 
     # -- grammar --
 
     def property(self) -> Prob:
-        self.expect_word("P")
+        self.expect("P")
         comparator: str | None = None
         threshold: float | None = None
-        token = self.peek()
-        if token.kind == "query":
-            self.advance()
-        elif token.kind == "cmp":
+        if not self.accept("=?"):
+            if self.peek().kind != "cmp":
+                self.fail("'=?' or a comparator")
             comparator = self.advance().text
-            number = self.peek()
-            if number.kind != "number":
+            if self.peek().kind != "number":
                 self.fail("a probability threshold")
             threshold = float(self.advance().text)
-        else:
-            self.fail("'=?' or a comparator")
-        self.expect_punct("[")
+        self.expect("[")
         path = self.path()
-        self.expect_punct("]")
+        self.expect("]")
         if self.peek().kind != "eof":
             self.fail("end of input")
         return Prob(comparator=comparator, threshold=threshold, path=path)
 
     def path(self) -> PathFormula:
-        if self.at_word("X"):
-            self.advance()
+        if self.accept("X"):
             return Next(self.state_formula())
-        if self.at_word("F"):
-            self.advance()
+        if self.accept("F"):
             bound = self.optional_bound()
             return Eventually(self.state_formula(), bound=bound)
-        if self.at_word("G"):
-            self.advance()
+        if self.accept("G"):
             bound = self.optional_bound()
             return Globally(self.state_formula(), bound=bound)
-        if self.at_word("SEQ"):
-            self.advance()
-            self.expect_punct("(")
+        if self.accept("SEQ"):
+            self.expect("(")
             first = self.state_formula()
-            self.expect_punct(",")
+            self.expect(",")
             then = self.state_formula()
-            self.expect_punct(")")
+            self.expect(")")
             return Seq(first, then)
         left = self.state_formula()
-        if not self.at_word("U"):
-            self.fail("'U'")
-        self.advance()
+        self.expect("U")
         bound = self.optional_bound()
-        right = self.state_formula()
-        return Until(left, right, bound=bound)
+        return Until(left, self.state_formula(), bound=bound)
 
     def optional_bound(self) -> int | None:
-        token = self.peek()
-        if token.kind == "cmp" and token.text == "<=":
-            self.advance()
-            number = self.peek()
-            if number.kind != "number" or not number.text.isdigit():
-                self.fail("a non-negative integer bound")
-            return int(self.advance().text)
-        return None
+        if not self.accept("<="):
+            return None
+        number = self.peek()
+        if number.kind != "number" or not number.text.isdigit():
+            self.fail("a non-negative integer bound")
+        return int(self.advance().text)
 
     def state_formula(self) -> StateFormula:
-        return self.or_formula()
-
-    def or_formula(self) -> StateFormula:
         left = self.and_formula()
-        while self.at_punct("|"):
-            self.advance()
+        while self.accept("|"):
             left = Or(left, self.and_formula())
         return left
 
     def and_formula(self) -> StateFormula:
         left = self.not_formula()
-        while self.at_punct("&"):
-            self.advance()
+        while self.accept("&"):
             left = And(left, self.not_formula())
         return left
 
     def not_formula(self) -> StateFormula:
-        if self.at_punct("!"):
-            self.advance()
+        if self.accept("!"):
             return Not(self.not_formula())
         return self.atom()
 
     def atom(self) -> StateFormula:
-        token = self.peek()
-        if token.kind == "word" and token.text == "true":
-            self.advance()
+        if self.accept("true"):
             return TrueFormula()
-        if token.kind == "word" and token.text == "false":
-            self.advance()
+        if self.accept("false"):
             return FalseFormula()
+        token = self.peek()
         if token.kind == "label":
             name = self.advance().text[1:-1]
             if not _IDENT_RE.match(name):
@@ -301,13 +271,11 @@ class _Parser:
                     f"label {name!r} at position {token.pos} is not an identifier", token.pos
                 )
             return Label(name)
-        if self.at_punct("("):
-            self.advance()
-            inner = self.or_formula()
-            self.expect_punct(")")
+        if self.accept("("):
+            inner = self.state_formula()
+            self.expect(")")
             return inner
         self.fail("a state formula")
-        raise AssertionError("unreachable")
 
 
 def parse_property(text: str) -> Prob:
@@ -323,9 +291,6 @@ def parse_property(text: str) -> Prob:
 
 
 # ===== Formatting =====
-
-_BOUND = "<={}"
-
 
 def _format_state(sf: StateFormula) -> str:
     if isinstance(sf, TrueFormula):
@@ -355,18 +320,16 @@ def _wrap(sf: StateFormula, keep: tuple = (), atom_only: bool = False) -> str:
 def format_formula(prop: Prob) -> str:
     """Render an AST back to parsable property text."""
     path = prop.path
+    bound = "" if getattr(path, "bound", None) is None else f"<={path.bound}"
     if isinstance(path, Next):
         body = f"X {_wrap(path.target)}"
     elif isinstance(path, Eventually):
-        bound = _BOUND.format(path.bound) if path.bound is not None else ""
         body = f"F{bound} {_wrap(path.target)}"
     elif isinstance(path, Globally):
-        bound = _BOUND.format(path.bound) if path.bound is not None else ""
         body = f"G{bound} {_wrap(path.target)}"
     elif isinstance(path, Seq):
         body = f"SEQ({_format_state(path.first)}, {_format_state(path.then)})"
     elif isinstance(path, Until):
-        bound = _BOUND.format(path.bound) if path.bound is not None else ""
         body = f"{_wrap(path.left)} U{bound} {_wrap(path.right)}"
     else:
         raise TypeError(f"not a path formula: {path!r}")

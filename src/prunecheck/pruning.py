@@ -127,7 +127,12 @@ def load_mask(text: str) -> PruneMask:
         # JSON integers decode to exactly int; true and false decode to bool.
         if not (isinstance(c, list) and len(c) == 3 and all(type(v) is int for v in c)):
             raise PruneSpecError(f"bad mask coordinate {c!r}")
-    return PruneMask(spec=PruneSpec.from_dict(doc["spec"]), zeroed=tuple(map(tuple, zeroed)))
+    spec = PruneSpec.from_dict(doc["spec"])
+    layer = 1 if spec.method == "feature" else spec.layer
+    for c in zeroed:
+        if c[0] != layer or min(c) < 1:
+            raise PruneSpecError(f"mask coordinate {c!r} must be a 1-based [layer, row, column] in layer {layer}")
+    return PruneMask(spec=spec, zeroed=tuple(map(tuple, zeroed)))
 
 
 # ===== Shared helpers =====

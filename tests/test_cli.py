@@ -361,6 +361,34 @@ def test_a_write_failing_midway_removes_the_partial_file(capsys, monkeypatch, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--model", AVOID_URI, "--policy", "lazy.json", "--prop", NO_COLLISION_6],
+        ["check", "--model", AVOID_URI, "--policy", "lazy.json", "--prop", NO_COLLISION_6, "--json"],
+        ["prune", "--policy", "lazy.json", "--method", "l1", "--layer", "1", "--fraction", "0.5"],
+        [
+            "sweep", "--model", AVOID_URI, "--policy", "lazy.json", "--prop", NO_COLLISION_6,
+            "--method", "l1", "--layer", "1", "--fractions", "0:1:0.5",
+        ],
+        ["features", "--model", AVOID_URI, "--policy", "lazy.json", "--prop", NO_COLLISION_6],
+        ["features", "--model", AVOID_URI, "--policy", "lazy.json", "--prop", NO_COLLISION_6, "--json"],
+        ["validate", "--model", AVOID_URI],
+        ["validate", "--model", AVOID_URI, "--json"],
+        ["export-dtmc", "--model", AVOID_URI, "--policy", "lazy.json"],
+    ],
+    ids=["check", "check-json", "prune", "sweep", "features", "features-json", "validate", "validate-json", "export-dtmc"],
+)
+def test_out_file_holds_the_bytes_stdout_shows(capsys, tmp_path, monkeypatch, lazy_policy_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    shown = capsys.readouterr().out.encode("utf-8")
+    assert main([*argv, "--out", "out.txt"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out.txt").read_bytes() == shown
+    assert shown.endswith(b"\n")
+
+
 # ===== malformed input documents =====
 
 MODEL_DOC = (
@@ -406,6 +434,13 @@ def test_malformed_document_is_one_error_line(capsys, tmp_path, kind, text, line
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {line}\n"
+
+
+def test_uri_probability_too_large_for_a_float_is_one_error_line(capsys):
+    assert main(["validate", "--model", "builtin:avoidance?obstacle_move_prob=1e400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: query parameter obstacle_move_prob='1e400': expected a probability\n"
 
 
 @pytest.mark.parametrize("kind", ["model", "policy"])

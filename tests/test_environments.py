@@ -344,12 +344,48 @@ class TestFromUri:
             "builtin:mini_taxi?width=fast",
             "builtin:avoidance?obstacle_start=1",
             "builtin:avoidance?obstacle_move_prob=often",
+            "builtin:avoidance?obstacle_move_prob=1e400",
             "file:whatever",
         ],
     )
     def test_malformed_uris_are_syntax_errors(self, uri):
         with pytest.raises(ModelSyntaxError):
             from_uri(uri)
+
+    @pytest.mark.parametrize(
+        "uri, message",
+        [
+            ("file:whatever", "not a builtin URI: 'file:whatever'"),
+            ("builtin:warehouse", "unknown builtin environment 'warehouse'"),
+            ("builtin:warehouse?speed=3", "unknown builtin environment 'warehouse'"),
+            ("builtin:warehouse?a=1&a=2", "repeated query parameter in 'builtin:warehouse?a=1&a=2'"),
+            ("builtin://avoidance", "unknown builtin environment ''"),
+            ("builtin:mini_taxi?speed=3", "unknown mini_taxi parameters ['speed']"),
+            ("builtin:avoidance?max_fuel=3&speed=1", "unknown avoidance parameters ['max_fuel', 'speed']"),
+            ("builtin:mini_taxi?width=2&width=3", "repeated query parameter in 'builtin:mini_taxi?width=2&width=3'"),
+            ("builtin:mini_taxi?width=fast", "query parameter width='fast': expected an integer"),
+            ("builtin:avoidance?width=", "query parameter width='': expected an integer"),
+            ("builtin:mini_taxi?jobs_target=x&station=y", "query parameter jobs_target='x': expected an integer"),
+            ("builtin:mini_taxi?station=y&jobs_target=x", "query parameter jobs_target='x': expected an integer"),
+            ("builtin:avoidance?obstacle_start=x&width=y", "query parameter width='y': expected an integer"),
+            ("builtin:mini_taxi?station=1,2,3", "query parameter station='1,2,3': expected 'x,y'"),
+            ("builtin:mini_taxi?station=a,1", "query parameter station='a': expected an integer"),
+            ("builtin:avoidance?obstacle_start=1", "query parameter obstacle_start='1': expected 'x,y'"),
+            (
+                "builtin:avoidance?obstacle_move_prob=often",
+                "query parameter obstacle_move_prob='often': expected a probability",
+            ),
+            ("builtin:avoidance?obstacle_move_prob=1/0", "query parameter obstacle_move_prob='1/0': expected a probability"),
+            (
+                "builtin:avoidance?obstacle_move_prob=1e400",
+                "query parameter obstacle_move_prob='1e400': expected a probability",
+            ),
+        ],
+    )
+    def test_malformed_uri_message(self, uri, message):
+        with pytest.raises(ModelSyntaxError) as exc:
+            from_uri(uri)
+        assert str(exc.value) == message
 
     def test_valid_syntax_bad_value_is_config_error(self):
         with pytest.raises(ConfigError):

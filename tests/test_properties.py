@@ -116,6 +116,46 @@ class TestParseErrors:
         with pytest.raises(PropertySyntaxError, match=fragment):
             parse_property(text)
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "expected 'P' at position 0, found end of input", 0),
+            ('Q=?[F "a"]', "expected 'P' at position 0, found 'Q'", 0),
+            ('P>=[F "a"]', "expected a probability threshold at position 3, found '['", 3),
+            ('P[F "a"]', "expected '=?' or a comparator at position 1, found '['", 1),
+            ('P=?F "a"]', "expected '[' at position 3, found 'F'", 3),
+            ('P=?[F "a"', "expected ']' at position 9, found end of input", 9),
+            ('P=?["a"]', "expected 'U' at position 7, found ']'", 7),
+            ('P=?["a" "U" "b"]', """expected 'U' at position 8, found '"U"'""", 8),
+            ('P=?[SEQ "a", "b")]', """expected '(' at position 8, found '"a"'""", 8),
+            ('P=?[SEQ("a" "b")]', """expected ',' at position 12, found '"b"'""", 12),
+            ('P=?[SEQ("a", "b"]', "expected ')' at position 16, found ']'", 16),
+            ('P=?[F ("a"]', "expected ')' at position 10, found ']'", 10),
+            ('P=?[F<=3.5 "a"]', "expected a non-negative integer bound at position 7, found '3.5'", 7),
+            ('P=?[F<=x "a"]', "expected a non-negative integer bound at position 7, found 'x'", 7),
+            ('P=?[F "a"] extra', "expected end of input at position 11, found 'extra'", 11),
+            ('P=?[F goal]', "expected a state formula at position 6, found 'goal'", 6),
+            ('P=?[F "a" &]', "expected a state formula at position 11, found ']'", 11),
+            ('P=?[F "two words"]', "label 'two words' at position 6 is not an identifier", 6),
+            ('P=?[F%"a"]', "unexpected character '%' at position 5", 5),
+        ],
+        ids=[
+            "no-P", "not-P", "bad-threshold", "no-comparator", "no-open-bracket", "no-close-bracket", "no-U",
+            "quoted-U-is-a-label", "no-open-paren", "no-comma", "no-close-paren", "no-close-paren-in-atom",
+            "fractional-bound", "word-bound", "trailing-input", "bare-word", "dangling-and", "label-not-identifier",
+            "unexpected-character",
+        ],
+    )
+    def test_exact_message_and_position(self, text, message, position):
+        with pytest.raises(PropertySyntaxError) as exc:
+            parse_property(text)
+        assert str(exc.value) == message
+        assert exc.value.position == position
+
+    def test_quoted_keywords_are_labels(self):
+        assert parse_property('P=?[X "P"]').path == Next(Label("P"))
+        assert parse_property('P=?[F "U"]').path == Eventually(Label("U"))
+
     def test_unexpected_character_names_position(self):
         with pytest.raises(PropertySyntaxError, match="position 5") as exc:
             parse_property('P=?[F%"a"]'[:5] + '%"a"]')

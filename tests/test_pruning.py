@@ -252,6 +252,35 @@ class TestPruneMask:
             load_mask(text)
 
 
+    @pytest.mark.parametrize(
+        "spec, coord",
+        [
+            ('{"method": "l1", "layer": 1, "fraction": 0.5}', "[0, -1, 1]"),
+            ('{"method": "l1", "layer": 1, "fraction": 0.5}', "[1, 0, 1]"),
+            ('{"method": "l1", "layer": 1, "fraction": 0.5}', "[1, 1, 0]"),
+            ('{"method": "l1", "layer": 2, "fraction": 0.5}', "[1, 1, 1]"),
+            ('{"method": "random", "layer": 1, "fraction": 0.5, "seed": 3}', "[2, 1, 1]"),
+            ('{"method": "feature", "feature": "x"}', "[3, 4, 5]"),
+            ('{"method": "feature", "feature": "x", "layer": 2}', "[2, 1, 1]"),
+        ],
+        ids=["layer-0", "row-0", "column-0", "l1-off-layer", "random-off-layer", "feature-off-layer-1",
+             "feature-ignores-spec-layer"],
+    )
+    def test_load_rejects_impossible_coordinates(self, spec, coord):
+        text = '{"spec": %s, "zeroed": [[1, 1, 1], %s]}' % (spec, coord)
+        with pytest.raises(PruneSpecError, match=r"^mask coordinate \[.*\] must be a 1-based \[layer, row, column\] in layer \d$"):
+            load_mask(text)
+
+    @pytest.mark.parametrize(
+        "spec, coords",
+        [
+            ('{"method": "l1", "layer": 2, "fraction": 0.5}', "[[2, 1, 1], [2, 3, 4]]"),
+            ('{"method": "feature", "feature": "x"}', "[[1, 1, 2], [1, 2, 2]]"),
+        ],
+    )
+    def test_load_accepts_coordinates_in_the_spec_layer(self, spec, coords):
+        assert load_mask('{"spec": %s, "zeroed": %s}' % (spec, coords)).size == 2
+
 # ===== Magnitude pruning =====
 
 

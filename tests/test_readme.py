@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from prunecheck import cli, from_uri, load_explicit_model, load_mask, load_policy
+from prunecheck.environments import _BUILTINS
 
 README = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text(encoding="utf-8")
 
@@ -24,6 +25,16 @@ def test_readme_names_builtin_uris():
 def test_builtin_uri_loads(uri):
     env = from_uri(uri)
     assert env.available_actions(env.initial)
+
+
+BUILTIN_SECTION = re.search(r"### Builtin environments\n(.*?)\n### ", README, re.DOTALL).group(1)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+def test_readme_lists_each_builtin_key(name):
+    paragraph = re.search(rf"`builtin:{name}` (.*?)\n\n", BUILTIN_SECTION, re.DOTALL).group(1)
+    keys = re.findall(r"`([a-z_]+)`", paragraph.split("Keys:")[1])
+    assert sorted(keys) == sorted(_BUILTINS[name][2])
 
 
 # ===== JSON blocks =====

@@ -13,6 +13,7 @@ import os
 import sys
 import warnings
 
+from .checking import UNDECIDED
 from .environments import from_uri, is_builtin_uri
 from .errors import PrunecheckError, UnknownLabelWarning
 from .induced import BuildLimits, build_induced_dtmc, induced_to_explicit
@@ -26,6 +27,9 @@ from .workflow import (
     sweep,
     write_text,
 )
+
+# How ``check`` prints a comparator verdict.
+_SATISFIED = {True: "yes", False: "no", UNDECIDED: "undecided"}
 
 
 def _read_file(path: str) -> str:
@@ -105,7 +109,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         lines = [f"property: {report.property_text}", f"m: {report.m!r}"]
         if report.satisfied is not None:
-            lines.append(f"satisfied: {'yes' if report.satisfied else 'no'}")
+            lines.append(f"satisfied: {_SATISFIED[report.satisfied]}")
         lines.append(f"states: {report.original.states}")
         lines.append(f"transitions: {report.original.transitions}")
         _write_output("\n".join(lines), args.out)

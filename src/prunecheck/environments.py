@@ -29,6 +29,7 @@ set.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from urllib.parse import parse_qsl, urlsplit
@@ -248,10 +249,10 @@ def is_builtin_uri(text: str) -> bool:
 
 
 def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ModelSyntaxError(f"query parameter {key}={value!r}: expected an integer") from None
+    """ASCII digits with an optional minus; no sign, spaces, underscores or other digits."""
+    if not re.fullmatch("-?[0-9]+", value):
+        raise ModelSyntaxError(f"query parameter {key}={value!r}: expected an integer")
+    return int(value)
 
 
 def _parse_cell(key: str, value: str) -> tuple[int, int]:
@@ -262,10 +263,15 @@ def _parse_cell(key: str, value: str) -> tuple[int, int]:
 
 
 def _parse_prob(key: str, value: str) -> float:
+    """A decimal or fraction; one too large for a float, or positive and too small, is rejected."""
     try:
-        return float(Fraction(value))
+        exact = Fraction(value)
+        prob = float(exact)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ModelSyntaxError(f"query parameter {key}={value!r}: expected a probability") from None
+        prob = None
+    if prob is None or (prob == 0.0 and exact > 0):
+        raise ModelSyntaxError(f"query parameter {key}={value!r}: expected a probability")
+    return prob
 
 
 # name -> (factory, config type, {query key: value parser}). Keys are parsed

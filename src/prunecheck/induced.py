@@ -10,13 +10,16 @@ distributions mention them, which makes state numbering a deterministic
 function of (environment, policy). The batched forward pass gives each state
 bit for bit the logits of a one-state pass, so the chosen actions are those
 ``NeuralPolicy.select_action`` would choose. Each visited state's row is
-appended straight onto the chain's compressed sparse row arrays.
+appended straight onto the chain's compressed sparse row arrays, and, for
+a model that keeps rationals, the rationals behind the row onto the chain's
+``exact_probs``, as long as every row has them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import LimitExceededError, ModelSemanticError
 from .model import DEFAULT_MAX_STATES, Dtmc, EnvironmentModel, StateVector, check_cap
@@ -79,6 +82,8 @@ def build_induced_dtmc(
     indptr: list[int] = [0]
     indices: list[int] = []
     probs: list[float] = []
+    rationals_of = env.rationals
+    rationals: list[Fraction] | None = None if rationals_of is None else []
     chosen: list[str] = []
     labels: list[frozenset[str]] = []
     transitions = 0
@@ -111,12 +116,18 @@ def build_induced_dtmc(
                     next_level.append(target)
                 indices.append(index[target])
                 probs.append(prob)
+            if rationals is not None:
+                exact = rationals_of(state, action)
+                if exact is None:
+                    rationals = None
+                else:
+                    rationals.extend(exact)
             indptr.append(transitions)
             chosen.append(action)
             labels.append(env.labels(state))
         level = next_level
 
-    dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs)
+    dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs, rationals and tuple(rationals))
     stats = BuildStats(states=dtmc.num_states, transitions=dtmc.num_transitions)
     return BuildResult(dtmc=dtmc, chosen_actions=tuple(chosen), stats=stats)
 

@@ -108,6 +108,10 @@ class EnvironmentModel:
         labels: maps a state to its set of atomic propositions.
         declared_states: for table-backed models, the full declared state
             list in document order; None for lazily generated models.
+        rationals: for table-backed models, maps (state, action) to the
+            rationals behind its distribution's probabilities, in support
+            order, or to None when one was written as a float or they do
+            not sum to exactly 1; None for models that keep no rationals.
     """
 
     feature_schema: tuple[str, ...]
@@ -117,6 +121,7 @@ class EnvironmentModel:
     successors: Callable[[StateVector, str], Distribution]
     labels: Callable[[StateVector], frozenset[str]]
     declared_states: tuple[StateVector, ...] | None = None
+    rationals: Callable[[StateVector, str], tuple[Fraction, ...] | None] | None = None
 
 
 # ===== Induced chains =====
@@ -131,7 +136,9 @@ class Dtmc:
     state i's (target, probability) pairs are ``indices[k]``, ``probs[k]``
     for k in ``indptr[i]:indptr[i + 1]``, in construction order. The three
     arrays are the chain's only transition storage; they are copied on
-    construction and read-only. Chains compare by identity.
+    construction and read-only. ``exact_probs``, when given, holds the
+    rational behind every entry of ``probs``, in the same order. Chains
+    compare by identity.
     """
 
     state_vectors: tuple[StateVector, ...]
@@ -139,6 +146,7 @@ class Dtmc:
     indptr: np.ndarray
     indices: np.ndarray
     probs: np.ndarray
+    exact_probs: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         for name, dtype in (("indptr", np.intp), ("indices", np.intp), ("probs", np.float64)):
@@ -164,6 +172,8 @@ class Dtmc:
         indptr = self.indptr.tolist()
         if indptr[0] != 0 or indptr[-1] != len(self.indices) or len(self.probs) != len(self.indices):
             raise ValueError("indptr, indices and probs disagree on length")
+        if self.exact_probs is not None and len(self.exact_probs) != len(self.probs):
+            raise ValueError("exact_probs and probs disagree on length")
         indices, probs = self.indices.tolist(), self.probs.tolist()
         for i in range(n):
             start, stop = indptr[i], indptr[i + 1]
@@ -220,10 +230,14 @@ def read_json_object(text: str, keys: tuple[str, ...], error: type[Exception], w
     return doc
 
 
-def _parse_probability(raw: object, where: str, fractions: dict[str, float]) -> float:
+def _parse_probability(
+    raw: object, where: str, fractions: dict[str, tuple[float, Fraction]]
+) -> tuple[float, Fraction | None]:
     """Accept a JSON number or an exact "num/den" fraction string.
 
-    ``fractions`` maps each fraction string already read to its value, so a
+    Returns the float and, for a fraction string or a JSON integer, the
+    rational it denotes; a JSON float has none, its decimal text being gone.
+    ``fractions`` maps each fraction string already read to its pair, so a
     string repeated across a document is parsed once; a string that fails
     to parse is never stored, and raises again wherever it occurs.
     """
@@ -231,11 +245,12 @@ def _parse_probability(raw: object, where: str, fractions: dict[str, float]) -> 
         raise ModelSyntaxError(f"{where}: probability must be a number or fraction string")
     try:
         if not isinstance(raw, str):
-            return float(raw)
-        value = fractions.get(raw)
-        if value is None:
-            value = fractions[raw] = float(Fraction(raw))
-        return value
+            return float(raw), Fraction(raw) if isinstance(raw, int) else None
+        pair = fractions.get(raw)
+        if pair is None:
+            exact = Fraction(raw)
+            pair = fractions[raw] = (float(exact), exact)
+        return pair
     except (ValueError, ZeroDivisionError):
         raise ModelSyntaxError(f"{where}: cannot read {raw!r} as a fraction")
     except OverflowError:
@@ -280,8 +295,11 @@ def load_explicit_model(text: str) -> EnvironmentModel:
     declared: list[StateVector] = []
     label_table: dict[StateVector, frozenset[str]] = {}
     action_table: dict[StateVector, tuple[str, ...]] = {}
-    raw_rows: dict[tuple[StateVector, str], list[tuple[StateVector, float]]] = {}
-    fractions: dict[str, float] = {}
+    raw_rows: dict[tuple[StateVector, str], tuple[list[tuple[StateVector, float]], list[Fraction] | None]] = {}
+    fractions: dict[str, tuple[float, Fraction]] = {}
+    # Whether the rationals of a row, keyed by its probabilities as written,
+    # sum to exactly 1; documents repeat a few rows many times.
+    whole: dict[tuple[object, ...], bool] = {}
 
     for k, entry in enumerate(doc["states"]):
         where = f"states[{k}]"
@@ -313,13 +331,27 @@ def load_explicit_model(text: str) -> EnvironmentModel:
             if not isinstance(branches, list) or not branches:
                 raise ModelSyntaxError(f"{where}.act.{action}: must be a non-empty list of branches")
             pairs: list[tuple[StateVector, float]] = []
+            exact: list[Fraction] | None = []
             for b, branch in enumerate(branches):
                 spot = f"{where}.act.{action}[{b}]"
                 if not isinstance(branch, dict) or set(branch) != {"to", "p"}:
                     raise ModelSyntaxError(f"{spot}: must be an object with keys 'to' and 'p'")
                 target = _parse_state_vector(branch["to"], width, f"{spot}.to")
-                pairs.append((target, _parse_probability(branch["p"], f"{spot}.p", fractions)))
-            raw_rows[(state, action)] = pairs
+                prob, rational = _parse_probability(branch["p"], f"{spot}.p", fractions)
+                pairs.append((target, prob))
+                if rational is None:
+                    exact = None
+                elif exact is not None:
+                    exact.append(rational)
+            if exact is not None:
+                written = tuple([branch["p"] for branch in branches])
+                if written not in whole:
+                    whole[written] = sum(exact) == 1
+                # The float check forgives a mass off by a rounding; rationals
+                # that miss 1 would pass a defective row off as exact.
+                if not whole[written]:
+                    exact = None
+            raw_rows[(state, action)] = (pairs, exact)
         # Keep action order aligned with the schema, not document order.
         action_table[state] = tuple(a for a in actions if a in act)
 
@@ -328,7 +360,8 @@ def load_explicit_model(text: str) -> EnvironmentModel:
         raise ModelSemanticError(f"initial state {list(initial)} is not declared")
 
     distributions: dict[tuple[StateVector, str], Distribution] = {}
-    for (state, action), pairs in raw_rows.items():
+    rationals: dict[tuple[StateVector, str], tuple[Fraction, ...] | None] = {}
+    for (state, action), (pairs, exact) in raw_rows.items():
         for target, _ in pairs:
             if target not in declared_set:
                 raise ModelSemanticError(
@@ -338,6 +371,7 @@ def load_explicit_model(text: str) -> EnvironmentModel:
             distributions[(state, action)] = Distribution(tuple(pairs))
         except ValueError as err:
             raise ModelSemanticError(f"state {list(state)} action {action!r}: {err}")
+        rationals[(state, action)] = None if exact is None else tuple(exact)
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         try:
@@ -353,6 +387,9 @@ def load_explicit_model(text: str) -> EnvironmentModel:
                 f"no distribution for state {list(state)} action {action!r}"
             ) from None
 
+    def rationals_of(state: StateVector, action: str) -> tuple[Fraction, ...] | None:
+        return rationals[(state, action)]
+
     def labels(state: StateVector) -> frozenset[str]:
         try:
             return label_table[state]
@@ -367,6 +404,7 @@ def load_explicit_model(text: str) -> EnvironmentModel:
         successors=successors,
         labels=labels,
         declared_states=tuple(declared),
+        rationals=rationals_of,
     )
 
 

@@ -25,10 +25,10 @@ from itertools import islice
 
 import numpy as np
 
-from .checking import CheckResult, check
+from .checking import UNDECIDED, CheckResult, check
 from .errors import PruneSpecError
 from .induced import BuildLimits, BuildResult, build_induced_dtmc
-from .model import EnvironmentModel
+from .model import Dtmc, EnvironmentModel
 from .policy import NeuralPolicy
 from .properties import Prob, parse_property
 from .pruning import PruneSpec, prune
@@ -37,7 +37,11 @@ from .pruning import PruneSpec, prune
 
 # |delta| at or below this counts as "unchanged". Identical inputs rerun
 # bit-identically, so this slack only matters for genuinely re-solved
-# chains that happen to land on the same value.
+# chains that happen to land on the same value. A delta whose certified
+# interval reaches both inside and outside this band is "undecided": two
+# different chains solved in floats, each certified only to
+# checking.CERTIFIED_GAP, are "undecided" when their values agree. A
+# pruned chain that is the original's reuses its result, delta exactly 0.
 UNCHANGED_TOLERANCE = 1e-12
 
 CSV_HEADER = ("method", "layer", "fraction", "seed", "property", "m", "m_hat", "delta", "states", "transitions", "time_ms")
@@ -64,14 +68,16 @@ class SafetyReport:
     ``m`` is the original policy's checked value, ``m_hat`` the pruned
     policy's, ``delta = m_hat - m``. ``verdict`` summarizes the comparison:
     violation (threshold comparator present and m_hat fails it), unchanged,
-    improved, or degraded by the declared safety polarity; None when there
-    is no pruned measurement. ``satisfied`` is the comparator verdict on
-    the original measurement, when the property carries one.
+    improved, or degraded by the declared safety polarity, or undecided
+    when the certified intervals of m and m_hat allow more than one of
+    these; None when there is no pruned measurement. ``satisfied`` is the
+    comparator verdict on the original measurement (True, False or
+    "undecided"), when the property carries one.
     """
 
     property_text: str
     m: float
-    satisfied: bool | None
+    satisfied: bool | str | None
     original: ChainStats
     m_hat: float | None = None
     delta: float | None = None
@@ -122,13 +128,25 @@ def _higher_is_safer(comparator: str | None, lower_is_safer: bool) -> bool:
     return not lower_is_safer
 
 
-def _verdict(prop: Prob, pruned: CheckResult, delta: float, lower_is_safer: bool) -> str:
-    if prop.comparator is not None and pruned.satisfied is False:
-        return "violation"
-    if abs(delta) <= UNCHANGED_TOLERANCE:
+def _verdict(prop: Prob, original: CheckResult, pruned: CheckResult, lower_is_safer: bool) -> str:
+    """Compare the pruned measurement with the original, certified ends included.
+
+    The delta lies in [pruned.lower - original.upper, pruned.upper -
+    original.lower], which is the point ``delta`` itself when both results
+    are exact; a pruned result that is the original's has delta exactly 0.
+    """
+    if prop.comparator is not None and pruned.satisfied is not True:
+        return "violation" if pruned.satisfied is False else UNDECIDED
+    if pruned is original:
+        low = high = 0.0
+    else:
+        low, high = pruned.lower - original.upper, pruned.upper - original.lower
+    if -UNCHANGED_TOLERANCE <= low and high <= UNCHANGED_TOLERANCE:
         return "unchanged"
-    improved = (delta > 0) == _higher_is_safer(prop.comparator, lower_is_safer)
-    return "improved" if improved else "degraded"
+    if low > UNCHANGED_TOLERANCE or high < -UNCHANGED_TOLERANCE:
+        improved = (low > 0) == _higher_is_safer(prop.comparator, lower_is_safer)
+        return "improved" if improved else "degraded"
+    return UNDECIDED
 
 
 # ===== Measurement =====
@@ -184,6 +202,18 @@ def _keeps_every_action(logits: np.ndarray, chosen: np.ndarray, available: np.nd
     return not ((preferred & available).any() or np.isnan(logits).any())
 
 
+def _same_chain(a: Dtmc, b: Dtmc) -> bool:
+    """Whether two chains have the same states and transitions, so the same values."""
+    return (
+        a.state_vectors == b.state_vectors
+        and a.state_labels == b.state_labels
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.probs, b.probs)
+        and a.exact_probs == b.exact_probs
+    )
+
+
 def _prune_reports(
     env: EnvironmentModel,
     policy: NeuralPolicy,
@@ -201,8 +231,10 @@ def _prune_reports(
     or an exceeded cap is reported before any bad spec. A pruned policy that
     keeps every action of the original chain induces that same chain, so its
     measurement is the original's, reused without a rebuild or a solve; any
-    flip rebuilds and re-checks the chain in full. ``time_ms`` of the pruned
-    chain is the time this decision and any re-measurement took.
+    flip rebuilds the chain and re-checks it, unless it came out the same
+    (a flipped action with the same distribution) and the original's
+    measurement stands again. ``time_ms`` of the pruned chain is the time
+    this decision and any re-measurement took.
     """
     prop = parse_property(property_text)
     result, stats, build = _measure_once(env, policy, prop, limits)
@@ -230,14 +262,16 @@ def _prune_reports(
         if _keeps_every_action(pruned_policy.forward(inputs), chosen, available):
             pruned, pruned_stats = result, stats
         else:
-            pruned, pruned_stats, _ = _measure_once(env, pruned_policy, prop, limits)
+            rebuilt = build_induced_dtmc(env, pruned_policy, limits)
+            pruned = result if _same_chain(rebuilt.dtmc, build.dtmc) else check(rebuilt.dtmc, prop)
+            pruned_stats = replace(stats, states=rebuilt.stats.states, transitions=rebuilt.stats.transitions)
         pruned_stats = replace(pruned_stats, time_ms=(time.perf_counter() - started) * 1000.0)
         delta = pruned.value - result.value
         yield replace(
             original,
             m_hat=pruned.value,
             delta=delta,
-            verdict=_verdict(prop, pruned, delta, lower_is_safer),
+            verdict=_verdict(prop, result, pruned, lower_is_safer),
             prune_spec=spec,
             mask_size=mask.size,
             pruned=pruned_stats,

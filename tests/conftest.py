@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,22 @@ def two_coin() -> Dtmc:
         state_labels=(frozenset(), frozenset(), frozenset({"bad"}), frozenset({"goal"})),
         rows=(((1, 0.5), (2, 0.5)), ((3, 0.5), (2, 0.5)), ((2, 1.0),), ((3, 1.0),)),
     )
+
+
+def gambler_text(p: object = "1/2", top: int = 40, start: int = 10) -> str:
+    """Gambler's ruin on 0..``top`` from ``start`` as an explicit model that
+    ``step_policy`` drives: win 1 with probability ``p`` (a JSON value, so a
+    fraction string or a float), else lose 1; 0 is "bad" and ``top`` "goal",
+    both absorbing. For the fair walk, "goal" has probability start/top."""
+    lose = str(1 - Fraction(p)) if isinstance(p, str) else 1.0 - p
+    states = []
+    for c in range(top + 1):
+        if c in (0, top):
+            entry = {"s": [c], "labels": ["bad" if c == 0 else "goal"], "act": {"step": [{"to": [c], "p": "1"}]}}
+        else:
+            entry = {"s": [c], "act": {"step": [{"to": [c + 1], "p": p}, {"to": [c - 1], "p": lose}]}}
+        states.append(entry)
+    return json.dumps({"features": ["pos"], "actions": ["step"], "initial": [start], "states": states})
 
 
 # ===== Fixture files =====

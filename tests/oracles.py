@@ -7,15 +7,16 @@ these oracles and the package is evidence, not circularity.
 * bounded operators: literal path enumeration (tree recursion over
   successor edges, probabilities multiplied along each path), and the
   per-element loops the checker must match bit for bit
-* unbounded until: dense linear solve after a local reachability pass
+* unbounded until: dense linear solve after a local reachability pass, in
+  floats or exactly in ``Fraction`` over the rationals the floats denote
 * seq: a separately formulated monitor product (monitor consumes the
   current state on entry) plus the dense solver
 * environments: the taxi and chase rules rewritten from scratch
 * distributions: the ordered check whose first violation, in support
   order, a Distribution must report word for word
 * reachability: set-fixpoint closure, no queues or indices
-* unbounded operators as the row-based solver the checker once ran, which
-  its array form must match bit for bit
+* the probability-0 and probability-1 sets as the row-based searches the
+  checker once ran, which its array form must match set for set
 * state formulas as frozensets over the labels' alphabet, which the
   checker's boolean masks must match state for state and warning for warning
 """
@@ -23,6 +24,7 @@ these oracles and the package is evidence, not circularity.
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,16 +135,46 @@ def until_linear(rows, a: set, b: set) -> list[float]:
     return x
 
 
-# ===== The row-based unbounded solver =====
-#
-# The checker once solved unbounded U, F, G and SEQ with these routines over
-# tuples of (target, probability) rows. They fix the Gauss-Seidel state
-# order, the summation order inside each row and the SEQ product numbering
-# (pair (s, q) is state 2 * s + q), so the checker's array form must equal
-# them with ==, iteration counts and residuals included.
+def until_fraction(rows, a: set, b: set) -> list[Fraction]:
+    """P(a U b) per state, exactly, over the rationals the row probabilities
+    denote, by Gauss-Jordan elimination with the first nonzero pivot of each
+    column. States that cannot reach b through a are 0; states that cannot
+    reach such a state before b are 1, even where float rows miss a sum of 1
+    by a rounding."""
+    n = len(rows)
+    everything = set(range(n))
+    zero = everything - _can_reach(rows, b, a - b)
+    one = everything - _can_reach(rows, zero, everything - b)
+    unknowns = sorted(everything - zero - one)
+    pos = {s: i for i, s in enumerate(unknowns)}
+    m = len(unknowns)
+    matrix = [[Fraction(int(i == j)) for j in range(m)] + [Fraction(0)] for i in range(m)]
+    for s in unknowns:
+        for t, p in rows[s]:
+            if t in one:
+                matrix[pos[s]][m] += Fraction(p)
+            elif t in pos:
+                matrix[pos[s]][pos[t]] -= Fraction(p)
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if matrix[r][col] != 0)
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        lead = matrix[col][col]
+        matrix[col] = [v / lead for v in matrix[col]]
+        for r in range(m):
+            factor = matrix[r][col]
+            if r != col and factor != 0:
+                matrix[r] = [v - factor * w for v, w in zip(matrix[r], matrix[col])]
+    x = [Fraction(int(s in one)) for s in range(n)]
+    for s in unknowns:
+        x[s] = matrix[pos[s]][m]
+    return x
 
-ROW_SOLVER_TOLERANCE = 1e-10
-ROW_SOLVER_MAX_SWEEPS = 1_000_000
+
+# ===== The row-based qualitative sets =====
+#
+# The checker once found the probability-0 and probability-1 states with
+# these searches over tuples of (target, probability) rows; its array form
+# must give the same sets.
 
 
 def _row_predecessors(rows) -> list[list[int]]:
@@ -174,77 +206,6 @@ def row_prob01_sets(rows, a: set, b: set) -> tuple[set, set]:
     prob1 = set(range(n)) - can_fail
     return prob0, prob1
 
-
-def row_gauss_seidel(rows, prob0: set, prob1: set) -> tuple[list[float], int, float]:
-    n = len(rows)
-    x = [0.0] * n
-    for s in prob1:
-        x[s] = 1.0
-    uncertain = [s for s in range(n) if s not in prob0 and s not in prob1]
-    if not uncertain:
-        return x, 0, 0.0
-
-    prepared = []
-    for s in uncertain:
-        diag = 0.0
-        off = []
-        for t, p in rows[s]:
-            if t == s:
-                diag += p
-            else:
-                off.append((t, p))
-        prepared.append((s, 1.0 - diag, off))
-
-    for sweep in range(1, ROW_SOLVER_MAX_SWEEPS + 1):
-        residual = 0.0
-        for s, scale, off in prepared:
-            total = 0.0
-            for t, p in off:
-                total += p * x[t]
-            new = total / scale
-            delta = new - x[s]
-            if delta < 0.0:
-                delta = -delta
-            if delta > residual:
-                residual = delta
-            x[s] = new
-        if residual <= ROW_SOLVER_TOLERANCE:
-            for s, _, _ in prepared:
-                x[s] = min(1.0, max(0.0, x[s]))
-            return x, sweep, residual
-    raise RuntimeError("row-based Gauss-Seidel did not converge")
-
-
-def row_solve_until(rows, a: set, b: set) -> tuple[list[float], int, float]:
-    prob0, prob1 = row_prob01_sets(rows, a, b)
-    return row_gauss_seidel(rows, prob0, prob1)
-
-
-def row_seq_solve(rows, a: set, b: set) -> tuple[list[float], int, float]:
-    """SEQ on the product pairing each state with the monitor state before
-    reading it: 0 waits for a, 1 has seen a and waits for b, and a pair
-    whose read completes the sequence is an absorbing target."""
-    n = len(rows)
-
-    def step(q: int, s: int) -> int:
-        if q == 0:
-            if s in a and s in b:
-                return 2
-            return 1 if s in a else 0
-        return 2 if s in b else 1
-
-    product_rows = []
-    targets = set()
-    for s in range(n):
-        for q in (0, 1):
-            q_next = step(q, s)
-            if q_next == 2:
-                targets.add(2 * s + q)
-                product_rows.append(((2 * s + q, 1.0),))
-            else:
-                product_rows.append(tuple((2 * t + q_next, p) for t, p in rows[s]))
-    vec, iterations, residual = row_solve_until(product_rows, set(range(2 * n)), targets)
-    return [vec[2 * s] for s in range(n)], iterations, residual
 
 
 # ===== State formulas as frozensets =====
@@ -285,10 +246,10 @@ def _evaluate_sets(state_labels, sf, alphabet: frozenset) -> frozenset:
 # ===== Seq by an entry-consuming monitor product =====
 
 
-def seq_linear(rows, a: set, b: set) -> list[float]:
+def seq_linear(rows, a: set, b: set, solve=until_linear) -> list:
     """P(reach a, then reach b) per state, via a product in which the
     monitor consumes each state as it is entered (acceptance is a product
-    state, not a read), then the dense until solver."""
+    state, not a read), then the dense until solver ``solve``."""
     n = len(rows)
 
     def consume(q: int, s: int) -> int:
@@ -313,7 +274,7 @@ def seq_linear(rows, a: set, b: set) -> list[float]:
                 product_rows.append(tuple((pid(t, consume(q, t)), p) for t, p in rows[s]))
     accepting = {pid(s, 2) for s in range(n)}
     everything = set(range(3 * n))
-    x = until_linear(product_rows, everything, accepting)
+    x = solve(product_rows, everything, accepting)
     return [x[pid(s, consume(0, s))] for s in range(n)]
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,29 +24,33 @@ from prunecheck import (
     Or,
     Prob,
     Seq,
+    SolverError,
     TrueFormula,
     UnknownLabelWarning,
     Until,
     bounded_until_probability,
+    build_induced_dtmc,
     check,
     evaluate_states,
+    load_explicit_model,
     next_probability,
     parse_property,
     prob01,
     seq_probability,
     until_probability,
 )
+from prunecheck import checking
+from prunecheck.checking import CERTIFIED_GAP, UNDECIDED
 
-from .conftest import dtmc_from_rows, label_sets, random_dtmc, rows_of, states_labelled
+from .conftest import dtmc_from_rows, gambler_text, label_sets, random_dtmc, rows_of, states_labelled
 from .oracles import (
     bounded_until_loop,
     evaluate_sets,
     next_loop,
     next_paths,
     row_prob01_sets,
-    row_seq_solve,
-    row_solve_until,
     seq_linear,
+    until_fraction,
     until_linear,
     until_paths,
 )
@@ -72,10 +79,13 @@ class TestUnboundedFixtures:
         result = check(two_coin, parse_property('P=?[F "goal"]'))
         assert result.value == 0.25
 
-    def test_chain3_converges_in_two_sweeps(self, chain3):
+    def test_chain3_closes_in_one_exact_step(self, chain3):
+        # The one uncertain state's successors are all settled, so the first
+        # interval step makes no rounding and closes the interval.
         result = check(chain3, parse_property('P=?[F "goal"]'))
-        assert result.iterations == 2
+        assert result.iterations == 1
         assert result.residual == 0.0
+        assert result.lower == result.value == result.upper == 0.5
 
     def test_globally_is_complement(self, chain3):
         result = check(chain3, parse_property('P=?[G !"bad"]'))
@@ -257,21 +267,22 @@ class TestBoundedBitIdentity:
         assert bounded_until_probability(dtmc, {0, 4}, {1, 2, 3}, 1) == next_loop(rows_of(dtmc), {1, 2, 3})
 
 
-# ===== Unbounded operators against the row-based solver =====
+# ===== Unbounded operators against exact rationals =====
 
 UNBOUNDED = (
-    ('P=? ["a" U "b"]', lambda rows, a, b, everything: row_solve_until(rows, a, b)),
-    ('P=? [F "b"]', lambda rows, a, b, everything: row_solve_until(rows, everything, b)),
-    ('P=? [G "a"]', lambda rows, a, b, everything: complement(row_solve_until(rows, everything, everything - a))),
-    ('P=? [G !"b"]', lambda rows, a, b, everything: complement(row_solve_until(rows, everything, b))),
-    ('P=? [SEQ("a", "b")]', lambda rows, a, b, everything: row_seq_solve(rows, a, b)),
-    ('P=? [SEQ("b", "a")]', lambda rows, a, b, everything: row_seq_solve(rows, b, a)),
+    ('P=? ["a" U "b"]', lambda rows, a, b, everything: until_fraction(rows, a, b)),
+    ('P=? [F "b"]', lambda rows, a, b, everything: until_fraction(rows, everything, b)),
+    ('P=? [G "a"]', lambda rows, a, b, everything: [1 - v for v in until_fraction(rows, everything, everything - a)]),
+    ('P=? [G !"b"]', lambda rows, a, b, everything: [1 - v for v in until_fraction(rows, everything, b)]),
+    ('P=? [SEQ("a", "b")]', lambda rows, a, b, everything: seq_linear(rows, a, b, until_fraction)),
+    ('P=? [SEQ("b", "a")]', lambda rows, a, b, everything: seq_linear(rows, b, a, until_fraction)),
 )
 
 
-def complement(solved):
-    vec, iterations, residual = solved
-    return [1.0 - v for v in vec], iterations, residual
+def with_rationals(dtmc: Dtmc) -> Dtmc:
+    """The same chain, carrying the rational each float probability denotes."""
+    exact = tuple(Fraction(p) for p in dtmc.probs.tolist())
+    return Dtmc(dtmc.state_vectors, dtmc.state_labels, dtmc.indptr, dtmc.indices, dtmc.probs, exact)
 
 
 def gamblers_ruin(p: float, top: int = 40) -> Dtmc:
@@ -297,36 +308,58 @@ def drifting_walk(top: int = 30) -> Dtmc:
     return dtmc_from_rows(tuple((c,) for c in range(top + 1)), labels, rows)
 
 
-def assert_unbounded_bit_identity(dtmc: Dtmc) -> None:
+def assert_certified_against_exact(dtmc: Dtmc) -> None:
+    """prob01 equals the row-based sets with ==. Each unbounded U, F, G and
+    SEQ value is certified: without rationals the exact value lies in
+    [lower, upper], at most CERTIFIED_GAP wide, and every state's value is
+    within that gap of its exact one, from the dense solve and from interval
+    iteration alike; with them the exact path gives lower == upper == value,
+    within 2**-53 of the exact value."""
     rows = rows_of(dtmc)
     a, b = label_sets(dtmc)
     everything = set(range(dtmc.num_states))
     for first, then in ((a, b), (everything, b), (everything, everything - a), (b, a)):
         assert prob01(dtmc, first, then) == tuple(map(frozenset, row_prob01_sets(rows, first, then)))
     for text, reference in UNBOUNDED:
-        result = check(dtmc, parse_property(text))
-        vec, iterations, residual = reference(rows, a, b, everything)
-        assert (result.per_state, result.iterations, result.residual) == (tuple(vec), iterations, residual), text
+        exact = reference(rows, a, b, everything)
+        if dtmc.exact_probs is not None:
+            result = check(dtmc, parse_property(text))
+            assert result.lower == result.value == result.upper, text
+            assert abs(Fraction(result.value) - exact[0]) <= 2**-53, text
+            assert (result.iterations, result.residual) == (0, 0.0), text
+            continue
+        for dense_max in (checking.DENSE_MAX_STATES, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(checking, "DENSE_MAX_STATES", dense_max)
+                result = check(dtmc, parse_property(text))
+            for got, want in zip(result.per_state, exact):
+                assert abs(Fraction(got) - want) <= CERTIFIED_GAP, text
+            assert Fraction(result.lower) <= exact[0] <= Fraction(result.upper), text
+            assert result.upper - result.lower <= CERTIFIED_GAP, text
+            assert result.residual <= CERTIFIED_GAP, text
 
 
 class TestUnboundedBitIdentity:
-    """prob01, and ``per_state``, ``iterations`` and ``residual`` of unbounded
-    U, F, G and SEQ, equal the row-based solver's with ==."""
+    """prob01 equals the row-based sets with ==, and unbounded U, F, G and
+    SEQ values are certified against exact rationals, on the dense and the
+    interval path and, given the chain's rationals, on the exact path."""
 
     @pytest.mark.parametrize("shape", ["any", "empty_b", "a_in_b"])
     @given(data=st.data())
     def test_random_chains(self, shape, data):
-        assert_unbounded_bit_identity(data.draw(labeled_chains(shape)))
+        dtmc = data.draw(labeled_chains(shape))
+        assert_certified_against_exact(dtmc)
+        assert_certified_against_exact(with_rationals(dtmc))
 
     @pytest.mark.parametrize("p", [0.5, 0.49, 1 / 3])
     def test_gamblers_ruin(self, p):
         dtmc = gamblers_ruin(p)
-        assert_unbounded_bit_identity(dtmc)
-        # Enough sweeps for any change of order to show in the last bits.
-        assert check(dtmc, parse_property('P=? [F "b"]')).iterations > 100
+        assert_certified_against_exact(dtmc)
+        assert_certified_against_exact(with_rationals(dtmc))
 
     def test_wide_rows(self):
-        assert_unbounded_bit_identity(drifting_walk())
+        assert_certified_against_exact(drifting_walk())
+        assert_certified_against_exact(with_rationals(drifting_walk()))
 
 
 # ===== Next =====
@@ -483,10 +516,9 @@ path_formulas = st.one_of(
 )
 
 
-def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int, float]:
-    """Reference sets, then the public set-taking helpers; the unbounded
-    sweep count and residual come from the row-based solver."""
-    rows = rows_of(dtmc)
+def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int | None, float | None]:
+    """Reference sets, then the public set-taking helpers; the step count
+    and residual of unbounded operators are left to the solver (None)."""
     everything = frozenset(range(dtmc.num_states))
 
     def states(sf):
@@ -495,9 +527,7 @@ def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int, float]:
     if isinstance(path, Next):
         return next_probability(dtmc, states(path.target)), 0, 0.0
     if isinstance(path, Seq):
-        a, b = states(path.first), states(path.then)
-        _, iterations, residual = row_seq_solve(rows, a, b)
-        return seq_probability(dtmc, a, b), iterations, residual
+        return seq_probability(dtmc, states(path.first), states(path.then)), None, None
     if isinstance(path, Until):
         a, b = states(path.left), states(path.right)
     elif isinstance(path, Eventually):
@@ -505,8 +535,7 @@ def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int, float]:
     else:
         a, b = everything, everything - states(path.target)
     if path.bound is None:
-        _, iterations, residual = row_solve_until(rows, a, b)
-        vec = until_probability(dtmc, a, b)
+        vec, iterations, residual = until_probability(dtmc, a, b), None, None
     else:
         vec, iterations, residual = bounded_until_probability(dtmc, a, b, path.bound), path.bound, 0.0
     if isinstance(path, Globally):
@@ -536,7 +565,11 @@ class TestMaskSemantics:
     def test_check_equals_the_reference_route(self, dtmc, path):
         result, got_warnings = recorded(check, dtmc, Prob(None, None, path))
         (vec, iterations, residual), want_warnings = recorded(reference_path_vector, dtmc, path)
-        assert (result.per_state, result.iterations, result.residual) == (tuple(vec), iterations, residual)
+        assert result.per_state == tuple(vec)
+        if iterations is None:
+            assert result.residual <= CERTIFIED_GAP
+        else:
+            assert (result.iterations, result.residual) == (iterations, residual)
         assert got_warnings == want_warnings
 
 
@@ -569,3 +602,208 @@ class TestVerdicts:
             for text in ['P=?[F "a"]', 'P=?[G "b"]', 'P=?[F<=4 "b"]', 'P=?[X "a"]']:
                 for value in check(dtmc, parse_property(text)).per_state:
                     assert 0.0 <= value <= 1.0
+
+
+# ===== Certified unbounded solving =====
+
+
+def random_rational_chain(rng: random.Random, n: int) -> Dtmc:
+    """Transient states 0..n-1 with a forward edge, a random edge and a
+    local back edge, each 13/60, and an exit of 7/20 to absorbing "goal"
+    (state n) or "bad" (n + 1); one state in ten is "hot", one in ten "a".
+    The floats are the roundings of those rationals, which the chain keeps."""
+    goal, bad = n, n + 1
+    rows, labels = [], []
+    for i in range(n):
+        branches: dict[int, Fraction] = {}
+        for t in (i + 1 if i + 1 < n else goal, rng.randrange(n), rng.randrange(max(0, i - 50), n)):
+            branches[t] = branches.get(t, Fraction(0)) + Fraction(13, 60)
+        exit_to = goal if rng.random() < 0.5 else bad
+        branches[exit_to] = branches.get(exit_to, Fraction(0)) + Fraction(7, 20)
+        rows.append(tuple(branches.items()))
+        labels.append(frozenset(name for name in ("hot", "a") if rng.random() < 0.1))
+    rows += [((goal, Fraction(1)),), ((bad, Fraction(1)),)]
+    labels += [frozenset({"goal"}), frozenset({"bad"})]
+    float_rows = tuple(tuple((t, float(p)) for t, p in row) for row in rows)
+    dtmc = dtmc_from_rows(tuple((s,) for s in range(n + 2)), labels, float_rows)
+    exact = tuple(p for row in rows for _, p in row)
+    return Dtmc(dtmc.state_vectors, dtmc.state_labels, dtmc.indptr, dtmc.indices, dtmc.probs, exact)
+
+
+def wide_walk(top: int, wide: int) -> Dtmc:
+    """A fair walk on capitals 0..``top`` from ``top // 4``, which is state 0;
+    capital ``wide`` jumps to one of the ``wide`` capitals around it alike
+    (half each side). 0 is "bad" and ``top`` "goal", both absorbing. Every
+    move keeps the mean, so "goal" has probability exactly 1/4."""
+    start = top // 4
+    rows, labels = [], []
+    for i in range(top + 1):
+        c = (start + i) % (top + 1)
+        if c in (0, top):
+            moves = ((c, 1.0),)
+        elif c == wide:
+            moves = tuple((t, 1.0 / wide) for t in range(c - wide // 2, c + wide // 2 + 1) if t != c)
+        else:
+            moves = ((c + 1, 0.5), (c - 1, 0.5))
+        rows.append(tuple(((t - start) % (top + 1), p) for t, p in moves))
+        labels.append(frozenset({"bad"} if c == 0 else {"goal"} if c == top else ()))
+    return dtmc_from_rows(tuple((s,) for s in range(top + 1)), labels, rows)
+
+
+def dense_until(dtmc: Dtmc, a: set, b: set, on_b: np.ndarray | None = None) -> np.ndarray:
+    """Per state, the expected ``on_b`` (default 1) of the first b state
+    reached through a, and 0 where there is none: P(a U b) by default. A
+    dense float solve over the states that reach b through a."""
+    rows = rows_of(dtmc)
+    on_b = np.ones(len(rows)) if on_b is None else on_b
+    unknowns = sorted(until_reachers(rows, a, b))
+    pos = {s: i for i, s in enumerate(unknowns)}
+    matrix, rhs = np.eye(len(unknowns)), np.zeros(len(unknowns))
+    for s in unknowns:
+        for t, p in rows[s]:
+            if t in b:
+                rhs[pos[s]] += p * on_b[t]
+            elif t in pos:
+                matrix[pos[s], pos[t]] -= p
+    x = np.where([s in b for s in range(len(rows))], on_b, 0.0)
+    x[unknowns] = np.linalg.solve(matrix, rhs)
+    return x
+
+
+def until_reachers(rows, a, b) -> set:
+    """States of a - b with a path through a to b."""
+    preds: dict[int, list[int]] = {}
+    for s, row in enumerate(rows):
+        for t, _ in row:
+            preds.setdefault(t, []).append(s)
+    reached, stack = set(b), list(b)
+    while stack:
+        for s in preds.get(stack.pop(), ()):
+            if s in a and s not in reached:
+                reached.add(s)
+                stack.append(s)
+    return reached - set(b)
+
+
+class TestCertifiedSolving:
+    def test_fair_gambler_from_fractions_is_exactly_a_quarter(self, step_policy):
+        build = build_induced_dtmc(load_explicit_model(gambler_text("1/2")), step_policy)
+        for text in ('P>=0.25 [F "goal"]', 'P<=0.25 [!"bad" U "goal"]'):
+            result = check(build.dtmc, parse_property(text))
+            assert result.value == result.lower == result.upper == 0.25
+            assert result.satisfied is True
+            assert (result.iterations, result.residual) == (0, 0.0)
+        result = check(build.dtmc, parse_property('P=? [G !"bad"]'))
+        assert result.value == result.lower == result.upper == 0.25
+
+    @pytest.mark.parametrize("dense_max", [400, 0])
+    def test_fair_gambler_from_floats_is_undecided_at_the_quarter(self, monkeypatch, step_policy, dense_max):
+        # The dense solve closes the block in no interval steps; without it
+        # Jacobi takes thousands.
+        monkeypatch.setattr(checking, "DENSE_MAX_STATES", dense_max)
+        build = build_induced_dtmc(load_explicit_model(gambler_text(0.5)), step_policy)
+        assert build.dtmc.exact_probs is None
+        result = check(build.dtmc, parse_property('P>=0.25 [F "goal"]'))
+        assert result.lower < 0.25 < result.upper
+        assert result.upper - result.lower <= CERTIFIED_GAP
+        assert result.satisfied == UNDECIDED
+        assert (result.iterations > 0) == (dense_max == 0)
+        assert check(build.dtmc, parse_property('P>=0.2 [F "goal"]')).satisfied is True
+        assert check(build.dtmc, parse_property('P>=0.3 [F "goal"]')).satisfied is False
+
+    @pytest.mark.parametrize("dense_max", [400, 0])
+    def test_a_wide_row_in_a_slowly_mixing_chain_is_certified(self, monkeypatch, dense_max):
+        # One row of 20 inside branches makes 39 roundings a step. Charged
+        # once per step, they outgrew the gap before the ~5,000 steps
+        # interval iteration needs; charged by the time to leave the block,
+        # they stay far below it.
+        monkeypatch.setattr(checking, "DENSE_MAX_STATES", dense_max)
+        result = check(wide_walk(40, 20), parse_property('P=? [F "goal"]'))
+        assert result.lower <= 0.25 <= result.upper
+        assert result.upper - result.lower <= CERTIFIED_GAP
+
+    def test_interval_iteration_stops_once_rounding_outgrows_the_gap(self, monkeypatch):
+        # On 0..200 a row of 100 branches charges 199 eps a step, and the
+        # walk needs hundreds of thousands of steps to close, so no step
+        # can: the solver gives up after about a thousand, not MAX_SWEEPS.
+        monkeypatch.setattr(checking, "DENSE_MAX_STATES", 0)
+        with pytest.raises(SolverError, match="rounding error outgrew 1e-10 after") as caught:
+            check(wide_walk(200, 100), parse_property('P=? [F "goal"]'))
+        assert caught.value.iterations < 2_000
+        assert caught.value.residual > CERTIFIED_GAP
+
+    def test_random_3000_state_chain_values_lie_in_their_intervals(self):
+        dtmc = random_rational_chain(random.Random(7), 3000)
+        everything = set(range(dtmc.num_states))
+        hot, goal, bad, a = (states_labelled(dtmc, name) for name in ("hot", "goal", "bad", "a"))
+        reach_goal = dense_until(dtmc, everything, goal)
+        # SEQ("a", "goal"): the first "a" state met goes on to reach "goal".
+        seq = dense_until(dtmc, everything - a, a, on_b=reach_goal)
+        expected = {
+            'P=? [!"hot" U "goal"]': dense_until(dtmc, everything - hot, goal)[0],
+            'P=? [F "goal"]': reach_goal[0],
+            'P=? [G !"bad"]': 1.0 - dense_until(dtmc, everything, bad)[0],
+            'P=? [SEQ("a", "goal")]': seq[0],
+        }
+        for text, value in expected.items():
+            result = check(dtmc, parse_property(text))
+            assert result.iterations > 0, text  # past the fill cap: interval iteration
+            assert result.lower <= value <= result.upper, text
+            assert result.lower <= result.value <= result.upper, text
+            assert result.upper - result.lower <= CERTIFIED_GAP, text
+
+    @pytest.mark.parametrize("cap", [50, 100])
+    def test_block_past_the_fill_cap_falls_through_to_floats(self, monkeypatch, step_policy, cap):
+        # The block has 78 nonzeros: a cap of 50 skips the elimination, one
+        # of 100 abandons it midway.
+        dtmc = build_induced_dtmc(load_explicit_model(gambler_text("1/2")), step_policy).dtmc
+        monkeypatch.setattr(checking, "EXACT_MAX_FILL", cap)
+        result = check(dtmc, parse_property('P=? [F "goal"]'))
+        assert result.lower < result.upper
+        assert result.lower <= 0.25 <= result.upper
+        assert result.upper - result.lower <= CERTIFIED_GAP
+
+    @pytest.mark.parametrize(
+        "p, text, expected",
+        [
+            # 1/3 lies above the decimal 0.3333333333333333 that its float prints as.
+            ("1/3", 'P>0.3333333333333333 [F "goal"]', True),
+            ("1/3", 'P<=0.3333333333333333 [F "goal"]', False),
+            ("1/10", 'P>=0.1 [F "goal"]', True),
+            ("1/10", 'P<0.1 [F "goal"]', False),
+        ],
+    )
+    def test_exact_path_compares_the_rational(self, step_policy, p, text, expected):
+        # State 1 reaches "goal" (state 2) with probability p, and "bad" otherwise.
+        doc = {
+            "features": ["pos"],
+            "actions": ["step"],
+            "initial": [1],
+            "states": [
+                {"s": [0], "labels": ["bad"], "act": {"step": [{"to": [0], "p": "1"}]}},
+                {"s": [1], "act": {"step": [{"to": [1], "p": "1/2"}, {"to": [3], "p": "1/2"}]}},
+                {"s": [2], "labels": ["goal"], "act": {"step": [{"to": [2], "p": "1"}]}},
+                {"s": [3], "act": {"step": [{"to": [2], "p": p}, {"to": [0], "p": str(1 - Fraction(p))}]}},
+            ],
+        }
+        dtmc = build_induced_dtmc(load_explicit_model(json.dumps(doc)), step_policy).dtmc
+        result = check(dtmc, parse_property(text))
+        assert result.value == float(Fraction(p)) == result.lower == result.upper
+        assert result.satisfied is expected
+
+    def test_solver_error_reports_the_gap(self, monkeypatch):
+        # A 0.9 self-loop leaving for "goal" or "bad" alike: after k steps the
+        # bounds are (1 - 0.9^k) / 2 and that plus 0.9^k.
+        dtmc = dtmc_from_rows(
+            state_vectors=((0,), (1,), (2,)),
+            state_labels=(frozenset(), frozenset({"goal"}), frozenset({"bad"})),
+            rows=(((0, 0.9), (1, 0.05), (2, 0.05)), ((1, 1.0),), ((2, 1.0),)),
+        )
+        assert check(dtmc, parse_property('P=? [F "goal"]')).value == pytest.approx(0.5, abs=CERTIFIED_GAP)
+        monkeypatch.setattr(checking, "DENSE_MAX_STATES", 0)
+        monkeypatch.setattr(checking, "MAX_SWEEPS", 3)
+        with pytest.raises(SolverError) as caught:
+            check(dtmc, parse_property('P=? [F "goal"]'))
+        assert caught.value.iterations == 3
+        assert caught.value.residual == pytest.approx(0.9**3)
+        assert str(caught.value).startswith("interval iteration did not close to 1e-10 within 3 steps")

@@ -26,6 +26,7 @@ from .conftest import (
     FIXTURES,
     NO_COLLISION_6,
     fixture_doc,
+    gambler_text,
     lazy_walker_policy,
 )
 
@@ -66,6 +67,30 @@ class TestCheck:
         code = main(["check", "--model", CHAIN3, "--policy", step_policy_path, "--prop", prop])
         assert code == 0
         assert f"satisfied: {answer}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "p, prop, lines",
+        [
+            # Fraction strings: the exact path gives 1/4, so P>=0.25 holds.
+            ("1/2", 'P>=0.25 [F "goal"]', "m: 0.25\nsatisfied: yes\n"),
+            # JSON floats: interval iteration, whose interval holds 1/4 inside.
+            (0.5, 'P>=0.25 [F "goal"]', "satisfied: undecided\n"),
+            (0.5, 'P>=0.2 [F "goal"]', "satisfied: yes\n"),
+        ],
+    )
+    def test_gamblers_ruin_verdict(self, capsys, tmp_path, step_policy_path, p, prop, lines):
+        model = tmp_path / "gambler.json"
+        model.write_text(gambler_text(p))
+        code = main(["check", "--model", str(model), "--policy", step_policy_path, "--prop", prop])
+        assert code == 0
+        assert lines in capsys.readouterr().out
+
+    def test_undecided_in_json(self, capsys, tmp_path, step_policy_path):
+        model = tmp_path / "gambler.json"
+        model.write_text(gambler_text(0.5))
+        argv = ["check", "--model", str(model), "--policy", step_policy_path, "--prop", 'P>=0.25 [F "goal"]']
+        assert main([*argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["satisfied"] == "undecided"
 
     def test_json_output(self, capsys, step_policy_path):
         code = main(

@@ -387,6 +387,31 @@ class TestFromUri:
             from_uri(uri)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "uri, message",
+        [
+            ("builtin:avoidance?width=1_0", "query parameter width='1_0': expected an integer"),
+            ("builtin:avoidance?width=%E0%A5%AA", "query parameter width='\u096a': expected an integer"),
+            ("builtin:avoidance?width=+4", "query parameter width=' 4': expected an integer"),
+            ("builtin:avoidance?obstacle_start=1,%202", "query parameter obstacle_start=' 2': expected an integer"),
+            (
+                "builtin:avoidance?obstacle_move_prob=1e-400",
+                "query parameter obstacle_move_prob='1e-400': expected a probability",
+            ),
+        ],
+    )
+    def test_numbers_are_ascii_and_fit_a_float(self, uri, message):
+        with pytest.raises(ModelSyntaxError) as exc:
+            from_uri(uri)
+        assert str(exc.value) == message
+
+    def test_a_minus_sign_and_a_zero_probability_still_parse(self):
+        # -1 is an integer, so the cell fails the config check, not the parse.
+        with pytest.raises(ConfigError):
+            from_uri("builtin:avoidance?obstacle_start=-1,0")
+        env = from_uri("builtin:avoidance?obstacle_move_prob=0")
+        assert env.successors(env.initial, "stay").support[0][1] == 1.0
+
     def test_valid_syntax_bad_value_is_config_error(self):
         with pytest.raises(ConfigError):
             from_uri("builtin:avoidance?obstacle_start=9,9")

@@ -177,6 +177,11 @@ class TestDtmc:
         with pytest.raises(ValueError, match="indptr, indices and probs disagree"):
             bad.validate()
 
+    def test_validate_rejects_exact_probs_of_another_length(self):
+        bad = Dtmc(((0,),), (frozenset(),), [0, 1], [0], [1.0], (Fraction(1), Fraction(0)))
+        with pytest.raises(ValueError, match="exact_probs and probs disagree"):
+            bad.validate()
+
     def test_validate_reports_the_first_violation_in_row_order(self):
         # State 0 breaks the sum only after its out-of-range and repeated
         # targets; state 1's bad probability comes after all of them.
@@ -371,6 +376,50 @@ class TestFractionStrings:
                     for b in branches
                 )
                 assert env.successors(tuple(entry["s"]), action).support == expected
+
+    def test_rationals_are_kept_where_every_branch_has_one(self):
+        # Action "a" is all fraction strings; "b" mixes in the float 0.25.
+        env = load_explicit_model(json.dumps(_repeated_fractions_doc()))
+        for k in range(4):
+            assert env.rationals((k,), "a") == (Fraction(13, 60), Fraction(47, 60))
+            assert env.rationals((k,), "b") is None
+        policies = {
+            name: make_policy(("v",), ("a", "b"), [(np.zeros((2, 1)), np.array(bias))])
+            for name, bias in (("a", [1.0, 0.0]), ("b", [0.0, 1.0]))
+        }
+        chain = build_induced_dtmc(env, policies["a"]).dtmc
+        assert chain.exact_probs == (Fraction(13, 60), Fraction(47, 60)) * 4
+        assert [float(r) for r in chain.exact_probs] == chain.probs.tolist()
+        assert build_induced_dtmc(env, policies["b"]).dtmc.exact_probs is None
+
+    def test_rationals_that_miss_one_are_dropped(self):
+        # The floats pass the mass check, 5e-10 short of 1; the rationals are
+        # exactly that short, so the row keeps none, and a row written the
+        # same way elsewhere is judged the same.
+        short = [{"to": [0], "p": "1/2"}, {"to": [1], "p": "1/4"}, {"to": [2], "p": "2499999995/10000000000"}]
+        doc = {
+            "features": ["v"],
+            "actions": ["a", "b"],
+            "initial": [0],
+            "states": [
+                {"s": [0], "act": {"a": short, "b": [{"to": [1], "p": "1/3"}, {"to": [0], "p": "2/3"}]}},
+                {"s": [1], "act": {"a": short}},
+                {"s": [2], "act": {"a": [{"to": [2], "p": "1"}]}},
+            ],
+        }
+        env = load_explicit_model(json.dumps(doc))
+        assert env.rationals((0,), "a") is None
+        assert env.rationals((1,), "a") is None
+        assert env.rationals((0,), "b") == (Fraction(1, 3), Fraction(2, 3))
+
+    def test_an_integer_one_is_exact(self):
+        doc = {
+            "features": ["v"],
+            "actions": ["a"],
+            "initial": [0],
+            "states": [{"s": [0], "act": {"a": [{"to": [0], "p": 1}]}}],
+        }
+        assert load_explicit_model(json.dumps(doc)).rationals((0,), "a") == (Fraction(1),)
 
     def test_a_bad_string_is_reported_where_it_first_occurs(self):
         doc = _repeated_fractions_doc()

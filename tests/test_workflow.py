@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import errno
 import io
+import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prunecheck import (
@@ -21,7 +23,7 @@ from prunecheck import (
     report_to_dict,
     sweep,
 )
-from prunecheck import workflow
+from prunecheck import CheckResult, PruneSpec, load_explicit_model, make_policy, parse_property, workflow
 from prunecheck.workflow import CSV_HEADER
 
 from .conftest import (
@@ -148,6 +150,114 @@ class TestPruneAndMeasure:
         assert default.delta == flipped.delta > 0
         assert default.verdict == "improved"
         assert flipped.verdict == "degraded"
+
+
+# ===== Verdicts on certified intervals =====
+
+
+def certified(value: float, half_width: float = 0.0, satisfied=None) -> CheckResult:
+    """A result whose value is certified to within ``half_width`` either side."""
+    return CheckResult(
+        value=value,
+        satisfied=satisfied,
+        per_state=(value,),
+        iterations=0,
+        residual=2 * half_width,
+        lower=value - half_width,
+        upper=value + half_width,
+    )
+
+
+QUERY = parse_property('P=? [F "goal"]')
+AT_LEAST_HALF = parse_property('P>=0.5 [F "goal"]')
+
+
+class TestCertifiedVerdicts:
+    @pytest.mark.parametrize(
+        "m_hat, verdict",
+        [
+            (0.5, "unchanged"),
+            (0.5 + 1e-12, "unchanged"),
+            (0.5 - 1e-12, "unchanged"),
+            (0.5 + 2e-12, "improved"),
+            (0.5 - 2e-12, "degraded"),
+            (0.9, "improved"),
+            (0.1, "degraded"),
+        ],
+    )
+    def test_exact_results_keep_the_point_verdict(self, m_hat, verdict):
+        assert workflow._verdict(QUERY, certified(0.5), certified(m_hat), lower_is_safer=False) == verdict
+
+    @pytest.mark.parametrize(
+        "m_hat, verdict",
+        [(0.5, "undecided"), (0.5 + 5e-11, "undecided"), (0.5 + 1e-10, "improved"), (0.5 - 1e-10, "degraded")],
+    )
+    def test_delta_interval_straddling_the_band_is_undecided(self, m_hat, verdict):
+        original, pruned = certified(0.5, 4e-11), certified(m_hat, 4e-11)
+        assert workflow._verdict(QUERY, original, pruned, lower_is_safer=False) == verdict
+
+    def test_a_reused_measurement_is_unchanged(self):
+        original = certified(0.5, 4e-11)
+        assert workflow._verdict(QUERY, original, original, lower_is_safer=False) == "unchanged"
+
+    @pytest.mark.parametrize("satisfied, verdict", [(False, "violation"), ("undecided", "undecided")])
+    def test_threshold_verdict_comes_first(self, satisfied, verdict):
+        original = certified(0.5, satisfied=True)
+        pruned = certified(0.9, satisfied=satisfied)
+        assert workflow._verdict(AT_LEAST_HALF, original, pruned, lower_is_safer=False) == verdict
+
+
+def two_action_walk(b_wins: float) -> str:
+    """A gambler's ruin on 0..40 from 10 written with JSON floats: action
+    "a" wins 1 with probability 0.5, "b" with ``b_wins``, else loses 1; 0
+    is "bad" and 40 "goal". The fair walk reaches "goal" with probability
+    1/4, which no float solver can certify to within 1e-12."""
+    states = []
+    for c in range(41):
+        if c in (0, 40):
+            act = {name: [{"to": [c], "p": 1}] for name in ("a", "b")}
+            states.append({"s": [c], "labels": ["bad" if c == 0 else "goal"], "act": act})
+            continue
+        act = {
+            name: [{"to": [c + 1], "p": win}, {"to": [c - 1], "p": 1.0 - win}]
+            for name, win in (("a", 0.5), ("b", b_wins))
+        }
+        states.append({"s": [c], "act": act})
+    return json.dumps({"features": ["pos"], "actions": ["a", "b"], "initial": [10], "states": states})
+
+
+# Chooses "b" beyond position 5 (logit pos - 5 against 0); with "pos"
+# pruned away, "a" everywhere.
+B_BEYOND_FIVE = make_policy(("pos",), ("a", "b"), [(np.array([[0.0], [1.0]]), np.array([0.0, -5.0]))])
+
+
+class TestFloatChainVerdicts:
+    """Prunes of a chain solved in floats, end to end."""
+
+    def test_a_flip_to_an_equal_distribution_is_unchanged(self):
+        env = load_explicit_model(two_action_walk(0.5))
+        report = prune_and_measure(env, B_BEYOND_FIVE, 'P=? [F "goal"]', PruneSpec(method="feature", feature="pos"))
+        assert report.m == report.m_hat == pytest.approx(0.25, abs=1e-10)
+        assert (report.delta, report.verdict) == (0.0, "unchanged")
+
+    def test_a_threshold_inside_the_interval_is_undecided(self):
+        env = load_explicit_model(two_action_walk(0.5))
+        spec = PruneSpec(method="feature", feature="pos")
+        report = prune_and_measure(env, B_BEYOND_FIVE, 'P>=0.25 [F "goal"]', spec)
+        assert (report.satisfied, report.verdict) == ("undecided", "undecided")
+
+    def test_a_flip_to_a_worse_action_changes_the_value(self):
+        # "b" wins only 0.4, so the original walk is worse than the fair one
+        # the prune leaves.
+        env = load_explicit_model(two_action_walk(0.4))
+        report = prune_and_measure(env, B_BEYOND_FIVE, 'P=? [F "goal"]', PruneSpec(method="feature", feature="pos"))
+        assert report.m < 0.01
+        assert report.m_hat == pytest.approx(0.25, abs=1e-10)
+        assert report.verdict == "improved"
+        lower_is_safer = prune_and_measure(
+            env, B_BEYOND_FIVE, 'P=? [F "goal"]', PruneSpec(method="feature", feature="pos"), lower_is_safer=True
+        )
+        assert lower_is_safer.verdict == "degraded"
 
 
 # ===== Feature importance =====

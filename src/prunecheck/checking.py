@@ -20,18 +20,19 @@ float paths report the midpoint of their bounds. ``CheckResult.lower``/
 ``lower == upper``.
 
 Bounded operators (``X``, ``U<=k``, ``F<=k``, ``G<=k``) are evaluated by
-exact synchronous iteration with no tolerance at all, one array operation
+synchronous float iteration with no stopping tolerance, one array operation
 per step over the chain's transitions in row order. Every row is summed
 from 0.0 pair by pair, as a per-element loop would, so the results are the
 loop's bit for bit; a matrix product or a per-row reduction would sum in
-another order. SEQ goes through a three-state monitor product and the
-unbounded-until machinery.
+another order. They are reported with ``lower == upper``, although a sum
+that a float cannot hold is rounded. SEQ goes through a three-state monitor
+product and the unbounded-until machinery.
 
 Every routine reads the chain's compressed sparse row arrays. State sets
 are boolean masks from the label lookup to the solver; a label that no
-state carries is the empty mask and emits UnknownLabelWarning. The public
-helpers, which take and give sets of state indices, convert at that
-boundary.
+state carries is the empty mask and emits UnknownLabelWarning. ``check`` is
+the way in; ``prob01`` and ``evaluate_states`` stay public for the
+benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -99,16 +100,19 @@ UNDECIDED = "undecided"
 class CheckResult:
     """Outcome of checking one property against one chain.
 
-    ``value`` is always the initial state's probability, and ``lower`` and
-    ``upper`` certify it: the model's probability lies in [lower, upper].
-    They are equal when the value is exact (bounded operators, graph
-    analysis or the exact solve). ``satisfied`` is the comparator verdict:
-    True or False when the whole interval decides it, ``UNDECIDED`` when
-    the threshold lies inside it, None for "=?" queries. ``per_state``
-    keeps the full vector for diagnostics. ``iterations`` counts interval
-    steps (the bound for bounded operators) and ``residual`` is the
-    certified gap; both are zero when graph analysis or the exact solve
-    settled everything.
+    ``value`` is always the initial state's probability. For unbounded
+    operators ``lower`` and ``upper`` certify it: the model's probability
+    lies in [lower, upper], and they are equal when graph analysis or the
+    exact solve found it. Bounded operators and ``X`` give lower == upper
+    too, though their float sums may round. ``satisfied`` is the comparator
+    verdict: True or False when the whole interval decides it, ``UNDECIDED``
+    when the threshold lies inside it, None for "=?" queries. ``per_state``
+    keeps the full vector for diagnostics. ``iterations`` is the bound k of
+    ``U<=k``, ``F<=k`` and ``G<=k``, the step count when interval iteration
+    ran, and 0 otherwise (``X``, graph analysis, the exact and the dense
+    solve). ``residual`` is the widest certified interval of a float solve
+    over the states it solved, and 0 for bounded operators, ``X``, graph
+    analysis and the exact solve.
     """
 
     value: float
@@ -158,12 +162,6 @@ class _Solution:
 # A chain is passed around as its three CSR arrays (``indptr``, ``indices``,
 # ``probs``) and state sets as boolean masks, so the SEQ product, which has
 # no state vectors, goes through the same routines as a Dtmc.
-
-
-def _mask(n: int, states) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(states, dtype=np.intp)] = True
-    return mask
 
 
 def _sources(indptr: np.ndarray) -> np.ndarray:
@@ -412,35 +410,16 @@ def _bounded_until(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: in
     return np.clip(x, 0.0, 1.0).tolist()
 
 
-# ===== Public per-operator API =====
-
-
 def prob01(dtmc: Dtmc, a: frozenset[int] | set[int], b: frozenset[int] | set[int]):
-    """Qualitative sets for ``a U b``: (probability-0, probability-1)."""
-    n = dtmc.num_states
-    zero, one = _prob01_sets(dtmc.indptr, dtmc.indices, _mask(n, a), _mask(n, b))
+    """Qualitative sets for ``a U b``: (probability-0, probability-1).
+
+    Kept only because the benchmark's tracer in ``perfbench/trace.py`` calls it.
+    """
+    masks = np.zeros((2, dtmc.num_states), dtype=bool)
+    for mask, states in zip(masks, (a, b)):
+        mask[np.fromiter(states, dtype=np.intp)] = True
+    zero, one = _prob01_sets(dtmc.indptr, dtmc.indices, *masks)
     return frozenset(np.flatnonzero(zero).tolist()), frozenset(np.flatnonzero(one).tolist())
-
-
-def until_probability(dtmc: Dtmc, a, b) -> list[float]:
-    """Per-state probability of ``a U b``: exact, or the midpoint of a certified interval."""
-    n = dtmc.num_states
-    return _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, dtmc.exact_probs, _mask(n, a), _mask(n, b)).values
-
-
-def bounded_until_probability(dtmc: Dtmc, a, b, k: int) -> list[float]:
-    """Per-state probability of ``a U<=k b`` by exact iteration."""
-    if k < 0:
-        raise ValueError("bound must be non-negative")
-    n = dtmc.num_states
-    b = _mask(n, b)
-    return _bounded_until(dtmc, _mask(n, a) & ~b, b, k)
-
-
-def next_probability(dtmc: Dtmc, b) -> list[float]:
-    """Per-state probability that the next state satisfies ``b``."""
-    n = dtmc.num_states
-    return _bounded_until(dtmc, np.ones(n, dtype=bool), _mask(n, b), 1)
 
 
 # -- SEQ monitor product --
@@ -452,17 +431,6 @@ def next_probability(dtmc: Dtmc, b) -> list[float]:
 _WAIT_FIRST = 0
 _WAIT_THEN = 1
 _ACCEPT = 2
-
-
-def seq_probability(dtmc: Dtmc, a, b) -> list[float]:
-    """Per-state probability of reaching ``a`` and afterwards ``b``.
-
-    Built as a product with the two-phase monitor, checked with the
-    unbounded-until machinery, and projected back to the fresh-monitor
-    copy of each state.
-    """
-    n = dtmc.num_states
-    return _seq_solve(dtmc, _mask(n, a), _mask(n, b)).values
 
 
 def _seq_solve(dtmc: Dtmc, a: np.ndarray, b: np.ndarray) -> _Solution:
@@ -508,7 +476,8 @@ def evaluate_states(dtmc: Dtmc, sf: StateFormula) -> frozenset[int]:
     """The states satisfying a state formula, read off the checker's mask.
 
     A label that no state carries denotes the empty mask; that is almost
-    always a typo, so it additionally emits UnknownLabelWarning.
+    always a typo, so it additionally emits UnknownLabelWarning. Kept only
+    because the benchmark's tracer in ``perfbench/trace.py`` calls it.
     """
     return frozenset(np.flatnonzero(_evaluate(dtmc, sf)).tolist())
 

@@ -139,10 +139,13 @@ def induced_to_explicit(dtmc: Dtmc, feature_schema: tuple[str, ...]) -> str:
     """Write a chain as an explicit model document with one action "pi".
 
     The result loads back through the explicit model loader as an MDP with
-    a single choice everywhere, which is exactly what a chain is.
+    a single choice everywhere, which is exactly what a chain is. A chain
+    with ``exact_probs`` writes each probability as its fraction string
+    ("1/2", "1"), so the reloaded chain keeps its rationals.
     """
     vectors = dtmc.state_vectors
-    indptr, indices, probs = dtmc.indptr.tolist(), dtmc.indices.tolist(), dtmc.probs.tolist()
+    indptr, indices = dtmc.indptr.tolist(), dtmc.indices.tolist()
+    probs = dtmc.probs.tolist() if dtmc.exact_probs is None else [str(r) for r in dtmc.exact_probs]
     states_out = []
     for i in range(dtmc.num_states):
         entry: dict[str, object] = {"s": list(vectors[i])}

@@ -162,37 +162,6 @@ class Dtmc:
     def num_transitions(self) -> int:
         return len(self.indices)
 
-    def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation."""
-        n = self.num_states
-        if n == 0:
-            raise ValueError("chain has no states")
-        if not (len(self.state_labels) == len(self.indptr) - 1 == n):
-            raise ValueError("state_vectors, state_labels and rows disagree on length")
-        indptr = self.indptr.tolist()
-        if indptr[0] != 0 or indptr[-1] != len(self.indices) or len(self.probs) != len(self.indices):
-            raise ValueError("indptr, indices and probs disagree on length")
-        if self.exact_probs is not None and len(self.exact_probs) != len(self.probs):
-            raise ValueError("exact_probs and probs disagree on length")
-        indices, probs = self.indices.tolist(), self.probs.tolist()
-        for i in range(n):
-            start, stop = indptr[i], indptr[i + 1]
-            if start >= stop:
-                raise ValueError(f"state {i} has no outgoing transitions")
-            total = 0.0
-            seen: set[int] = set()
-            for j, prob in zip(indices[start:stop], probs[start:stop]):
-                if not (0 <= j < n):
-                    raise ValueError(f"state {i} references out-of-range target {j}")
-                if j in seen:
-                    raise ValueError(f"state {i} repeats target {j}")
-                seen.add(j)
-                if not (0.0 < prob <= 1.0):
-                    raise ValueError(f"probability {prob!r} outside (0, 1] on state {i}")
-                total += prob
-            if abs(total - 1.0) > SUM_TOLERANCE:
-                raise ValueError(f"row of state {i} sums to {total!r}")
-
 
 # ===== Explicit model format =====
 

@@ -73,7 +73,10 @@ class NeuralPolicy:
         return x
 
     def select_action(self, state: StateVector, available: tuple[str, ...]) -> str:
-        """Pick the available action with the largest logit for ``state``."""
+        """Pick the available action with the largest logit for ``state``.
+
+        Kept only because the benchmark's tracer in ``perfbench/trace.py`` wraps it.
+        """
         return self.pick(self.forward(state).tolist(), available)
 
     def pick(self, logits: list[float], available: tuple[str, ...]) -> str:

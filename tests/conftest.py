@@ -209,6 +209,13 @@ def label_sets(dtmc: Dtmc) -> tuple[set, set]:
     return states_labelled(dtmc, "a"), states_labelled(dtmc, "b")
 
 
+def state_mask(dtmc: Dtmc, states) -> np.ndarray:
+    """The boolean mask, over the chain's states, of the state indices ``states``."""
+    mask = np.zeros(dtmc.num_states, dtype=bool)
+    mask[list(states)] = True
+    return mask
+
+
 __all__ = [
     "Distribution",
     "FIXTURES",
@@ -223,5 +230,6 @@ __all__ = [
     "random_dtmc",
     "random_policy",
     "rows_of",
+    "state_mask",
     "states_labelled",
 ]

@@ -28,21 +28,17 @@ from prunecheck import (
     TrueFormula,
     UnknownLabelWarning,
     Until,
-    bounded_until_probability,
     build_induced_dtmc,
     check,
     evaluate_states,
     load_explicit_model,
-    next_probability,
     parse_property,
     prob01,
-    seq_probability,
-    until_probability,
 )
 from prunecheck import checking
 from prunecheck.checking import CERTIFIED_GAP, UNDECIDED
 
-from .conftest import dtmc_from_rows, gambler_text, label_sets, random_dtmc, rows_of, states_labelled
+from .conftest import dtmc_from_rows, gambler_text, label_sets, random_dtmc, rows_of, state_mask, states_labelled
 from .oracles import (
     bounded_until_loop,
     evaluate_sets,
@@ -86,6 +82,15 @@ class TestUnboundedFixtures:
         assert result.iterations == 1
         assert result.residual == 0.0
         assert result.lower == result.value == result.upper == 0.5
+        # X counts no step, F<=k counts its bound, and the exact path none.
+        for text, chain, iterations in (
+            ('P=?[X "goal"]', chain3, 0),
+            ('P=?[F<=5 "goal"]', chain3, 5),
+            ('P=?[F "goal"]', with_rationals(chain3), 0),
+        ):
+            result = check(chain, parse_property(text))
+            assert (result.iterations, result.residual) == (iterations, 0.0), text
+            assert result.lower == result.value == result.upper == 0.5, text
 
     def test_globally_is_complement(self, chain3):
         result = check(chain3, parse_property('P=?[G !"bad"]'))
@@ -120,7 +125,7 @@ class TestProb01:
         dtmc = random_dtmc(random.Random(seed))
         a, b = label_sets(dtmc)
         zero, one = prob01(dtmc, a | b, b)
-        values = until_probability(dtmc, a | b, b)
+        values = check(dtmc, parse_property('P=? [("a" | "b") U "b"]')).per_state
         oracle = until_linear(rows_of(dtmc), a | b, b)
         for s in zero:
             assert values[s] == 0.0
@@ -140,7 +145,7 @@ class TestBoundedAgainstEnumeration:
         dtmc = random_dtmc(rng)
         a, b = label_sets(dtmc)
         k = rng.randint(0, 9)
-        values = bounded_until_probability(dtmc, a, b, k)
+        values = check(dtmc, parse_property(f'P=? ["a" U<={k} "b"]')).per_state
         for s in range(dtmc.num_states):
             assert values[s] == pytest.approx(until_paths(rows_of(dtmc), a, b, k, s), abs=1e-9)
 
@@ -165,12 +170,7 @@ class TestBoundedAgainstEnumeration:
             )
 
     def test_zero_bound_is_the_indicator(self, chain3):
-        values = bounded_until_probability(chain3, {0, 1, 2}, {1}, 0)
-        assert values == [0.0, 1.0, 0.0]
-
-    def test_negative_bound_rejected(self, chain3):
-        with pytest.raises(ValueError, match="non-negative"):
-            bounded_until_probability(chain3, {0}, {1}, -1)
+        assert check(chain3, parse_property('P=? [F<=0 "goal"]')).per_state == (0.0, 1.0, 0.0)
 
 
 def globally_oracle(rows, phi, k, s):
@@ -184,7 +184,7 @@ class TestUnboundedAgainstLinearSolve:
     def test_until_matches_dense_solve(self, seed):
         dtmc = random_dtmc(random.Random(3000 + seed))
         a, b = label_sets(dtmc)
-        values = until_probability(dtmc, a | b, b)
+        values = check(dtmc, parse_property('P=? [("a" | "b") U "b"]')).per_state
         oracle = until_linear(rows_of(dtmc), a | b, b)
         for got, want in zip(values, oracle):
             assert got == pytest.approx(want, abs=1e-8)
@@ -239,11 +239,9 @@ class TestBoundedBitIdentity:
         a, b = label_sets(dtmc)
         everything = set(range(dtmc.num_states))
         assert check(dtmc, parse_property('P=? [X "b"]')).per_state == tuple(next_loop(rows, b))
-        assert next_probability(dtmc, b) == next_loop(rows, b)
         for bound in (0, k):
             until = check(dtmc, parse_property(f'P=? ["a" U<={bound} "b"]'))
             assert until.per_state == tuple(bounded_until_loop(rows, a, b, bound))
-            assert bounded_until_probability(dtmc, a, b, bound) == bounded_until_loop(rows, a, b, bound)
             eventually = check(dtmc, parse_property(f'P=? [F<={bound} "b"]'))
             assert eventually.per_state == tuple(bounded_until_loop(rows, everything, b, bound))
             for formula, bad in (('"a"', everything - a), ('!"b"', b)):
@@ -260,11 +258,12 @@ class TestBoundedBitIdentity:
             state_labels=(frozenset(),) + (frozenset({"b"}),) * 3 + (frozenset(),) * 2,
             rows=(forward, ((1, 1.0),), ((2, 1.0),), ((3, 1.0),), forward[::-1], ((5, 1.0),)),
         )
-        values = next_probability(dtmc, {1, 2, 3})
+        values = check(dtmc, parse_property('P=? [X "b"]')).per_state
         assert values[0] == 0.1 + 0.2 + 0.7
         assert values[4] == 0.7 + 0.2 + 0.1
         assert values[0] != values[4]
-        assert bounded_until_probability(dtmc, {0, 4}, {1, 2, 3}, 1) == next_loop(rows_of(dtmc), {1, 2, 3})
+        once = checking._bounded_until(dtmc, state_mask(dtmc, {0, 4}), state_mask(dtmc, {1, 2, 3}), 1)
+        assert once == next_loop(rows_of(dtmc), {1, 2, 3})
 
 
 # ===== Unbounded operators against exact rationals =====
@@ -376,7 +375,7 @@ class TestNext:
     def test_random_next_matches_oracle(self, seed):
         dtmc = random_dtmc(random.Random(5000 + seed))
         _, b = label_sets(dtmc)
-        values = next_probability(dtmc, b)
+        values = check(dtmc, parse_property('P=? [X "b"]')).per_state
         for s in range(dtmc.num_states):
             assert values[s] == pytest.approx(next_paths(rows_of(dtmc), b, s), abs=1e-12)
 
@@ -397,24 +396,25 @@ def labeled_chain(*labels: str) -> Dtmc:
     )
 
 
+SEQ_A_B = parse_property('P=? [SEQ("a", "b")]')
+
+
 class TestSeq:
     def test_line_reaches_a_then_b(self):
         dtmc = labeled_chain("", "a", "b")
-        assert seq_probability(dtmc, {1}, {2}) == [1.0, 1.0, 0.0]
+        assert check(dtmc, SEQ_A_B).per_state == (1.0, 1.0, 0.0)
 
     def test_b_before_a_does_not_count(self):
         dtmc = labeled_chain("b", "a", "")
-        assert seq_probability(dtmc, {1}, {0})[0] == 0.0
+        assert check(dtmc, SEQ_A_B).value == 0.0
 
     def test_single_state_with_both_labels(self):
         dtmc = labeled_chain("a b")
-        assert seq_probability(dtmc, {0}, {0}) == [1.0]
+        assert check(dtmc, SEQ_A_B).per_state == (1.0,)
 
     def test_seq_from_everything_equals_eventually(self, two_coin):
-        everything = set(range(two_coin.num_states))
-        goal = states_labelled(two_coin, "goal")
-        seq = seq_probability(two_coin, everything, goal)
-        reach = until_probability(two_coin, everything, goal)
+        seq = check(two_coin, parse_property('P=?[SEQ(true, "goal")]')).per_state
+        reach = check(two_coin, parse_property('P=?[F "goal"]')).per_state
         for got, want in zip(seq, reach):
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -427,7 +427,7 @@ class TestSeq:
     def test_random_seq_matches_alternate_product(self, seed):
         dtmc = random_dtmc(random.Random(6000 + seed))
         a, b = label_sets(dtmc)
-        values = seq_probability(dtmc, a, b)
+        values = check(dtmc, SEQ_A_B).per_state
         oracle = seq_linear(rows_of(dtmc), a, b)
         for got, want in zip(values, oracle):
             assert got == pytest.approx(want, abs=1e-8)
@@ -458,11 +458,9 @@ class TestDualityAndMonotonicity:
     @pytest.mark.parametrize("seed", range(20))
     def test_eventually_monotone_in_bound(self, seed):
         dtmc = random_dtmc(random.Random(9000 + seed))
-        _, b = label_sets(dtmc)
-        everything = set(range(dtmc.num_states))
         previous = None
         for k in range(8):
-            current = bounded_until_probability(dtmc, everything, b, k)
+            current = check(dtmc, parse_property(f'P=?[F<={k} "b"]')).per_state
             if previous is not None:
                 for lo, hi in zip(previous, current):
                     assert lo <= hi
@@ -517,27 +515,28 @@ path_formulas = st.one_of(
 
 
 def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int | None, float | None]:
-    """Reference sets, then the public set-taking helpers; the step count
-    and residual of unbounded operators are left to the solver (None)."""
-    everything = frozenset(range(dtmc.num_states))
+    """Reference sets as masks, then the checker's mask routines; the step
+    count and residual of unbounded operators are left to the solver (None)."""
+    everything = np.ones(dtmc.num_states, dtype=bool)
 
     def states(sf):
-        return evaluate_sets(dtmc.state_labels, sf)
+        return state_mask(dtmc, evaluate_sets(dtmc.state_labels, sf))
 
     if isinstance(path, Next):
-        return next_probability(dtmc, states(path.target)), 0, 0.0
+        return checking._bounded_until(dtmc, everything, states(path.target), 1), 0, 0.0
     if isinstance(path, Seq):
-        return seq_probability(dtmc, states(path.first), states(path.then)), None, None
+        return checking._seq_solve(dtmc, states(path.first), states(path.then)).values, None, None
     if isinstance(path, Until):
         a, b = states(path.left), states(path.right)
     elif isinstance(path, Eventually):
         a, b = everything, states(path.target)
     else:
-        a, b = everything, everything - states(path.target)
+        a, b = everything, ~states(path.target)
     if path.bound is None:
-        vec, iterations, residual = until_probability(dtmc, a, b), None, None
+        vec = checking._solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, dtmc.exact_probs, a, b).values
+        iterations, residual = None, None
     else:
-        vec, iterations, residual = bounded_until_probability(dtmc, a, b, path.bound), path.bound, 0.0
+        vec, iterations, residual = checking._bounded_until(dtmc, a & ~b, b, path.bound), path.bound, 0.0
     if isinstance(path, Globally):
         vec = [1.0 - v for v in vec]
     return vec, iterations, residual

@@ -7,6 +7,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 from prunecheck import (
@@ -16,6 +17,7 @@ from prunecheck import (
     load_explicit_model,
     load_mask,
     load_policy,
+    make_policy,
     prune,
     sweep,
 )
@@ -610,6 +612,20 @@ class TestExportDtmc:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["actions"] == ["pi"]
+
+    def test_an_exact_chain_exports_its_fractions(self, capsys, tmp_path, step_policy_path):
+        # Written as floats, the export would take the float solvers and read
+        # P>=0.25 as undecided; its fraction strings keep the exact 1/4.
+        model, chain, pi = tmp_path / "gambler.json", tmp_path / "chain.json", tmp_path / "pi.json"
+        model.write_text(gambler_text())
+        pi.write_text(dump_policy(make_policy(("pos",), ("pi",), [(np.zeros((1, 1)), np.zeros(1))])))
+        assert main(["export-dtmc", "--model", str(model), "--policy", step_policy_path, "--out", str(chain)]) == 0
+        assert json.loads(chain.read_text())["states"][0]["act"]["pi"] == [
+            {"to": [11], "p": "1/2"},
+            {"to": [9], "p": "1/2"},
+        ]
+        assert main(["check", "--model", str(chain), "--policy", str(pi), "--prop", 'P>=0.25 [F "goal"]']) == 0
+        assert "m: 0.25\nsatisfied: yes\n" in capsys.readouterr().out
 
 
 # ===== parser =====

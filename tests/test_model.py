@@ -28,7 +28,7 @@ from prunecheck import (
 )
 
 from . import oracles
-from .conftest import dtmc_from_rows, fixture_doc, fixture_text
+from .conftest import fixture_doc, fixture_text
 
 # ===== Distributions =====
 
@@ -137,59 +137,6 @@ class TestDtmc:
         assert chain3.num_states == 3
         assert chain3.num_transitions == 4
         assert chain3.state_labels == (frozenset(), frozenset({"goal"}), frozenset({"bad"}))
-
-    def test_validate_accepts_fixtures(self, chain3, loop, two_coin):
-        chain3.validate()
-        loop.validate()
-        two_coin.validate()
-
-    def test_validate_rejects_empty_row(self):
-        bad = dtmc_from_rows(((0,),), (frozenset(),), ((),))
-        with pytest.raises(ValueError, match="no outgoing"):
-            bad.validate()
-
-    def test_validate_rejects_length_mismatch(self):
-        bad = dtmc_from_rows(((0,), (1,)), (frozenset(),), (((0, 1.0),),))
-        with pytest.raises(ValueError, match="disagree"):
-            bad.validate()
-
-    def test_validate_rejects_dangling_target(self):
-        bad = dtmc_from_rows(((0,),), (frozenset(),), (((3, 1.0),),))
-        with pytest.raises(ValueError, match="out-of-range"):
-            bad.validate()
-
-    def test_validate_rejects_repeated_target(self):
-        bad = dtmc_from_rows(((0,), (1,)), (frozenset(), frozenset()), (((1, 0.5), (1, 0.5)), ((1, 1.0),)))
-        with pytest.raises(ValueError, match="repeats"):
-            bad.validate()
-
-    def test_validate_rejects_bad_row_sum(self):
-        bad = dtmc_from_rows(((0,), (1,)), (frozenset(), frozenset()), (((1, 0.5),), ((1, 1.0),)))
-        with pytest.raises(ValueError, match="sums to"):
-            bad.validate()
-
-    @pytest.mark.parametrize(
-        "indptr, indices, probs",
-        [([1, 2], [0, 0], [1.0, 1.0]), ([0, 2], [0], [1.0]), ([0, 1], [0], [0.5, 0.5])],
-    )
-    def test_validate_rejects_arrays_that_disagree(self, indptr, indices, probs):
-        bad = Dtmc(((0,),), (frozenset(),), indptr, indices, probs)
-        with pytest.raises(ValueError, match="indptr, indices and probs disagree"):
-            bad.validate()
-
-    def test_validate_rejects_exact_probs_of_another_length(self):
-        bad = Dtmc(((0,),), (frozenset(),), [0, 1], [0], [1.0], (Fraction(1), Fraction(0)))
-        with pytest.raises(ValueError, match="exact_probs and probs disagree"):
-            bad.validate()
-
-    def test_validate_reports_the_first_violation_in_row_order(self):
-        # State 0 breaks the sum only after its out-of-range and repeated
-        # targets; state 1's bad probability comes after all of them.
-        rows = (((0, 0.5), (7, 0.2), (0, 0.1)), ((1, 2.0),))
-        bad = dtmc_from_rows(((0,), (1,)), (frozenset(),) * 2, rows)
-        with pytest.raises(ValueError) as exc:
-            bad.validate()
-        assert str(exc.value) == "state 0 references out-of-range target 7"
 
     def test_arrays_are_read_only_copies(self):
         probs = np.array([1.0])

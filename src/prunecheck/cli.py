@@ -25,7 +25,6 @@ from .workflow import (
     measure,
     report_to_dict,
     sweep,
-    write_text,
 )
 
 # How ``check`` prints a comparator verdict.
@@ -38,6 +37,21 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as err:
         raise PrunecheckError(f"cannot read {path}: {err.strerror}") from err
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path``, newlines untranslated.
+
+    A write that fails once the file is open removes the partial file; a
+    failed open touches nothing.
+    """
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(text)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -96,16 +110,10 @@ def _spec_from_args(args: argparse.Namespace) -> PruneSpec:
 def _cmd_check(args: argparse.Namespace) -> int:
     env = _load_model(args.model)
     policy = _load_policy(args.policy)
-    report = measure(
-        env,
-        policy,
-        _property_text(args),
-        _limits(args),
-        model_id=args.model,
-        policy_id=args.policy,
-    )
+    report = measure(env, policy, _property_text(args), _limits(args))
     if args.json:
-        _write_output(json.dumps(report_to_dict(report, args.timings), indent=2), args.out)
+        doc = report_to_dict(report, args.timings) | {"model": args.model, "policy": args.policy}
+        _write_output(json.dumps(doc, indent=2), args.out)
     else:
         lines = [f"property: {report.property_text}", f"m: {report.m!r}"]
         if report.satisfied is not None:
@@ -117,12 +125,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    policy = _load_policy(args.policy)
-    pruned, mask = prune(policy, _spec_from_args(args))
-    _write_output(dump_policy(pruned), args.out)
     mask_out = args.mask_out
     if mask_out is None and args.out is not None:
         mask_out = args.out + ".mask.json"
+    for flag, path in (("--out", args.out), ("--policy", args.policy)):
+        if mask_out is not None and path is not None and os.path.realpath(mask_out) == os.path.realpath(path):
+            raise PrunecheckError(f"mask path {mask_out} is the {flag} file")
+    policy = _load_policy(args.policy)
+    pruned, mask = prune(policy, _spec_from_args(args))
+    _write_output(dump_policy(pruned), args.out)
     if mask_out is not None:
         try:
             _write_output(dump_mask(mask), mask_out)
@@ -168,11 +179,10 @@ def _cmd_features(args: argparse.Namespace) -> int:
         _property_text(args),
         _limits(args),
         lower_is_safer=args.lower_is_safer,
-        model_id=args.model,
-        policy_id=args.policy,
     )
     if args.json:
-        _write_output(json.dumps([report_to_dict(r, args.timings) for r in reports], indent=2), args.out)
+        names = {"model": args.model, "policy": args.policy}
+        _write_output(json.dumps([report_to_dict(r, args.timings) | names for r in reports], indent=2), args.out)
         return 0
     lines = [f"property: {reports[0].property_text}", f"m: {reports[0].m!r}", ""]
     lines.append(f"{'feature':<16}{'m_hat':<24}{'delta':<26}verdict")

@@ -118,7 +118,10 @@ def make_policy(
     action_names: tuple[str, ...],
     layers: list[tuple[np.ndarray, np.ndarray]] | tuple,
 ) -> NeuralPolicy:
-    """Assemble a policy from (weights, bias) pairs, validating the chain."""
+    """Assemble a policy from (weights, bias) pairs, validating the names and the chain."""
+    for name, names in (("features", feature_names), ("actions", action_names)):
+        if len(set(names)) != len(names):
+            raise PolicyFormatError(f"'{name}' contains duplicates")
     built = []
     d_prev = len(feature_names)
     if not layers:

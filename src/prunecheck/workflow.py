@@ -1,10 +1,9 @@
 """The measurement loop: check a policy, prune it, check again, compare.
 
-``measure`` checks one policy. Every pruned report comes from
-``_prune_reports``, which measures the original once and then yields one
-report per PruneSpec of a stream; ``prune_and_measure``, the rows of
-``feature_importance`` and the rows of ``sweep`` differ only in the specs
-they stream.
+Every report comes from ``_reports``, which yields the original's report
+and then one pruned report per PruneSpec of a stream. ``measure`` takes the
+first report; ``prune_and_measure``, the rows of ``feature_importance`` and
+the rows of ``sweep`` differ only in the specs they stream.
 
 Everything here returns SafetyReports or CSV text built only from the
 inputs and declared seeds, so repeated runs are byte-identical. Wall-clock
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -27,7 +25,7 @@ import numpy as np
 
 from .checking import UNDECIDED, CheckResult, check
 from .errors import PruneSpecError
-from .induced import BuildLimits, BuildResult, build_induced_dtmc
+from .induced import BuildLimits, build_induced_dtmc
 from .model import Dtmc, EnvironmentModel
 from .policy import NeuralPolicy
 from .properties import Prob, parse_property
@@ -85,8 +83,6 @@ class SafetyReport:
     prune_spec: PruneSpec | None = None
     mask_size: int | None = None
     pruned: ChainStats | None = None
-    model_id: str = ""
-    policy_id: str = ""
 
 
 def report_to_dict(report: SafetyReport, include_timings: bool = False) -> dict:
@@ -112,8 +108,6 @@ def report_to_dict(report: SafetyReport, include_timings: bool = False) -> dict:
         "mask_size": report.mask_size,
         "dtmc": stats(report.original),
         "dtmc_pruned": stats(report.pruned),
-        "model": report.model_id,
-        "policy": report.policy_id,
     }
 
 
@@ -152,40 +146,14 @@ def _verdict(prop: Prob, original: CheckResult, pruned: CheckResult, lower_is_sa
 # ===== Measurement =====
 
 
-def _measure_once(
-    env: EnvironmentModel, policy: NeuralPolicy, prop: Prob, limits: BuildLimits | None
-) -> tuple[CheckResult, ChainStats, BuildResult]:
-    started = time.perf_counter()
-    build = build_induced_dtmc(env, policy, limits)
-    result = check(build.dtmc, prop)
-    stats = ChainStats(
-        states=build.stats.states,
-        transitions=build.stats.transitions,
-        time_ms=(time.perf_counter() - started) * 1000.0,
-    )
-    return result, stats, build
-
-
 def measure(
     env: EnvironmentModel,
     policy: NeuralPolicy,
     property_text: str,
     limits: BuildLimits | None = None,
-    *,
-    model_id: str = "",
-    policy_id: str = "",
 ) -> SafetyReport:
     """Build the induced chain and check one property: the value ``m``."""
-    prop = parse_property(property_text)
-    result, stats, _ = _measure_once(env, policy, prop, limits)
-    return SafetyReport(
-        property_text=property_text,
-        m=result.value,
-        satisfied=result.satisfied,
-        original=stats,
-        model_id=model_id,
-        policy_id=policy_id,
-    )
+    return next(_reports(env, policy, property_text, (), limits))
 
 
 def _keeps_every_action(logits: np.ndarray, chosen: np.ndarray, available: np.ndarray) -> bool:
@@ -214,38 +182,45 @@ def _same_chain(a: Dtmc, b: Dtmc) -> bool:
     )
 
 
-def _prune_reports(
+def _reports(
     env: EnvironmentModel,
     policy: NeuralPolicy,
     property_text: str,
     specs: Iterable[PruneSpec],
     limits: BuildLimits | None,
     *,
-    lower_is_safer: bool,
-    model_id: str,
-    policy_id: str,
+    lower_is_safer: bool = False,
 ) -> Iterator[SafetyReport]:
-    """Measure the original once, then yield one pruned report per spec.
+    """Yield the original's report, then one pruned report per spec.
 
-    ``specs`` is read only after the original is measured, so a bad property
-    or an exceeded cap is reported before any bad spec. A pruned policy that
-    keeps every action of the original chain induces that same chain, so its
-    measurement is the original's, reused without a rebuild or a solve; any
-    flip rebuilds the chain and re-checks it, unless it came out the same
-    (a flipped action with the same distribution) and the original's
-    measurement stands again. ``time_ms`` of the pruned chain is the time
-    this decision and any re-measurement took.
+    The original is measured once. ``specs`` is read only after its report
+    is yielded, so a bad property or an exceeded cap is reported before any
+    bad spec, and a caller that takes only the first report pays for nothing
+    else. A pruned policy that keeps every action of the original chain
+    induces that same chain, so its measurement is the original's, reused
+    without a rebuild or a solve; any flip rebuilds the chain and re-checks
+    it, unless it came out the same (a flipped action with the same
+    distribution) and the original's measurement stands again. ``time_ms``
+    of the pruned chain is the time this decision and any re-measurement
+    took.
     """
     prop = parse_property(property_text)
-    result, stats, build = _measure_once(env, policy, prop, limits)
+    started = time.perf_counter()
+    build = build_induced_dtmc(env, policy, limits)
+    result = check(build.dtmc, prop)
+    stats = ChainStats(
+        states=build.stats.states,
+        transitions=build.stats.transitions,
+        time_ms=(time.perf_counter() - started) * 1000.0,
+    )
     original = SafetyReport(
         property_text=property_text,
         m=result.value,
         satisfied=result.satisfied,
         original=stats,
-        model_id=model_id,
-        policy_id=policy_id,
     )
+    yield original
+
     # The original chain's states in index order: feature vectors, the
     # schema index of the chosen action, and the available schema actions.
     states = build.dtmc.state_vectors
@@ -286,8 +261,6 @@ def prune_and_measure(
     limits: BuildLimits | None = None,
     *,
     lower_is_safer: bool = False,
-    model_id: str = "",
-    policy_id: str = "",
 ) -> SafetyReport:
     """Measure, prune per ``spec``, re-measure, and compare.
 
@@ -295,10 +268,8 @@ def prune_and_measure(
     comparator (>= means higher is safer, <= the opposite); plain queries
     default to higher-is-safer unless ``lower_is_safer`` is set.
     """
-    return next(_prune_reports(
-        env, policy, property_text, [spec], limits,
-        lower_is_safer=lower_is_safer, model_id=model_id, policy_id=policy_id,
-    ))
+    _, report = _reports(env, policy, property_text, [spec], limits, lower_is_safer=lower_is_safer)
+    return report
 
 
 def feature_importance(
@@ -308,8 +279,6 @@ def feature_importance(
     limits: BuildLimits | None = None,
     *,
     lower_is_safer: bool = False,
-    model_id: str = "",
-    policy_id: str = "",
 ) -> list[SafetyReport]:
     """Prune each input feature in schema order and re-measure.
 
@@ -317,10 +286,8 @@ def feature_importance(
     report's prune_spec names the feature it describes.
     """
     specs = (PruneSpec(method="feature", feature=feature) for feature in policy.feature_names)
-    return list(_prune_reports(
-        env, policy, property_text, specs, limits,
-        lower_is_safer=lower_is_safer, model_id=model_id, policy_id=policy_id,
-    ))
+    _, *reports = _reports(env, policy, property_text, specs, limits, lower_is_safer=lower_is_safer)
+    return reports
 
 
 # ===== Sweeps =====
@@ -363,7 +330,6 @@ def sweep(
     fraction_grid: str,
     seeds: tuple[int, ...] = (),
     limits: BuildLimits | None = None,
-    out_path: str | None = None,
     *,
     lower_is_safer: bool = False,
     include_timings: bool = False,
@@ -375,9 +341,7 @@ def sweep(
 
     l1 yields one row per fraction; random yields one row per (fraction,
     seed) plus a per-fraction mean row (seed column "mean"); a seed given
-    twice raises PruneSpecError. Rows are ordered by (fraction, seed). The
-    returned text is also written to ``out_path`` when given; a failed
-    write removes the partial file.
+    twice raises PruneSpecError. Rows are ordered by (fraction, seed).
     """
     if method not in SWEEP_METHODS:
         raise PruneSpecError(f"sweep method must be one of {list(SWEEP_METHODS)}")
@@ -393,9 +357,7 @@ def sweep(
 
     row_seeds = ordered_seeds or (None,)
     specs = (PruneSpec(method, layer, float(f), seed) for f in fractions for seed in row_seeds)
-    reports = _prune_reports(
-        env, policy, property_text, specs, limits, lower_is_safer=lower_is_safer, model_id="", policy_id=""
-    )
+    reports = islice(_reports(env, policy, property_text, specs, limits, lower_is_safer=lower_is_safer), 1, None)
     rows: list[tuple] = []
     for fraction in fractions:
         batch = list(islice(reports, len(row_seeds)))
@@ -411,26 +373,7 @@ def sweep(
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
-    text = buffer.getvalue()
-
-    if out_path is not None:
-        write_text(out_path, text)
-    return text
-
-
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to the file at ``path``, newlines untranslated.
-
-    A write that fails once the file is open removes the partial file; a
-    failed open touches nothing.
-    """
-    handle = open(path, "w", encoding="utf-8", newline="")
-    try:
-        with handle:
-            handle.write(text)
-    except BaseException:
-        os.remove(path)
-        raise
+    return buffer.getvalue()
 
 
 def _sweep_row(report: SafetyReport, include_timings: bool) -> tuple:

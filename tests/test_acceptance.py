@@ -338,22 +338,13 @@ def test_criterion_09_pruning_can_improve_safety():
 # ===== 10. Byte-identical sweeps =====
 
 
-def test_criterion_10_sweeps_are_byte_identical(tmp_path):
+def test_criterion_10_sweeps_are_byte_identical():
     env = drift_avoidance_env()
     header = ",".join(CSV_HEADER)
 
-    first_path = tmp_path / "first.csv"
-    second_path = tmp_path / "second.csv"
-    first = sweep(
-        env, chaser_policy(), NO_COLLISION_6, "random", 1, "0:1:0.5",
-        seeds=(0, 1, 2), out_path=str(first_path),
-    )
-    second = sweep(
-        env, chaser_policy(), NO_COLLISION_6, "random", 1, "0:1:0.5",
-        seeds=(0, 1, 2), out_path=str(second_path),
-    )
+    first = sweep(env, chaser_policy(), NO_COLLISION_6, "random", 1, "0:1:0.5", seeds=(0, 1, 2))
+    second = sweep(env, chaser_policy(), NO_COLLISION_6, "random", 1, "0:1:0.5", seeds=(0, 1, 2))
     assert first == second
-    assert first_path.read_bytes() == second_path.read_bytes()
     assert first.splitlines()[0] == header
 
     l1_first = sweep(env, lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:1:0.25")

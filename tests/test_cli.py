@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import os
+import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +24,13 @@ from prunecheck import (
     prune,
     sweep,
 )
-from prunecheck import workflow
+from prunecheck import cli, workflow
 from prunecheck.cli import main
 
 from .conftest import (
     FIXTURES,
     NO_COLLISION_6,
+    chaser_policy,
     fixture_doc,
     gambler_text,
     lazy_walker_policy,
@@ -240,6 +244,52 @@ class TestPrune:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lazy.json"]
 
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            ["--out", "p.json", "--mask-out", "p.json"],
+            ["--mask-out", "./lazy.json"],
+            ["--out", "sub/../p.json", "--mask-out", "p.json"],
+        ],
+        ids=["mask-is-out", "mask-is-policy", "mask-resolves-to-out"],
+    )
+    def test_mask_path_naming_the_policy_or_out_file_is_refused(self, capsys, tmp_path, monkeypatch, paths):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        policy_text = dump_policy(lazy_walker_policy())
+        (tmp_path / "lazy.json").write_text(policy_text)
+        argv = ["prune", "--policy", "lazy.json", "--method", "l1", "--layer", "1", "--fraction", "0.5", *paths]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        flag = "--out" if "--out" in paths else "--policy"
+        assert captured.err == f"error: mask path {paths[-1]} is the {flag} file\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lazy.json", "sub"]
+        assert (tmp_path / "lazy.json").read_text() == policy_text
+
+    def test_default_mask_path_naming_the_policy_is_refused(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        policy_text = dump_policy(lazy_walker_policy())
+        (tmp_path / "p.json.mask.json").write_text(policy_text)
+        argv = ["prune", "--policy", "p.json.mask.json", "--method", "feature", "--feature", "ax", "--out", "p.json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: mask path p.json.mask.json is the --policy file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json.mask.json"]
+        assert (tmp_path / "p.json.mask.json").read_text() == policy_text
+
+    @pytest.mark.parametrize("key", ["features", "actions"])
+    def test_policy_with_a_repeated_name_is_refused(self, capsys, tmp_path, key):
+        doc = json.loads(dump_policy(make_policy(("x", "y"), ("a", "b"), [(np.eye(2), np.zeros(2))])))
+        doc[key] = [doc[key][0]] * 2
+        policy = tmp_path / "dup.json"
+        policy.write_text(json.dumps(doc))
+        out = tmp_path / "p.json"
+        code = main(["prune", "--policy", str(policy), "--method", "feature", "--feature", "x", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: '{key}' contains duplicates\n"
+        assert not out.exists()
+
 
 # ===== sweep =====
 
@@ -380,12 +430,28 @@ class _FullDisk:
 
 
 def test_a_write_failing_midway_removes_the_partial_file(capsys, monkeypatch, tmp_path, step_policy_path):
-    monkeypatch.setattr(workflow, "open", lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)), raising=False)
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        return _FullDisk(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
     out = tmp_path / "out.txt"
     code = main(["check", "--model", CHAIN3, "--policy", step_policy_path, "--prop", 'P=?[F "goal"]', "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
     assert not out.exists()
+
+
+def test_only_the_cli_opens_files():
+    """The library takes and returns text; reading and writing files is the front end's job."""
+    openers = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if name == "open":
+                    openers.add(path.name)
+    assert openers == {"cli.py"}
 
 
 @pytest.mark.parametrize(
@@ -497,6 +563,44 @@ def _read_document(tmp_path, kind: str, text: str) -> list[str]:
     if kind == "model":
         return ["validate", "--model", str(path)]
     return ["check", "--model", CHAIN3, "--policy", str(path), "--prop", 'P=? [F "goal"]']
+
+
+# ===== JSON reports =====
+
+
+@pytest.fixture
+def json_report(capsys, tmp_path, monkeypatch, step_policy):
+    """Runs ``command --json`` from a directory of inputs named relatively and returns stdout."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(FIXTURES / "chain3.json", tmp_path)
+    (tmp_path / "step.json").write_text(dump_policy(step_policy))
+    (tmp_path / "chaser.json").write_text(dump_policy(chaser_policy()))
+
+    def run(command, model, policy, prop) -> str:
+        assert main([command, "--model", model, "--policy", policy, "--prop", prop, "--json"]) == 0
+        return capsys.readouterr().out
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "golden, command, model, policy, prop",
+    [
+        ("check_chain3.json", "check", "chain3.json", "step.json", 'P>=0.5 [F "goal"]'),
+        ("features_chase.json", "features", AVOID_URI, "chaser.json", NO_COLLISION_6),
+    ],
+    ids=["check", "features"],
+)
+def test_json_report_bytes(json_report, golden, command, model, policy, prop):
+    assert json_report(command, model, policy, prop) == (FIXTURES / "golden" / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["check", "features"])
+def test_identifiers_pass_through(json_report, command):
+    doc = json.loads(json_report(command, "./chain3.json", "step.json", 'P=? [F "goal"]'))
+    for report in doc if command == "features" else [doc]:
+        assert list(report)[-2:] == ["model", "policy"]
+        assert (report["model"], report["policy"]) == ("./chain3.json", "step.json")
 
 
 # ===== features =====

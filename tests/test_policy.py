@@ -308,6 +308,16 @@ class TestSerialization:
         with pytest.raises(PolicyFormatError, match="duplicate key"):
             load_policy(text)
 
+    @pytest.mark.parametrize(
+        "features, actions, key",
+        [(["x", "x"], ["a", "b"], "features"), (["x", "y"], ["a", "a"], "actions")],
+    )
+    def test_repeated_name_rejected(self, features, actions, key):
+        doc = {"features": features, "actions": actions, "layers": [{"w": [[1, 0], [0, 1]], "b": [0, 0]}]}
+        with pytest.raises(PolicyFormatError, match=f"^'{key}' contains duplicates$") as caught:
+            load_policy(json.dumps(doc))
+        assert caught.value.exit_code == 2
+
     def test_dimension_error_names_the_layer(self):
         doc = {
             "features": ["f"],

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,8 +138,6 @@ def reference_features(env, policy, property_text):
                 "mask_size": mask.size,
                 "dtmc": {"states": original.original.states, "transitions": original.original.transitions, "time_ms": 0},
                 "dtmc_pruned": {"states": pruned.original.states, "transitions": pruned.original.transitions, "time_ms": 0},
-                "model": "",
-                "policy": "",
             }
         )
     return json.dumps(docs, indent=2)
@@ -202,6 +202,28 @@ class TestOriginalMeasuredOnce:
         assert (counter.original, counter.pruned) == (1, 0)
         assert report.m_hat == report.m and report.delta == 0.0
         assert report.pruned.states == report.original.states
+
+    def test_only_pruned_reports_ask_for_the_flip_check_actions(self):
+        """``measure`` asks each chain state's actions once, to build the chain.
+
+        ``prune_and_measure`` asks once more per state for the flip check, and
+        a prune that flips nothing asks nothing else.
+        """
+        asked = Counter()
+        env = drift_avoidance_env()
+
+        def available_actions(state):
+            asked[state] += 1
+            return env.available_actions(state)
+
+        counted = replace(env, available_actions=available_actions)
+        report = measure(counted, lazy_walker_policy(), NO_COLLISION_6)
+        assert len(asked) == report.original.states
+        assert set(asked.values()) == {1}
+        asked.clear()
+        prune_and_measure(counted, lazy_walker_policy(), NO_COLLISION_6, PruneSpec(method="feature", feature="oy"))
+        assert len(asked) == report.original.states
+        assert set(asked.values()) == {2}
 
 
 # ===== Byte-identical to measuring every prune on its own =====

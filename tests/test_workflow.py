@@ -23,7 +23,8 @@ from prunecheck import (
     report_to_dict,
     sweep,
 )
-from prunecheck import CheckResult, PruneSpec, load_explicit_model, make_policy, parse_property, workflow
+from prunecheck import CheckResult, PruneSpec, cli, load_explicit_model, make_policy, parse_property, workflow
+from prunecheck.cli import write_text
 from prunecheck.workflow import CSV_HEADER
 
 from .conftest import (
@@ -56,12 +57,6 @@ class TestMeasure:
     def test_comparator_verdict(self, chain3_env, step_policy):
         assert measure(chain3_env, step_policy, 'P>=0.5 [F "goal"]').satisfied is True
         assert measure(chain3_env, step_policy, 'P>0.5 [F "goal"]').satisfied is False
-
-    def test_identifiers_pass_through(self, chain3_env, step_policy):
-        report = measure(
-            chain3_env, step_policy, 'P=? [F "goal"]', model_id="m.json", policy_id="p.json"
-        )
-        assert (report.model_id, report.policy_id) == ("m.json", "p.json")
 
     def test_bad_property_propagates(self, chain3_env, step_policy):
         with pytest.raises(PropertySyntaxError):
@@ -420,34 +415,23 @@ class TestSweep:
         second = sweep(*args, seeds=(0, 1, 2))
         assert first == second
 
+    # sweep only returns its CSV; the CLI's write_text puts it in a file.
+
     def test_output_file_matches_returned_text(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        text = sweep(
-            drift_avoidance_env(),
-            lazy_walker_policy(),
-            NO_COLLISION_6,
-            "l1",
-            1,
-            "0:1:0.5",
-            out_path=str(out),
-        )
+        text = sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:1:0.5")
+        write_text(str(out), text)
         assert out.read_text(encoding="utf-8") == text
 
     def test_unwritable_output_path_raises(self, tmp_path):
+        text = sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:0:1")
         with pytest.raises(OSError):
-            sweep(
-                drift_avoidance_env(),
-                lazy_walker_policy(),
-                NO_COLLISION_6,
-                "l1",
-                1,
-                "0:0:1",
-                out_path=str(tmp_path / "missing" / "sweep.csv"),
-            )
+            write_text(str(tmp_path / "missing" / "sweep.csv"), text)
 
     def test_directory_out_path_raises_the_open_error_and_survives(self, tmp_path):
+        text = sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:0:1")
         with pytest.raises(IsADirectoryError) as exc:
-            sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:0:1", out_path=str(tmp_path))
+            write_text(str(tmp_path), text)
         # The open's own error, not one raised while cleaning up after it.
         assert exc.value.__context__ is None
         assert tmp_path.is_dir()
@@ -459,9 +443,10 @@ class TestSweep:
         def refuse(path, *args, **kwargs):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
-        monkeypatch.setattr(workflow, "open", refuse, raising=False)
+        text = sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:0:1")
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
         with pytest.raises(PermissionError):
-            sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "l1", 1, "0:0:1", out_path=str(out))
+            write_text(str(out), text)
         assert out.read_text() == "kept"
 
     @pytest.mark.parametrize("seeds", [(1, 1, 2), (2, 1, 2)])

@@ -333,8 +333,8 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UnknownLabelWarning)
             code = args.handler(args)
-        for item in caught:
-            sys.stderr.write(f"warning: {item.message}\n")
+        for message in dict.fromkeys(str(item.message) for item in caught):
+            sys.stderr.write(f"warning: {message}\n")
         return code
     except PrunecheckError as err:
         sys.stderr.write(f"error: {err}\n")

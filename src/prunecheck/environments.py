@@ -24,6 +24,10 @@ cell for ``avoidance``; the cab's cell, whether the tank is empty and
 is asked for and kept for the environment's lifetime, so ``successors``
 rejects an unavailable action by a cache lookup instead of re-deriving the
 set.
+
+Each environment also sets ``expansion``, the same rules as array arithmetic
+over a level of states, which ``validate_model`` walks; its per-action tables
+are built when the factory runs, and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from urllib.parse import parse_qsl, urlsplit
 
+import numpy as np
+
 from .errors import ConfigError, ModelSyntaxError
-from .model import Distribution, EnvironmentModel, StateVector
+from .model import Distribution, EnvironmentModel, Expansion, StateVector
 
 # ===== Schemas =====
 
@@ -47,6 +53,13 @@ AVOIDANCE_ACTIONS = ("north", "south", "east", "west", "stay")
 
 # Grid displacement per move action, as (dx, dy) with north increasing y.
 _MOVES = {"north": (0, 1), "south": (0, -1), "east": (1, 0), "west": (-1, 0)}
+
+# A taxi action's change to (x, y, fuel, on_board, jobs_done) with fuel in the
+# tank, before refuel sets the fuel and jobs_done saturates.
+_TAXI_STEPS = {
+    **{move: (dx, dy, -1, 0, 0) for move, (dx, dy) in _MOVES.items()},
+    "pickup": (0, 0, 0, 1, 0), "dropoff": (0, 0, 0, -1, 1), "refuel": (0, 0, 0, 0, 0),
+}
 
 
 def _moves_inside(x: int, y: int, width: int, height: int) -> tuple[str, ...]:
@@ -167,6 +180,26 @@ def mini_taxi(config: MiniTaxiConfig | None = None) -> EnvironmentModel:
             out.add("jobs_done_target")
         return frozenset(out)
 
+    steps = np.array([_TAXI_STEPS[action] for action in TAXI_ACTIONS])
+    pickup, dropoff, refuel = (TAXI_ACTIONS.index(action) for action in ("pickup", "dropoff", "refuel"))
+
+    def expand(level: np.ndarray) -> tuple[np.ndarray, ...]:
+        x, y, fuel, on_board, _jobs = level.T
+        targets = level[:, None, :] + steps
+        tx, ty = targets[..., 0], targets[..., 1]
+        offered = (0 <= tx) & (tx < cfg.width) & (0 <= ty) & (ty < cfg.height)
+        offered[:, pickup] = (x == cfg.passenger_spawn[0]) & (y == cfg.passenger_spawn[1]) & (on_board == 0)
+        offered[:, dropoff] = (x == cfg.destination[0]) & (y == cfg.destination[1]) & (on_board == 1)
+        offered[:, refuel] = (x == cfg.station[0]) & (y == cfg.station[1])
+        targets[:, refuel, 2] = cfg.max_fuel
+        np.minimum(targets[..., 4], cfg.jobs_target, out=targets[..., 4])
+        empty = fuel == 0
+        offered[empty] = True
+        targets[empty] = level[empty, None, :]
+        source, action = np.nonzero(offered)
+        ones = np.ones(len(source), dtype=np.intp)
+        return source, action, ones, targets[source, action], ones.astype(float)
+
     sx, sy = cfg.station
     return EnvironmentModel(
         feature_schema=TAXI_FEATURES,
@@ -175,6 +208,7 @@ def mini_taxi(config: MiniTaxiConfig | None = None) -> EnvironmentModel:
         available_actions=available_actions,
         successors=successors,
         labels=labels,
+        expansion=Expansion((cfg.width, cfg.height, cfg.max_fuel + 1, 2, cfg.jobs_target + 1), expand),
     )
 
 
@@ -230,6 +264,22 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
             return frozenset({"collision"})
         return frozenset()
 
+    steps = np.array([_MOVES.get(action, (0, 0)) for action in AVOIDANCE_ACTIONS])
+
+    def expand(level: np.ndarray) -> tuple[np.ndarray, ...]:
+        tx, ty = level[:, :1] + steps[:, 0], level[:, 1:2] + steps[:, 1]
+        source, action = np.nonzero((0 <= tx) & (tx < cfg.width) & (0 <= ty) & (ty < cfg.height))
+        ax, ay, ox, oy = tx[source, action], ty[source, action], level[source, 2], level[source, 3]
+        aligned = ox == ax
+        moved = np.column_stack((ax, ay, ox + np.sign(ax - ox), oy + aligned * np.sign(ay - oy)))
+        stayed = np.column_stack((ax, ay, ox, oy))
+        p = cfg.obstacle_move_prob
+        two = ~(aligned & (oy == ay)) & (0.0 < p < 1.0)
+        keep = np.column_stack((np.ones_like(two), two))
+        targets = np.stack((stayed if p == 0.0 else moved, stayed), axis=1)[keep]
+        probs = np.column_stack((np.where(two, p, 1.0), np.full(len(two), 1.0 - p)))[keep]
+        return source, action, 1 + two, targets, probs
+
     bx, by = cfg.obstacle_start
     return EnvironmentModel(
         feature_schema=AVOIDANCE_FEATURES,
@@ -238,6 +288,7 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
         available_actions=available_actions,
         successors=successors,
         labels=labels,
+        expansion=Expansion((cfg.width, cfg.height, cfg.width, cfg.height), expand),
     )
 
 

@@ -48,9 +48,12 @@ class BuildStats:
 
 @dataclass(frozen=True)
 class BuildResult:
+    """A chain with, per state in index order, its chosen action and its available actions."""
+
     dtmc: Dtmc
     chosen_actions: tuple[str, ...]
     stats: BuildStats
+    available_actions: tuple[tuple[str, ...], ...]
 
 
 # ===== Builder =====
@@ -85,6 +88,7 @@ def build_induced_dtmc(
     rationals_of = env.rationals
     rationals: list[Fraction] | None = None if rationals_of is None else []
     chosen: list[str] = []
+    offered: list[tuple[str, ...]] = []
     labels: list[frozenset[str]] = []
     transitions = 0
 
@@ -124,12 +128,13 @@ def build_induced_dtmc(
                     rationals.extend(exact)
             indptr.append(transitions)
             chosen.append(action)
+            offered.append(available)
             labels.append(env.labels(state))
         level = next_level
 
     dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs, rationals and tuple(rationals))
     stats = BuildStats(states=dtmc.num_states, transitions=dtmc.num_transitions)
-    return BuildResult(dtmc=dtmc, chosen_actions=tuple(chosen), stats=stats)
+    return BuildResult(dtmc=dtmc, chosen_actions=tuple(chosen), stats=stats, available_actions=tuple(offered))
 
 
 # ===== Export =====

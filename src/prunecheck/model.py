@@ -4,13 +4,15 @@ A state is a fixed-length tuple of integers read through a feature schema.
 An environment model is a Markov decision process given behaviorally, as
 pure functions of the state; an explicit JSON table format covers models
 small enough to write down, while builtin environments generate the same
-interface lazily. A ``Dtmc`` is the action-free chain that remains once a
+interface lazily, and describe the same rows for a whole level of states
+at once as arrays. A ``Dtmc`` is the action-free chain that remains once a
 policy has picked one action per state, stored as compressed sparse rows.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +31,10 @@ SUM_TOLERANCE = 1e-9
 
 # Default cap on explored states for validation walks and chain builds.
 DEFAULT_MAX_STATES = 1_000_000
+
+# Largest state box validate_model walks level by level, keeping one visited
+# flag (a byte) per state of the box; a larger box is walked state by state.
+LEVEL_WALK_MAX_CELLS = 1 << 24
 
 # A state vector: one integer per feature, in schema order.
 StateVector = tuple[int, ...]
@@ -94,6 +100,24 @@ def _check_in_order(support: tuple[tuple[StateVector, float], ...]) -> None:
 
 
 @dataclass(frozen=True)
+class Expansion:
+    """A model's successor rows for a whole level of states, as arrays.
+
+    Every state ``s`` of the model lies in the box ``0 <= s[i] < shape[i]``.
+    ``step`` maps an (n, width) integer array of states to the arrays
+    ``(source, action, counts, targets, probs)``: one row per available
+    (state, action) pair, in state order and then schema order. Row r is
+    state ``source[r]`` under schema action ``action[r]``, and its
+    ``counts[r]`` branches follow those of row r - 1 in ``targets`` (one
+    state per line) and ``probs``, in support order. They are the rows that
+    ``available_actions`` and ``successors`` give, one for one.
+    """
+
+    shape: tuple[int, ...]
+    step: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+
+
+@dataclass(frozen=True)
 class EnvironmentModel:
     """A factored MDP described behaviorally.
 
@@ -112,6 +136,11 @@ class EnvironmentModel:
             rationals behind its distribution's probabilities, in support
             order, or to None when one was written as a float or they do
             not sum to exactly 1; None for models that keep no rationals.
+        expansion: for builtin environments, the rows of ``available_actions``
+            and ``successors`` as array arithmetic over a level of states;
+            ``validate_model`` walks it instead of the two callables, so a
+            copy that replaces only the callables walks the original rows
+            unless it sets this to None. None for other models.
     """
 
     feature_schema: tuple[str, ...]
@@ -122,6 +151,7 @@ class EnvironmentModel:
     labels: Callable[[StateVector], frozenset[str]]
     declared_states: tuple[StateVector, ...] | None = None
     rationals: Callable[[StateVector, str], tuple[Fraction, ...] | None] | None = None
+    expansion: Expansion | None = None
 
 
 # ===== Induced chains =====
@@ -407,9 +437,10 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
     distribution is well formed (the Distribution type enforces mass and
     duplicate-target rules at construction), and action names fall inside
     the schema. For table-backed models, also reports declared states the
-    walk never reached. The feature width, the action schema and the
-    model's two functions are read once before the walk; violations are
-    listed in the order the walk meets them.
+    walk never reached. A model whose ``expansion`` box has at most
+    ``LEVEL_WALK_MAX_CELLS`` states is walked level by level over its
+    arrays, any other state by state; both walks meet states, actions and
+    branches in one order, and list violations in that order.
 
     Args:
         env: the model to validate.
@@ -424,6 +455,30 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
         ValueError: ``max_states`` is below 1.
     """
     check_cap("max_states", max_states)
+    expansion = env.expansion
+    if expansion is not None and math.prod(expansion.shape) <= LEVEL_WALK_MAX_CELLS:
+        transitions, violations, seen = _walk_levels(env, max_states)
+    else:
+        transitions, violations, seen = _walk_states(env, max_states)
+
+    if env.declared_states is not None:
+        for state in env.declared_states:
+            if state not in seen:
+                violations.append(f"declared state {list(state)} is unreachable")
+
+    return ValidationReport(states=len(seen), transitions=transitions, violations=violations, reachable=seen)
+
+
+def _limit_error(max_states: int, transitions: int) -> LimitExceededError:
+    return LimitExceededError(
+        f"reachable state count exceeds max_states={max_states}",
+        states_seen=max_states,
+        transitions_seen=transitions,
+    )
+
+
+def _walk_states(env: EnvironmentModel, max_states: int) -> tuple[int, list[str], frozenset[StateVector]]:
+    """The walk one state at a time over the model's two functions, each read once."""
     width = len(env.feature_schema)
     schema = frozenset(env.action_schema)
     available_actions = env.available_actions
@@ -431,12 +486,10 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
     violations: list[str] = []
     seen: set[StateVector] = {env.initial}
     frontier: deque[StateVector] = deque([env.initial])
-    visited = 0
     transitions = 0
 
     while frontier:
         state = frontier.popleft()
-        visited += 1
         try:
             actions = available_actions(state)
         except ModelSemanticError as err:
@@ -464,22 +517,73 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
                     continue
                 if target not in seen:
                     if len(seen) >= max_states:
-                        raise LimitExceededError(
-                            f"reachable state count exceeds max_states={max_states}",
-                            states_seen=len(seen),
-                            transitions_seen=transitions,
-                        )
+                        raise _limit_error(max_states, transitions)
                     seen.add(target)
                     frontier.append(target)
+    return transitions, violations, frozenset(seen)
 
-    if env.declared_states is not None:
-        for state in env.declared_states:
-            if state not in seen:
-                violations.append(f"declared state {list(state)} is unreachable")
 
-    return ValidationReport(
-        states=visited,
-        transitions=transitions,
-        violations=violations,
-        reachable=frozenset(seen),
-    )
+def _walk_levels(env: EnvironmentModel, max_states: int) -> tuple[int, list[str], frozenset[StateVector]]:
+    """The walk one breadth-first level at a time over the model's ``expansion``.
+
+    A level's states come in discovery order, each state's rows in schema
+    order and each row's branches in support order: the state-by-state
+    walk's order, so the counts, the violations and the cap's trip point are
+    its own. A row that Distribution would reject is neither explored nor
+    counted, and ``_check_in_order`` words its violation.
+    """
+    expansion, shape = env.expansion, env.expansion.shape
+    visited = np.zeros(math.prod(shape), dtype=bool)
+    level = np.array([env.initial])
+    visited[np.ravel_multi_index(level.T, shape)] = True
+    seen = 1
+    transitions = 0
+    violations: list[str] = []
+
+    while len(level):
+        source, action, counts, targets, probs = expansion.step(level)
+        start = np.concatenate(([0], np.cumsum(counts)))
+        codes = np.ravel_multi_index(targets.T, shape)
+        # A row passes when Distribution would accept it: every probability
+        # in (0, 1], no target twice, and the mass, summed in support order,
+        # within SUM_TOLERANCE.
+        bad = np.zeros(len(counts), dtype=bool)
+        mass = np.zeros(len(counts))
+        for k in range(counts.max(initial=0)):
+            rows = np.flatnonzero(counts > k)
+            at = start[rows] + k
+            bad[rows[~((probs[at] > 0.0) & (probs[at] <= 1.0))]] = True
+            for j in range(1, k + 1):
+                bad[rows[codes[at - j] == codes[at]]] = True
+            mass[rows] += probs[at]
+        bad |= ~(np.abs(mass - 1.0) <= SUM_TOLERANCE)
+
+        # (state, -1) for an empty action set, (state, row) for a failed row.
+        flagged = [(s, -1) for s in np.flatnonzero(np.bincount(source, minlength=len(level)) == 0).tolist()]
+        flagged += [(source[r], r) for r in np.flatnonzero(bad).tolist()]
+        for s, r in sorted(flagged):
+            state = level[s].tolist()
+            if r < 0:
+                violations.append(f"deadlock at state {state}: empty action set")
+                continue
+            span = slice(start[r], start[r + 1])
+            try:
+                _check_in_order(tuple(zip(map(tuple, targets[span].tolist()), probs[span].tolist())))
+            except ValueError as err:
+                violations.append(f"state {state} action {env.action_schema[action[r]]!r}: {err}")
+
+        # Each new state at its first mention, in walk order.
+        candidates = np.flatnonzero(np.repeat(~bad, counts) & ~visited[codes])
+        _, first = np.unique(codes[candidates], return_index=True)
+        fresh = candidates[np.sort(first)]
+        room = max_states - seen
+        if len(fresh) > room:
+            row = np.searchsorted(start, fresh[room], side="right") - 1
+            raise _limit_error(max_states, transitions + int(counts[: row + 1][~bad[: row + 1]].sum()))
+        visited[codes[fresh]] = True
+        transitions += int(counts[~bad].sum())
+        seen += len(fresh)
+        level = targets[fresh]
+
+    columns = np.unravel_index(np.flatnonzero(visited), shape)
+    return transitions, violations, frozenset(zip(*(column.tolist() for column in columns)))

@@ -222,14 +222,15 @@ def _reports(
     yield original
 
     # The original chain's states in index order: feature vectors, the
-    # schema index of the chosen action, and the available schema actions.
+    # schema index of the chosen action, and the available schema actions
+    # as the build found them.
     states = build.dtmc.state_vectors
     index = policy.action_index
     inputs = np.array(states, dtype=np.float64)
     chosen = np.array([index[name] for name in build.chosen_actions])
     available = np.zeros((len(states), len(index)), dtype=bool)
-    for s, state in enumerate(states):
-        available[s, [index[name] for name in env.available_actions(state)]] = True
+    for s, names in enumerate(build.available_actions):
+        available[s, [index[name] for name in names]] = True
 
     for spec in specs:
         pruned_policy, mask = prune(policy, spec)

@@ -629,6 +629,22 @@ class TestFeatures:
         assert all(d["m"] == 2187 / 4096 for d in docs)
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--method", "random", "--layer", "1", "--fractions", "0:1:0.1", "--seeds", "1,2,3,4,5"]],
+        ids=["features", "sweep"],
+    )
+    def test_each_warning_is_printed_once(self, capsys, tmp_path, extra):
+        """The original and every re-checked pruned chain warn; stderr says it once."""
+        policy = tmp_path / "chaser.json"
+        policy.write_text(dump_policy(chaser_policy()))
+        command = "sweep" if extra else "features"
+        argv = [command, "--model", AVOID_URI, "--policy", str(policy), "--prop", 'P=? [G<=6 !"nosuch"]', *extra]
+        assert main(argv) == 0
+        warning = "warning: label 'nosuch' does not occur in the model; treating it as the empty set\n"
+        assert capsys.readouterr().err == warning
+
+
 # ===== --timings =====
 
 
@@ -696,6 +712,32 @@ class TestValidate:
         # The walk counts reachable states only; [5] shows up as a violation.
         assert report["states"] == 2
         assert report["violations"]
+
+
+
+# Outputs of the state-by-state walk, captured before builtins were walked
+# level by level: the same bytes, and the same error at the same cap.
+VALIDATE_GOLDENS = [
+    ("validate_avoidance.json", "builtin:avoidance?width=6&height=6&obstacle_move_prob=1/3", ["--json"]),
+    ("validate_mini_taxi.json", "builtin:mini_taxi", ["--json"]),
+    ("validate_unreachable.json", str(FIXTURES / "unreachable.json"), ["--json"]),
+    ("validate_unreachable.txt", str(FIXTURES / "unreachable.json"), []),
+]
+
+
+@pytest.mark.parametrize("golden, model, flags", VALIDATE_GOLDENS, ids=[g for g, _, _ in VALIDATE_GOLDENS])
+def test_validate_bytes(capsys, golden, model, flags):
+    code = main(["validate", "--model", model, *flags])
+    captured = capsys.readouterr()
+    assert code == (3 if "unreachable" in golden else 0)
+    assert captured.out == (FIXTURES / "golden" / golden).read_text(encoding="utf-8")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("model", VALIDATE_GOLDENS[0][1:2] + VALIDATE_GOLDENS[1][1:2])
+def test_validate_state_cap_line(capsys, model):
+    assert main(["validate", "--model", model, "--max-states", "10"]) == 4
+    assert capsys.readouterr() == ("", "error: reachable state count exceeds max_states=10\n")
 
 
 # ===== export-dtmc =====

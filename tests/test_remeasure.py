@@ -206,8 +206,9 @@ class TestOriginalMeasuredOnce:
     def test_only_pruned_reports_ask_for_the_flip_check_actions(self):
         """``measure`` asks each chain state's actions once, to build the chain.
 
-        ``prune_and_measure`` asks once more per state for the flip check, and
-        a prune that flips nothing asks nothing else.
+        ``prune_and_measure`` asks nothing more: the flip check reads the
+        action sets the build kept, and a prune that flips nothing rebuilds
+        nothing.
         """
         asked = Counter()
         env = drift_avoidance_env()
@@ -223,7 +224,7 @@ class TestOriginalMeasuredOnce:
         asked.clear()
         prune_and_measure(counted, lazy_walker_policy(), NO_COLLISION_6, PruneSpec(method="feature", feature="oy"))
         assert len(asked) == report.original.states
-        assert set(asked.values()) == {2}
+        assert set(asked.values()) == {1}
 
 
 # ===== Byte-identical to measuring every prune on its own =====

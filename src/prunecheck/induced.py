@@ -10,9 +10,9 @@ distributions mention them, which makes state numbering a deterministic
 function of (environment, policy). The batched forward pass gives each state
 bit for bit the logits of a one-state pass, so the chosen actions are those
 ``NeuralPolicy.select_action`` would choose. Each visited state's row is
-appended straight onto the chain's compressed sparse row arrays, and, for
-a model that keeps rationals, the rationals behind the row onto the chain's
-``exact_probs``, as long as every row has them.
+appended straight onto the chain's compressed sparse row arrays, and the
+row's ``Distribution.exact`` rationals onto the chain's ``exact_probs``, as
+long as every row has them.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def build_induced_dtmc(
     indptr: list[int] = [0]
     indices: list[int] = []
     probs: list[float] = []
-    rationals_of = env.rationals
-    rationals: list[Fraction] | None = None if rationals_of is None else []
+    rationals: list[Fraction] | None = []
     chosen: list[str] = []
     offered: list[tuple[str, ...]] = []
     labels: list[frozenset[str]] = []
@@ -120,12 +119,10 @@ def build_induced_dtmc(
                     next_level.append(target)
                 indices.append(index[target])
                 probs.append(prob)
-            if rationals is not None:
-                exact = rationals_of(state, action)
-                if exact is None:
-                    rationals = None
-                else:
-                    rationals.extend(exact)
+            if rationals is not None and dist.exact is not None:
+                rationals.extend(dist.exact)
+            else:
+                rationals = None
             indptr.append(transitions)
             chosen.append(action)
             offered.append(available)

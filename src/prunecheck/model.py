@@ -2,7 +2,8 @@
 
 A state is a fixed-length tuple of integers read through a feature schema.
 An environment model is a Markov decision process given behaviorally, as
-pure functions of the state; an explicit JSON table format covers models
+pure functions of the state whose rows are ``Distribution``s, exact ones
+carrying their rationals; an explicit JSON table format covers models
 small enough to write down, while builtin environments generate the same
 interface lazily, and describe the same rows for a whole level of states
 at once as arrays. A ``Dtmc`` is the action-free chain that remains once a
@@ -43,57 +44,47 @@ StateVector = tuple[int, ...]
 # ===== Distributions =====
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Distribution:
     """A finitely supported probability distribution over state vectors.
 
     The support order is part of the value: two distributions with the same
     pairs in different orders compare unequal, which is what lets callers
     rely on distributions being reproduced identically call after call.
+    ``exact``, when given, holds the rationals behind the support's floats,
+    in support order, and takes part in equality. Only its length is
+    checked: whoever writes it vouches that they sum to exactly 1.
 
     Raises:
-        ValueError: if a probability is not in (0, 1], a target repeats,
-            the support is empty, or the total mass is off by more than
-            ``SUM_TOLERANCE``.
+        ValueError: at the first probability outside (0, 1] or repeated
+            target in support order; else for an empty support, a mass off
+            by more than ``SUM_TOLERANCE`` or an ``exact`` of another length.
     """
 
     support: tuple[tuple[StateVector, float], ...]
+    exact: tuple[Fraction, ...] | None = None
 
-    def __post_init__(self) -> None:
-        # One pass decides: every probability in range, no target twice (else
-        # the set holds fewer targets than the support has pairs), and the
-        # mass, summed in support order, within tolerance (an empty support
-        # has mass 0). Only a rejected support is walked again, to word the
-        # error after its first violation in support order.
-        support = self.support
+    def __init__(self, support: tuple[tuple[StateVector, float], ...], exact: tuple[Fraction, ...] | None = None):
+        if not support:
+            raise ValueError("distribution has empty support")
         seen: set[StateVector] = set()
         total = 0.0
         for target, prob in support:
             if not 0.0 < prob <= 1.0:
-                break
+                raise ValueError(f"probability {prob!r} outside (0, 1] for target {target}")
+            if target in seen:
+                raise ValueError(f"duplicate target {target} in distribution")
             seen.add(target)
             total += prob
-        else:
-            if abs(total - 1.0) <= SUM_TOLERANCE and len(seen) == len(support):
-                return
-        _check_in_order(support)
-
-
-def _check_in_order(support: tuple[tuple[StateVector, float], ...]) -> None:
-    """Raise the ValueError naming a support's first violation in support order."""
-    if not support:
-        raise ValueError("distribution has empty support")
-    seen: set[StateVector] = set()
-    total = 0.0
-    for target, prob in support:
-        if not (0.0 < prob <= 1.0):
-            raise ValueError(f"probability {prob!r} outside (0, 1] for target {target}")
-        if target in seen:
-            raise ValueError(f"duplicate target {target} in distribution")
-        seen.add(target)
-        total += prob
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise ValueError(f"distribution mass {total!r} differs from 1 beyond tolerance")
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise ValueError(f"distribution mass {total!r} differs from 1 beyond tolerance")
+        object.__setattr__(self, "support", support)
+        # A row without rationals reads the class default None; storing that
+        # too, as a generated __init__ would, slows a builtin's row by a sixth.
+        if exact is not None:
+            if len(exact) != len(support):
+                raise ValueError(f"{len(exact)} exact probabilities for {len(support)} targets")
+            object.__setattr__(self, "exact", exact)
 
 
 # ===== Environment models =====
@@ -127,15 +118,12 @@ class EnvironmentModel:
         initial: the single initial state vector.
         available_actions: maps a state to its non-empty ordered action
             subset (schema order).
-        successors: maps (state, action) to a Distribution. Must be a pure
+        successors: maps (state, action) to a Distribution, with ``exact``
+            set where the model knows its rationals. Must be a pure
             function: equal inputs return identical distributions.
         labels: maps a state to its set of atomic propositions.
         declared_states: for table-backed models, the full declared state
             list in document order; None for lazily generated models.
-        rationals: for table-backed models, maps (state, action) to the
-            rationals behind its distribution's probabilities, in support
-            order, or to None when one was written as a float or they do
-            not sum to exactly 1; None for models that keep no rationals.
         expansion: for builtin environments, the rows of ``available_actions``
             and ``successors`` as array arithmetic over a level of states;
             ``validate_model`` walks it instead of the two callables, so a
@@ -150,7 +138,6 @@ class EnvironmentModel:
     successors: Callable[[StateVector, str], Distribution]
     labels: Callable[[StateVector], frozenset[str]]
     declared_states: tuple[StateVector, ...] | None = None
-    rationals: Callable[[StateVector, str], tuple[Fraction, ...] | None] | None = None
     expansion: Expansion | None = None
 
 
@@ -359,7 +346,6 @@ def load_explicit_model(text: str) -> EnvironmentModel:
         raise ModelSemanticError(f"initial state {list(initial)} is not declared")
 
     distributions: dict[tuple[StateVector, str], Distribution] = {}
-    rationals: dict[tuple[StateVector, str], tuple[Fraction, ...] | None] = {}
     for (state, action), (pairs, exact) in raw_rows.items():
         for target, _ in pairs:
             if target not in declared_set:
@@ -367,10 +353,9 @@ def load_explicit_model(text: str) -> EnvironmentModel:
                     f"state {list(state)} action {action!r} references undeclared state {list(target)}"
                 )
         try:
-            distributions[(state, action)] = Distribution(tuple(pairs))
+            distributions[(state, action)] = Distribution(tuple(pairs), exact and tuple(exact))
         except ValueError as err:
             raise ModelSemanticError(f"state {list(state)} action {action!r}: {err}")
-        rationals[(state, action)] = None if exact is None else tuple(exact)
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         try:
@@ -386,9 +371,6 @@ def load_explicit_model(text: str) -> EnvironmentModel:
                 f"no distribution for state {list(state)} action {action!r}"
             ) from None
 
-    def rationals_of(state: StateVector, action: str) -> tuple[Fraction, ...] | None:
-        return rationals[(state, action)]
-
     def labels(state: StateVector) -> frozenset[str]:
         try:
             return label_table[state]
@@ -403,7 +385,6 @@ def load_explicit_model(text: str) -> EnvironmentModel:
         successors=successors,
         labels=labels,
         declared_states=tuple(declared),
-        rationals=rationals_of,
     )
 
 
@@ -530,7 +511,7 @@ def _walk_levels(env: EnvironmentModel, max_states: int) -> tuple[int, list[str]
     order and each row's branches in support order: the state-by-state
     walk's order, so the counts, the violations and the cap's trip point are
     its own. A row that Distribution would reject is neither explored nor
-    counted, and ``_check_in_order`` words its violation.
+    counted, and Distribution words its violation.
     """
     expansion, shape = env.expansion, env.expansion.shape
     visited = np.zeros(math.prod(shape), dtype=bool)
@@ -568,7 +549,7 @@ def _walk_levels(env: EnvironmentModel, max_states: int) -> tuple[int, list[str]
                 continue
             span = slice(start[r], start[r + 1])
             try:
-                _check_in_order(tuple(zip(map(tuple, targets[span].tolist()), probs[span].tolist())))
+                Distribution(tuple(zip(map(tuple, targets[span].tolist()), probs[span].tolist())))
             except ValueError as err:
                 violations.append(f"state {state} action {env.action_schema[action[r]]!r}: {err}")
 

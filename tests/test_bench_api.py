@@ -7,11 +7,13 @@ any name used here breaks the benchmark, so it fails these tests first.
 
 from __future__ import annotations
 
+import pytest
+
 import prunecheck as pc
 import prunecheck.cli  # noqa: F401  (the benchmark wraps cli.main)
-from perfbench.trace import WRAPPED, Tracer
+from perfbench.trace import ENV_CALLABLES, WRAPPED, Tracer
 
-from .conftest import NO_COLLISION_6, drift_avoidance_env, fixture_text, lazy_walker_policy
+from .conftest import NO_COLLISION_6, drift_avoidance_env, fixture_text, gambler_text, lazy_walker_policy
 
 
 def test_tracer_installs_runs_and_uninstalls(step_policy):
@@ -45,3 +47,23 @@ def test_result_attributes_the_benchmark_reads():
     assert pc.measure(env, policy, NO_COLLISION_6).m == 2187 / 4096
     _, mask = pc.prune(policy, pc.PruneSpec(method="random", layer=1, fraction=0.5, seed=0))
     assert all(layer == 1 for layer, _, _ in mask.zeroed)
+
+
+@pytest.mark.parametrize("builtin", [True, False])
+def test_wrapped_environments_keep_their_answers(step_policy, builtin):
+    # The exact gambler's verdict holds only if its rows keep their rationals
+    # through the tracer's wrapping.
+    if builtin:
+        env, policy, prop = drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6
+    else:
+        env, policy, prop = pc.load_explicit_model(gambler_text("1/2")), step_policy, 'P>=0.25 [F "goal"]'
+    tracer = Tracer(pc, [])
+    wrapped = tracer.wrap_env(env)
+    unwrapped = Tracer.unwrap_env(wrapped)
+    expected = (pc.report_to_dict(pc.measure(env, policy, prop)), pc.validate_model(env))
+    for each in (wrapped, unwrapped):
+        assert (pc.report_to_dict(pc.measure(each, policy, prop)), pc.validate_model(each)) == expected
+    assert tracer.calls["environments.call"] > 0
+    assert all(getattr(unwrapped, attr) is getattr(env, attr) for attr in ENV_CALLABLES)
+    if not builtin:
+        assert expected[0]["satisfied"] is True

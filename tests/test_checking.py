@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from prunecheck import (
     And,
+    Distribution,
     Dtmc,
+    EnvironmentModel,
     Eventually,
     FalseFormula,
     Globally,
@@ -694,6 +696,36 @@ class TestCertifiedSolving:
             assert (result.iterations, result.residual) == (0, 0.0)
         result = check(build.dtmc, parse_property('P=? [G !"bad"]'))
         assert result.value == result.lower == result.upper == 0.25
+
+    @pytest.mark.parametrize("inexact", [None, 17])
+    def test_fair_gambler_built_in_python_keeps_its_rationals(self, step_policy, inexact):
+        # Gambler's ruin on 0..40 from 10 with Distribution rows that carry
+        # their rationals, but for the row of state ``inexact``.
+        half = Fraction(1, 2)
+
+        def successors(state, action):
+            c = state[0]
+            if c in (0, 40):
+                return Distribution((((c,), 1.0),), exact=(Fraction(1),))
+            support = (((c + 1,), 0.5), ((c - 1,), 0.5))
+            return Distribution(support) if c == inexact else Distribution(support, exact=(half, half))
+
+        env = EnvironmentModel(
+            feature_schema=("pos",),
+            action_schema=("step",),
+            initial=(10,),
+            available_actions=lambda s: ("step",),
+            successors=successors,
+            labels=lambda s: {0: frozenset({"bad"}), 40: frozenset({"goal"})}.get(s[0], frozenset()),
+        )
+        dtmc = build_induced_dtmc(env, step_policy).dtmc
+        if inexact is not None:
+            assert dtmc.exact_probs is None
+            return
+        assert dtmc.exact_probs == tuple(Fraction(p) for p in dtmc.probs.tolist())
+        result = check(dtmc, parse_property('P>=0.25 [F "goal"]'))
+        assert result.value == result.lower == result.upper == 0.25
+        assert result.satisfied is True
 
     @pytest.mark.parametrize("dense_max", [400, 0])
     def test_fair_gambler_from_floats_is_undecided_at_the_quarter(self, monkeypatch, step_policy, dense_max):

@@ -94,6 +94,22 @@ class TestDistribution:
         with pytest.raises(ValueError, match="mass"):
             Distribution((((0,), 0.5), ((1,), 0.4)))
 
+    def test_exact_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="^1 exact probabilities for 2 targets$"):
+            Distribution((((0,), 0.5), ((1,), 0.5)), exact=(Fraction(1, 2),))
+
+    def test_exact_takes_part_in_equality(self):
+        # A row with its rationals and the same row without them build
+        # different chains, so they are different values.
+        support = (((0,), 0.5), ((1,), 0.5))
+        exact = Distribution(support, exact=(Fraction(1, 2), Fraction(1, 2)))
+        assert exact.exact == (Fraction(1, 2), Fraction(1, 2))
+        assert Distribution(support).exact is None
+        assert exact == Distribution(support, (Fraction(1, 2), Fraction(1, 2)))
+        assert hash(exact) == hash(Distribution(support, (Fraction(1, 2), Fraction(1, 2))))
+        assert exact != Distribution(support)
+        assert exact != Distribution(support, (Fraction(1, 3), Fraction(2, 3)))
+
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     def test_normalized_weights_always_construct(self, weights):
         total = sum(weights)
@@ -328,8 +344,8 @@ class TestFractionStrings:
         # Action "a" is all fraction strings; "b" mixes in the float 0.25.
         env = load_explicit_model(json.dumps(_repeated_fractions_doc()))
         for k in range(4):
-            assert env.rationals((k,), "a") == (Fraction(13, 60), Fraction(47, 60))
-            assert env.rationals((k,), "b") is None
+            assert env.successors((k,), "a").exact == (Fraction(13, 60), Fraction(47, 60))
+            assert env.successors((k,), "b").exact is None
         policies = {
             name: make_policy(("v",), ("a", "b"), [(np.zeros((2, 1)), np.array(bias))])
             for name, bias in (("a", [1.0, 0.0]), ("b", [0.0, 1.0]))
@@ -355,9 +371,9 @@ class TestFractionStrings:
             ],
         }
         env = load_explicit_model(json.dumps(doc))
-        assert env.rationals((0,), "a") is None
-        assert env.rationals((1,), "a") is None
-        assert env.rationals((0,), "b") == (Fraction(1, 3), Fraction(2, 3))
+        assert env.successors((0,), "a").exact is None
+        assert env.successors((1,), "a").exact is None
+        assert env.successors((0,), "b").exact == (Fraction(1, 3), Fraction(2, 3))
 
     def test_an_integer_one_is_exact(self):
         doc = {
@@ -366,7 +382,7 @@ class TestFractionStrings:
             "initial": [0],
             "states": [{"s": [0], "act": {"a": [{"to": [0], "p": 1}]}}],
         }
-        assert load_explicit_model(json.dumps(doc)).rationals((0,), "a") == (Fraction(1),)
+        assert load_explicit_model(json.dumps(doc)).successors((0,), "a").exact == (Fraction(1),)
 
     def test_a_bad_string_is_reported_where_it_first_occurs(self):
         doc = _repeated_fractions_doc()

@@ -13,6 +13,13 @@ bit for bit the logits of a one-state pass, so the chosen actions are those
 appended straight onto the chain's compressed sparse row arrays, and the
 row's ``Distribution.exact`` rationals onto the chain's ``exact_probs``, as
 long as every row has them.
+
+``rebuild_induced_dtmc`` runs the same loop from the rows of an original
+build. A state of the original on which the new policy keeps the chosen
+action takes its original row, action set and labels with no environment
+call; only flipped states and states the original never reached call the
+environment, and only the latter take the forward pass. Rows are appended in the same order as in a full build, so
+the result, errors and their counts included, is the full build's.
 """
 
 from __future__ import annotations
@@ -58,6 +65,10 @@ class BuildResult:
 
 # ===== Builder =====
 
+# A state's row as an original build left it: chosen action, available
+# actions, (target, probability) support, its rationals or None, labels.
+Row = tuple[str, tuple[str, ...], tuple[tuple[StateVector, float], ...], tuple[Fraction, ...] | None, frozenset[str]]
+
 
 def build_induced_dtmc(
     env: EnvironmentModel, policy: NeuralPolicy, limits: BuildLimits | None = None
@@ -76,6 +87,64 @@ def build_induced_dtmc(
         ModelSemanticError: a reachable state has no available action.
         LimitExceededError: the reachable space outgrew the caps.
     """
+    return _explore(env, policy, limits, {}, {})
+
+
+def original_rows(build: BuildResult) -> dict[StateVector, Row]:
+    """Each state's row of ``build``, keyed by state, for ``rebuild_induced_dtmc``.
+
+    A row's rationals are None when the chain has no ``exact_probs``.
+    """
+    dtmc = build.dtmc
+    vectors = dtmc.state_vectors
+    indptr, indices, probs = dtmc.indptr.tolist(), dtmc.indices.tolist(), dtmc.probs.tolist()
+    exact = dtmc.exact_probs
+    return {
+        state: (
+            build.chosen_actions[i],
+            build.available_actions[i],
+            tuple(zip([vectors[t] for t in indices[indptr[i] : indptr[i + 1]]], probs[indptr[i] : indptr[i + 1]])),
+            exact and exact[indptr[i] : indptr[i + 1]],
+            dtmc.state_labels[i],
+        )
+        for i, state in enumerate(vectors)
+    }
+
+
+def rebuild_induced_dtmc(
+    rows: dict[StateVector, Row],
+    env: EnvironmentModel,
+    policy: NeuralPolicy,
+    flipped: dict[StateVector, list[float]],
+    limits: BuildLimits | None = None,
+) -> BuildResult:
+    """``build_induced_dtmc(env, policy, limits)``, reusing an original build's rows.
+
+    ``rows`` are ``original_rows`` of the build of another policy on the
+    same ``env``, and ``flipped`` maps each of its states on which ``policy``
+    may choose another action to ``policy``'s logits there; ``policy``
+    keeps the original's action on every other state of ``rows``. Such a
+    kept state takes its original row with no environment call: the
+    environment's callables are pure, so they would give that row again.
+    Only flipped states and states the original never reached are asked.
+    The result, errors included, is that of the full build.
+    """
+    return _explore(env, policy, limits, rows, flipped)
+
+
+def _explore(
+    env: EnvironmentModel,
+    policy: NeuralPolicy,
+    limits: BuildLimits | None,
+    known: dict[StateVector, Row],
+    flipped: dict[StateVector, list[float]],
+) -> BuildResult:
+    """The BFS level loop of both builds: ``known`` rows are reused unless ``flipped``.
+
+    A kept row whose rationals are unknown is fetched again while the chain
+    still collects rationals, since the environment may know them; the
+    first row without rationals ends that, and with it the fetching.
+    """
     limits = limits or BuildLimits()
     policy.check_schemas(env)
 
@@ -93,20 +162,33 @@ def build_induced_dtmc(
 
     while level:
         next_level: list[StateVector] = []
-        for state, logits in zip(level, policy.forward(level).tolist()):
-            available = env.available_actions(state)
-            if not available:
-                raise ModelSemanticError(f"deadlock at state {list(state)}: empty action set")
-            action = policy.pick(logits, available)
-            dist = env.successors(state, action)
-            transitions += len(dist.support)
+        fresh = [state for state in level if state not in known] if known else level
+        fresh_logits = iter(policy.forward(fresh).tolist() if fresh else ())
+        for state in level:
+            row = known.get(state)
+            if row is None:
+                available = env.available_actions(state)
+                if not available:
+                    raise ModelSemanticError(f"deadlock at state {list(state)}: empty action set")
+                action = policy.pick(next(fresh_logits), available)
+                dist = env.successors(state, action)
+                support, exact = dist.support, dist.exact
+            else:
+                action, available, support, exact, tags = row
+                logits = flipped.get(state)
+                if logits is not None:
+                    action = policy.pick(logits, available)
+                if logits is not None or (exact is None and rationals is not None):
+                    dist = env.successors(state, action)
+                    support, exact = dist.support, dist.exact
+            transitions += len(support)
             if transitions > limits.max_transitions:
                 raise LimitExceededError(
                     f"transition count exceeds max_transitions={limits.max_transitions}",
                     states_seen=len(index),
                     transitions_seen=transitions,
                 )
-            for target, prob in dist.support:
+            for target, prob in support:
                 if target not in index:
                     if len(index) >= limits.max_states:
                         raise LimitExceededError(
@@ -119,14 +201,14 @@ def build_induced_dtmc(
                     next_level.append(target)
                 indices.append(index[target])
                 probs.append(prob)
-            if rationals is not None and dist.exact is not None:
-                rationals.extend(dist.exact)
+            if rationals is not None and exact is not None:
+                rationals.extend(exact)
             else:
                 rationals = None
             indptr.append(transitions)
             chosen.append(action)
             offered.append(available)
-            labels.append(env.labels(state))
+            labels.append(env.labels(state) if row is None else tags)
         level = next_level
 
     dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs, rationals and tuple(rationals))

@@ -52,13 +52,14 @@ class Distribution:
     pairs in different orders compare unequal, which is what lets callers
     rely on distributions being reproduced identically call after call.
     ``exact``, when given, holds the rationals behind the support's floats,
-    in support order, and takes part in equality. Only its length is
-    checked: whoever writes it vouches that they sum to exactly 1.
+    in support order, and takes part in equality. Each must round to its
+    branch's float; whoever writes them vouches that they sum to exactly 1.
 
     Raises:
         ValueError: at the first probability outside (0, 1] or repeated
             target in support order; else for an empty support, a mass off
-            by more than ``SUM_TOLERANCE`` or an ``exact`` of another length.
+            by more than ``SUM_TOLERANCE``, an ``exact`` of another length or
+            the first rational in support order that is not its float.
     """
 
     support: tuple[tuple[StateVector, float], ...]
@@ -84,6 +85,11 @@ class Distribution:
         if exact is not None:
             if len(exact) != len(support):
                 raise ValueError(f"{len(exact)} exact probabilities for {len(support)} targets")
+            for (target, prob), rational in zip(support, exact):
+                # Exactly float(rational), but Fraction converts through the
+                # generic Rational.__float__, which costs twice as much a branch.
+                if rational.numerator / rational.denominator != prob:
+                    raise ValueError(f"exact probability {rational} is not {prob!r} for target {target}")
             object.__setattr__(self, "exact", exact)
 
 
@@ -112,6 +118,9 @@ class Expansion:
 class EnvironmentModel:
     """A factored MDP described behaviorally.
 
+    The three callables must be pure functions: equal inputs return
+    identical results, which lets a rebuild reuse another build's rows.
+
     Attributes:
         feature_schema: ordered feature names; defines state-vector length.
         action_schema: ordered action names; ordering breaks policy ties.
@@ -119,8 +128,7 @@ class EnvironmentModel:
         available_actions: maps a state to its non-empty ordered action
             subset (schema order).
         successors: maps (state, action) to a Distribution, with ``exact``
-            set where the model knows its rationals. Must be a pure
-            function: equal inputs return identical distributions.
+            set where the model knows its rationals.
         labels: maps a state to its set of atomic propositions.
         declared_states: for table-backed models, the full declared state
             list in document order; None for lazily generated models.

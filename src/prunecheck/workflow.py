@@ -3,7 +3,10 @@
 Every report comes from ``_reports``, which yields the original's report
 and then one pruned report per PruneSpec of a stream. ``measure`` takes the
 first report; ``prune_and_measure``, the rows of ``feature_importance`` and
-the rows of ``sweep`` differ only in the specs they stream.
+the rows of ``sweep`` differ only in the specs they stream. A pruned policy
+that flips no chosen action of the original chain reuses its measurement;
+one that flips some is rebuilt from the original chain's rows, calling the
+environment only for the flipped and the newly reached states.
 
 Everything here returns SafetyReports or CSV text built only from the
 inputs and declared seeds, so repeated runs are byte-identical. Wall-clock
@@ -25,7 +28,7 @@ import numpy as np
 
 from .checking import UNDECIDED, CheckResult, check
 from .errors import PruneSpecError
-from .induced import BuildLimits, build_induced_dtmc
+from .induced import BuildLimits, build_induced_dtmc, original_rows, rebuild_induced_dtmc
 from .model import Dtmc, EnvironmentModel
 from .policy import NeuralPolicy
 from .properties import Prob, parse_property
@@ -156,18 +159,18 @@ def measure(
     return next(_reports(env, policy, property_text, (), limits))
 
 
-def _keeps_every_action(logits: np.ndarray, chosen: np.ndarray, available: np.ndarray) -> bool:
-    """Whether ``logits``, one row per state, keep each state's ``chosen`` action.
+def _flips(logits: np.ndarray, chosen: np.ndarray, available: np.ndarray) -> np.ndarray:
+    """Per state (one row of ``logits`` each), whether ``chosen`` may not be kept.
 
     An ``available`` action displaces the choice exactly when ``pick`` would
     prefer it: a larger logit, or an equal one at a smaller schema index. NaN
-    logits order nothing, so they count as a flip and send the row to a full
-    rebuild.
+    logits order nothing, so a NaN anywhere in a state's row counts as a
+    flip and sends that state to ``pick``.
     """
     kept = logits[np.arange(len(logits)), chosen][:, None]
     earlier = np.arange(logits.shape[1]) < chosen[:, None]
     preferred = (logits > kept) | ((logits == kept) & earlier)
-    return not ((preferred & available).any() or np.isnan(logits).any())
+    return (preferred & available).any(axis=1) | np.isnan(logits).any(axis=1)
 
 
 def _same_chain(a: Dtmc, b: Dtmc) -> bool:
@@ -198,7 +201,9 @@ def _reports(
     bad spec, and a caller that takes only the first report pays for nothing
     else. A pruned policy that keeps every action of the original chain
     induces that same chain, so its measurement is the original's, reused
-    without a rebuild or a solve; any flip rebuilds the chain and re-checks
+    without a rebuild or a solve; any flip rebuilds the chain from the
+    original's rows, asking ``pick`` and the environment again only on the
+    flipped states and those the original never reached, and re-checks
     it, unless it came out the same (a flipped action with the same
     distribution) and the original's measurement stands again. ``time_ms``
     of the pruned chain is the time this decision and any re-measurement
@@ -223,7 +228,7 @@ def _reports(
 
     # The original chain's states in index order: feature vectors, the
     # schema index of the chosen action, and the available schema actions
-    # as the build found them.
+    # as the build found them; and its rows, for rebuilds to reuse.
     states = build.dtmc.state_vectors
     index = policy.action_index
     inputs = np.array(states, dtype=np.float64)
@@ -231,14 +236,18 @@ def _reports(
     available = np.zeros((len(states), len(index)), dtype=bool)
     for s, names in enumerate(build.available_actions):
         available[s, [index[name] for name in names]] = True
+    rows = original_rows(build)
 
     for spec in specs:
         pruned_policy, mask = prune(policy, spec)
         started = time.perf_counter()
-        if _keeps_every_action(pruned_policy.forward(inputs), chosen, available):
+        logits = pruned_policy.forward(inputs)
+        flips = _flips(logits, chosen, available)
+        if not flips.any():
             pruned, pruned_stats = result, stats
         else:
-            rebuilt = build_induced_dtmc(env, pruned_policy, limits)
+            flipped = {states[s]: logits[s].tolist() for s in np.flatnonzero(flips)}
+            rebuilt = rebuild_induced_dtmc(rows, env, pruned_policy, flipped, limits)
             pruned = result if _same_chain(rebuilt.dtmc, build.dtmc) else check(rebuilt.dtmc, prop)
             pruned_stats = replace(stats, states=rebuilt.stats.states, transitions=rebuilt.stats.transitions)
         pruned_stats = replace(pruned_stats, time_ms=(time.perf_counter() - started) * 1000.0)

@@ -108,7 +108,15 @@ class TestDistribution:
         assert exact == Distribution(support, (Fraction(1, 2), Fraction(1, 2)))
         assert hash(exact) == hash(Distribution(support, (Fraction(1, 2), Fraction(1, 2))))
         assert exact != Distribution(support)
-        assert exact != Distribution(support, (Fraction(1, 3), Fraction(2, 3)))
+        # Other rationals that round to the same floats.
+        tiny = Fraction(1, 10**30)
+        assert exact != Distribution(support, (Fraction(1, 2) + tiny, Fraction(1, 2) - tiny))
+
+    def test_exact_must_round_to_its_float(self):
+        support = (((0,), 0.5), ((1,), 0.5))
+        with pytest.raises(ValueError, match=r"^exact probability 2/3 is not 0\.5 for target \(1,\)$"):
+            Distribution(support, exact=(Fraction(1, 2), Fraction(2, 3)))
+        Distribution((((0,), 1.0 / 3.0), ((1,), 2.0 / 3.0)), exact=(Fraction(1, 3), Fraction(2, 3)))
 
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     def test_normalized_weights_always_construct(self, weights):

@@ -33,6 +33,7 @@ from prunecheck import (
     sweep,
 )
 from prunecheck import workflow
+from prunecheck.induced import rebuild_induced_dtmc
 from prunecheck.environments import AVOIDANCE_ACTIONS, AVOIDANCE_FEATURES
 from prunecheck.workflow import CSV_HEADER, UNCHANGED_TOLERANCE
 
@@ -147,24 +148,35 @@ def reference_features(env, policy, property_text):
 
 
 class BuildCounter:
-    """Wraps the builder the workflow calls and sorts builds by policy."""
+    """Wraps both builders the workflow calls and sorts builds by policy.
+
+    A rebuild from the original chain's rows counts as a build of its policy.
+    """
 
     def __init__(self, monkeypatch, original):
         self.fingerprint = self._fingerprint(original)
         self.original = 0
         self.pruned = 0
         monkeypatch.setattr(workflow, "build_induced_dtmc", self._build)
+        monkeypatch.setattr(workflow, "rebuild_induced_dtmc", self._rebuild)
 
     @staticmethod
     def _fingerprint(policy):
         return tuple(layer.weights.tobytes() + layer.bias.tobytes() for layer in policy.layers)
 
-    def _build(self, env, policy, limits=None):
+    def _count(self, policy):
         if self._fingerprint(policy) == self.fingerprint:
             self.original += 1
         else:
             self.pruned += 1
+
+    def _build(self, env, policy, limits=None):
+        self._count(policy)
         return build_induced_dtmc(env, policy, limits)
+
+    def _rebuild(self, rows, env, policy, flipped, limits=None):
+        self._count(policy)
+        return rebuild_induced_dtmc(rows, env, policy, flipped, limits)
 
 
 class TestOriginalMeasuredOnce:

@@ -300,10 +300,19 @@ def is_builtin_uri(text: str) -> bool:
 
 
 def _parse_int(key: str, value: str) -> int:
-    """ASCII digits with an optional minus; no sign, spaces, underscores or other digits."""
+    """ASCII digits with an optional minus; no sign, spaces, underscores or other digits.
+
+    One too large for a float, which is how a policy reads a state's features,
+    is rejected too.
+    """
     if not re.fullmatch("-?[0-9]+", value):
         raise ModelSyntaxError(f"query parameter {key}={value!r}: expected an integer")
-    return int(value)
+    try:
+        number = int(value)
+        float(number)
+    except (ValueError, OverflowError):  # past the digit limit, or past the largest float
+        raise ModelSyntaxError(f"query parameter {key}={value!r}: integer is too large for a float") from None
+    return number
 
 
 def _parse_cell(key: str, value: str) -> tuple[int, int]:

@@ -12,6 +12,7 @@ policy has picked one action per state, stored as compressed sparse rows.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import deque
@@ -252,22 +253,43 @@ def _parse_probability(
 
 
 def _parse_state_vector(raw: object, width: int, where: str) -> StateVector:
+    """A state vector as written; each feature must also convert to a float, as a policy reads it."""
     if not isinstance(raw, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
         raise ModelSyntaxError(f"{where}: state must be a list of integers")
     if len(raw) != width:
         raise ModelSyntaxError(f"{where}: state has {len(raw)} features, schema declares {width}")
+    try:
+        list(map(float, raw))
+    except OverflowError:
+        raise ModelSyntaxError(f"{where}: feature value is too large for a float") from None
     return tuple(raw)
 
 
 def load_explicit_model(text: str) -> EnvironmentModel:
     """Parse the explicit JSON table format into an EnvironmentModel.
 
-    Syntax errors (malformed JSON, wrong shapes, unknown keys) raise
-    ModelSyntaxError with position info where the JSON decoder provides it.
-    Semantic errors (bad probability mass, dangling target states, missing
-    initial state, a state without actions) raise ModelSemanticError naming
-    the offending state and action.
+    Syntax errors (malformed JSON, wrong shapes, unknown keys, a feature
+    value too large for a float) raise ModelSyntaxError with position info
+    where the JSON decoder provides it. Semantic errors (bad probability
+    mass, dangling target states, missing initial state, a state without
+    actions) raise ModelSemanticError naming the offending state and action.
+
+    The load runs with Python's cyclic garbage collector paused: the decoded
+    document and the rows built from it hold no reference cycles, so a
+    collection could free nothing, yet it would walk them again and again as
+    they grow. The collector's state on entry is restored on return or raise,
+    so a caller who turned it off keeps it off.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_explicit_model(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_explicit_model(text: str) -> EnvironmentModel:
     doc = read_json_object(text, ("features", "actions", "initial", "states"), ModelSyntaxError, "object")
 
     features = doc["features"]
@@ -286,10 +308,13 @@ def load_explicit_model(text: str) -> EnvironmentModel:
     if not isinstance(doc["states"], list) or not doc["states"]:
         raise ModelSyntaxError("'states' must be a non-empty list")
 
+    # JSON decodes to exact int, bool, float, str, list and dict, so a feature
+    # whose type is int is an integer and not a boolean.
+    int_types = [int] * width
     declared: list[StateVector] = []
     label_table: dict[StateVector, frozenset[str]] = {}
     action_table: dict[StateVector, tuple[str, ...]] = {}
-    raw_rows: dict[tuple[StateVector, str], tuple[list[tuple[StateVector, float]], list[Fraction] | None]] = {}
+    raw_rows: dict[tuple[StateVector, str], tuple[list[StateVector], list[float], list[Fraction] | None]] = {}
     fractions: dict[str, tuple[float, Fraction]] = {}
     # Whether the rationals of a row, keyed by its probabilities as written,
     # sum to exactly 1; documents repeat a few rows many times.
@@ -324,15 +349,26 @@ def load_explicit_model(text: str) -> EnvironmentModel:
                 raise ModelSyntaxError(f"{where}.act: action {action!r} not in the action schema")
             if not isinstance(branches, list) or not branches:
                 raise ModelSyntaxError(f"{where}.act.{action}: must be a non-empty list of branches")
-            pairs: list[tuple[StateVector, float]] = []
+            targets: list[StateVector] = []
+            probs: list[float] = []
             exact: list[Fraction] | None = []
+            # The common shapes are checked inline; a branch that fails one
+            # is handed to the helpers, which word the error.
             for b, branch in enumerate(branches):
-                spot = f"{where}.act.{action}[{b}]"
-                if not isinstance(branch, dict) or set(branch) != {"to", "p"}:
-                    raise ModelSyntaxError(f"{spot}: must be an object with keys 'to' and 'p'")
-                target = _parse_state_vector(branch["to"], width, f"{spot}.to")
-                prob, rational = _parse_probability(branch["p"], f"{spot}.p", fractions)
-                pairs.append((target, prob))
+                if type(branch) is not dict or len(branch) != 2 or "to" not in branch or "p" not in branch:
+                    raise ModelSyntaxError(f"{where}.act.{action}[{b}]: must be an object with keys 'to' and 'p'")
+                to = branch["to"]
+                if type(to) is not list or [*map(type, to)] != int_types:
+                    _parse_state_vector(to, width, f"{where}.act.{action}[{b}].to")
+                p = branch["p"]
+                if type(p) is float:
+                    prob, rational = p, None
+                elif type(p) is str and p in fractions:
+                    prob, rational = fractions[p]
+                else:
+                    prob, rational = _parse_probability(p, f"{where}.act.{action}[{b}].p", fractions)
+                targets.append(tuple(to))
+                probs.append(prob)
                 if rational is None:
                     exact = None
                 elif exact is not None:
@@ -345,7 +381,7 @@ def load_explicit_model(text: str) -> EnvironmentModel:
                 # that miss 1 would pass a defective row off as exact.
                 if not whole[written]:
                     exact = None
-            raw_rows[(state, action)] = (pairs, exact)
+            raw_rows[(state, action)] = (targets, probs, exact)
         # Keep action order aligned with the schema, not document order.
         action_table[state] = tuple(a for a in actions if a in act)
 
@@ -354,14 +390,14 @@ def load_explicit_model(text: str) -> EnvironmentModel:
         raise ModelSemanticError(f"initial state {list(initial)} is not declared")
 
     distributions: dict[tuple[StateVector, str], Distribution] = {}
-    for (state, action), (pairs, exact) in raw_rows.items():
-        for target, _ in pairs:
-            if target not in declared_set:
-                raise ModelSemanticError(
-                    f"state {list(state)} action {action!r} references undeclared state {list(target)}"
-                )
+    for (state, action), (targets, probs, exact) in raw_rows.items():
+        if not declared_set.issuperset(targets):
+            target = next(t for t in targets if t not in declared_set)
+            raise ModelSemanticError(
+                f"state {list(state)} action {action!r} references undeclared state {list(target)}"
+            )
         try:
-            distributions[(state, action)] = Distribution(tuple(pairs), exact and tuple(exact))
+            distributions[(state, action)] = Distribution(tuple(zip(targets, probs)), exact and tuple(exact))
         except ValueError as err:
             raise ModelSemanticError(f"state {list(state)} action {action!r}: {err}")
 

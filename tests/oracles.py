@@ -14,6 +14,8 @@ these oracles and the package is evidence, not circularity.
 * environments: the taxi and chase rules rewritten from scratch
 * distributions: the ordered check whose first violation, in support
   order, a Distribution must report word for word
+* the explicit model format: the loader as first written, branch by
+  branch, whose first error the package's loader must raise word for word
 * reachability: set-fixpoint closure, no queues or indices
 * the probability-0 and probability-1 sets as the row-based searches the
   checker once ran, which its array form must match set for set
@@ -23,12 +25,13 @@ these oracles and the package is evidence, not circularity.
 
 from __future__ import annotations
 
+import json
 import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from prunecheck.errors import UnknownLabelWarning
+from prunecheck.errors import ModelSemanticError, ModelSyntaxError, UnknownLabelWarning
 from prunecheck.properties import And, FalseFormula, Label, Not, Or, TrueFormula
 
 # ===== Bounded path enumeration =====
@@ -296,6 +299,176 @@ def distribution_check_in_order(support, tolerance=1e-9) -> None:
         total += prob
     if abs(total - 1.0) > tolerance:
         raise ValueError(f"distribution mass {total!r} differs from 1 beyond tolerance")
+
+
+
+# ===== The explicit model format, branch by branch =====
+#
+# The loader as it first read a document: every branch through the same
+# helpers with its location built up front, and no pause of the garbage
+# collector. The package's loader must raise what this raises, type and
+# message, at the same first fault, and read a valid document into the same
+# rows. Only one rule was added since: a declared state with a feature value
+# too large for a float is a format error, which this does not know.
+
+
+def _read_json_object_reference(text: str, keys: tuple, error: type, where: str) -> dict:
+    def unique_keys(pairs):
+        mapping = dict(pairs)
+        if len(mapping) < len(pairs):
+            keys_read = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys_read) if key in keys_read[:i])
+            raise error(f"duplicate key {repeated!r} in {where}")
+        return mapping
+
+    try:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as err:
+        raise error(f"line {err.lineno} column {err.colno}: {err.msg}") from err
+    except (ValueError, RecursionError) as err:
+        raise error(str(err)) from err
+    if not isinstance(doc, dict):
+        raise error("top level must be an object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise error(f"unknown top-level keys {sorted(unknown)}")
+    for key in keys:
+        if key not in doc:
+            raise error(f"missing top-level key {key!r}")
+    return doc
+
+
+def _probability_reference(raw, where: str, fractions: dict):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ModelSyntaxError(f"{where}: probability must be a number or fraction string")
+    try:
+        if not isinstance(raw, str):
+            return float(raw), Fraction(raw) if isinstance(raw, int) else None
+        pair = fractions.get(raw)
+        if pair is None:
+            exact = Fraction(raw)
+            pair = fractions[raw] = (float(exact), exact)
+        return pair
+    except (ValueError, ZeroDivisionError):
+        raise ModelSyntaxError(f"{where}: cannot read {raw!r} as a fraction")
+    except OverflowError:
+        raise ModelSyntaxError(f"{where}: probability is too large for a float")
+
+
+def _state_vector_reference(raw, width: int, where: str) -> tuple:
+    if not isinstance(raw, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
+        raise ModelSyntaxError(f"{where}: state must be a list of integers")
+    if len(raw) != width:
+        raise ModelSyntaxError(f"{where}: state has {len(raw)} features, schema declares {width}")
+    return tuple(raw)
+
+
+def explicit_model_reference(text: str) -> dict:
+    """The document's schemas, initial state, declared states in order, and
+    per declared state its schema-ordered actions, its labels and, per
+    action, its row as ``(support, exact)``; or the loader's error."""
+    doc = _read_json_object_reference(text, ("features", "actions", "initial", "states"), ModelSyntaxError, "object")
+
+    features = doc["features"]
+    actions = doc["actions"]
+    if not isinstance(features, list) or not all(isinstance(f, str) for f in features) or not features:
+        raise ModelSyntaxError("'features' must be a non-empty list of strings")
+    if not isinstance(actions, list) or not all(isinstance(a, str) for a in actions) or not actions:
+        raise ModelSyntaxError("'actions' must be a non-empty list of strings")
+    if len(set(features)) != len(features):
+        raise ModelSyntaxError("'features' contains duplicates")
+    if len(set(actions)) != len(actions):
+        raise ModelSyntaxError("'actions' contains duplicates")
+    width = len(features)
+    initial = _state_vector_reference(doc["initial"], width, "'initial'")
+
+    if not isinstance(doc["states"], list) or not doc["states"]:
+        raise ModelSyntaxError("'states' must be a non-empty list")
+
+    declared = []
+    label_table = {}
+    action_table = {}
+    raw_rows = {}
+    fractions = {}
+    whole = {}
+
+    for k, entry in enumerate(doc["states"]):
+        where = f"states[{k}]"
+        if not isinstance(entry, dict):
+            raise ModelSyntaxError(f"{where}: must be an object")
+        unknown = set(entry) - {"s", "labels", "act"}
+        if unknown:
+            raise ModelSyntaxError(f"{where}: unknown keys {sorted(unknown)}")
+        if "s" not in entry or "act" not in entry:
+            raise ModelSyntaxError(f"{where}: needs keys 's' and 'act'")
+        state = _state_vector_reference(entry["s"], width, f"{where}.s")
+        if state in label_table:
+            raise ModelSemanticError(f"state {list(state)} declared twice")
+
+        raw_labels = entry.get("labels", [])
+        if not isinstance(raw_labels, list) or not all(isinstance(l, str) for l in raw_labels):
+            raise ModelSyntaxError(f"{where}.labels: must be a list of strings")
+        label_table[state] = frozenset(raw_labels)
+        declared.append(state)
+
+        act = entry["act"]
+        if not isinstance(act, dict):
+            raise ModelSyntaxError(f"{where}.act: must be an object")
+        if not act:
+            raise ModelSemanticError(f"state {list(state)} has zero actions")
+        for action, branches in act.items():
+            if action not in actions:
+                raise ModelSyntaxError(f"{where}.act: action {action!r} not in the action schema")
+            if not isinstance(branches, list) or not branches:
+                raise ModelSyntaxError(f"{where}.act.{action}: must be a non-empty list of branches")
+            pairs = []
+            exact = []
+            for b, branch in enumerate(branches):
+                spot = f"{where}.act.{action}[{b}]"
+                if not isinstance(branch, dict) or set(branch) != {"to", "p"}:
+                    raise ModelSyntaxError(f"{spot}: must be an object with keys 'to' and 'p'")
+                target = _state_vector_reference(branch["to"], width, f"{spot}.to")
+                prob, rational = _probability_reference(branch["p"], f"{spot}.p", fractions)
+                pairs.append((target, prob))
+                if rational is None:
+                    exact = None
+                elif exact is not None:
+                    exact.append(rational)
+            if exact is not None:
+                written = tuple([branch["p"] for branch in branches])
+                if written not in whole:
+                    whole[written] = sum(exact) == 1
+                if not whole[written]:
+                    exact = None
+            raw_rows[(state, action)] = (pairs, exact)
+        action_table[state] = tuple(a for a in actions if a in act)
+
+    declared_set = set(declared)
+    if initial not in declared_set:
+        raise ModelSemanticError(f"initial state {list(initial)} is not declared")
+
+    rows = {}
+    for (state, action), (pairs, exact) in raw_rows.items():
+        for target, _ in pairs:
+            if target not in declared_set:
+                raise ModelSemanticError(
+                    f"state {list(state)} action {action!r} references undeclared state {list(target)}"
+                )
+        try:
+            distribution_check_in_order(pairs)
+        except ValueError as err:
+            raise ModelSemanticError(f"state {list(state)} action {action!r}: {err}")
+        rows[(state, action)] = (tuple(pairs), exact and tuple(exact))
+
+    return {
+        "features": tuple(features),
+        "actions": tuple(actions),
+        "initial": initial,
+        "declared": tuple(declared),
+        "available": action_table,
+        "labels": label_table,
+        "rows": rows,
+    }
 
 
 # ===== Set-fixpoint reachability closures =====

@@ -536,6 +536,34 @@ def test_uri_probability_too_large_for_a_float_is_one_error_line(capsys):
     assert captured.err == "error: query parameter obstacle_move_prob='1e400': expected a probability\n"
 
 
+@pytest.mark.parametrize(
+    "model, line",
+    [
+        ("file", "states[1].s: feature value is too large for a float"),
+        ("uri", f"query parameter width='{10**400}': integer is too large for a float"),
+    ],
+    ids=["file", "uri"],
+)
+def test_feature_too_large_for_a_float_is_one_error_line(capsys, tmp_path, model, line):
+    # Both once validated and then crashed the policy's forward pass.
+    if model == "file":
+        doc = fixture_doc("chain3.json")
+        doc["states"][1]["s"] = [10**400]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        policy = make_policy(("pos",), ("step",), [(np.zeros((1, 1)), np.zeros(1))])
+        spec = str(path)
+    else:
+        policy = lazy_walker_policy()
+        spec = f"builtin:avoidance?width={10**400}&height=3"
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(dump_policy(policy))
+    assert main(["check", "--model", spec, "--policy", str(policy_path), "--prop", 'P=? [F "goal"]']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("kind", ["model", "policy"])
 @pytest.mark.parametrize(
     "text, fragment",

@@ -398,6 +398,21 @@ class TestFromUri:
                 "builtin:avoidance?obstacle_move_prob=1e-400",
                 "query parameter obstacle_move_prob='1e-400': expected a probability",
             ),
+            pytest.param(
+                f"builtin:avoidance?width={10**400}&height=3",
+                f"query parameter width='{10**400}': integer is too large for a float",
+                id="width-10**400",
+            ),
+            pytest.param(
+                f"builtin:mini_taxi?station=0,-{10**400}",
+                f"query parameter station='-{10**400}': integer is too large for a float",
+                id="station-y--10**400",
+            ),
+            pytest.param(
+                f"builtin:mini_taxi?max_fuel={'1' * 5000}",
+                f"query parameter max_fuel='{'1' * 5000}': integer is too large for a float",
+                id="max_fuel-past-the-digit-limit",
+            ),
         ],
     )
     def test_numbers_are_ascii_and_fit_a_float(self, uri, message):

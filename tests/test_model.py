@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +255,34 @@ class TestLoadExplicitModel:
         text = json.dumps(fixture_doc("loop.json")).replace('"p": 0.1', f'"p": {"1" * 5000}', 1)
         with pytest.raises(ModelSyntaxError):
             load_explicit_model(text)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(initial=[10**400]), "'initial': feature value is too large for a float"),
+            (lambda d: d["states"][1].update(s=[-(10**400)]), "states[1].s: feature value is too large for a float"),
+            # A target must be a declared state, so it can be no larger.
+            (
+                lambda d: d["states"][1]["act"]["step"][0].update(to=[10**400]),
+                f"state [1] action 'step' references undeclared state [{10**400}]",
+            ),
+        ],
+        ids=["initial", "declared", "target"],
+    )
+    def test_feature_too_large_for_a_float(self, mutate, message):
+        doc = fixture_doc("loop.json")
+        mutate(doc)
+        with pytest.raises((ModelSyntaxError, ModelSemanticError)) as caught:
+            load_explicit_model(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_largest_feature_a_float_holds_still_loads(self):
+        doc = fixture_doc("loop.json")
+        big = int(sys.float_info.max)
+        doc["states"][1]["s"] = [big]
+        doc["states"][0]["act"]["step"][1]["to"] = [big]
+        doc["states"][1]["act"]["step"][0]["to"] = [big]
+        assert load_explicit_model(json.dumps(doc)).declared_states == ((0,), (big,))
 
     def test_boolean_is_not_a_probability(self):
         doc = fixture_doc("loop.json")

@@ -3,10 +3,14 @@
 Every report comes from ``_reports``, which yields the original's report
 and then one pruned report per PruneSpec of a stream. ``measure`` takes the
 first report; ``prune_and_measure``, the rows of ``feature_importance`` and
-the rows of ``sweep`` differ only in the specs they stream. A pruned policy
-that flips no chosen action of the original chain reuses its measurement;
-one that flips some is rebuilt from the original chain's rows, calling the
-environment only for the flipped and the newly reached states.
+the rows of ``sweep`` differ only in the specs they stream. A pruned chain
+depends only on the pruned policy's decisions, so each prune is keyed by
+the actions it changes on the original chain. A prune that changes none
+reuses the original's measurement. The first prune with a given set of
+changes is rebuilt from the original chain's rows, calling the environment
+only for the changed and the newly reached states, and re-checked; a
+later prune with the same changes reuses that measurement if it also
+picks the same actions on the newly reached states.
 
 Everything here returns SafetyReports or CSV text built only from the
 inputs and declared seeds, so repeated runs are byte-identical. Wall-clock
@@ -19,10 +23,10 @@ from __future__ import annotations
 import csv
 import io
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -159,18 +163,27 @@ def measure(
     return next(_reports(env, policy, property_text, (), limits))
 
 
-def _flips(logits: np.ndarray, chosen: np.ndarray, available: np.ndarray) -> np.ndarray:
-    """Per state (one row of ``logits`` each), whether ``chosen`` may not be kept.
+def _picks(
+    policy: NeuralPolicy,
+    logits: np.ndarray,
+    available: np.ndarray,
+    offered: Sequence[tuple[str, ...]],
+) -> np.ndarray:
+    """The schema index ``policy.pick`` chooses on each row of ``logits``.
 
-    An ``available`` action displaces the choice exactly when ``pick`` would
-    prefer it: a larger logit, or an equal one at a smaller schema index. NaN
-    logits order nothing, so a NaN anywhere in a state's row counts as a
-    flip and sends that state to ``pick``.
+    ``available`` masks each row's action set, and ``offered[row]`` lists
+    it in the order ``pick`` reads it. Without a NaN among the available
+    logits, ``pick`` takes the largest, an equal one going to the smaller
+    schema index whatever that order, and one ``argmax`` does the same. NaN
+    orders nothing, so ``pick``'s choice then depends on the order of the
+    set, and such a row is left to ``pick`` itself.
     """
-    kept = logits[np.arange(len(logits)), chosen][:, None]
-    earlier = np.arange(logits.shape[1]) < chosen[:, None]
-    preferred = (logits > kept) | ((logits == kept) & earlier)
-    return (preferred & available).any(axis=1) | np.isnan(logits).any(axis=1)
+    offered_logits = np.where(available, logits, -np.inf)
+    best = offered_logits.max(axis=1, keepdims=True)
+    picks = np.argmax(available & (logits == best), axis=1)
+    for row in np.flatnonzero(np.isnan(offered_logits).any(axis=1)).tolist():
+        picks[row] = policy.action_index[policy.pick(logits[row].tolist(), offered[row])]
+    return picks
 
 
 def _same_chain(a: Dtmc, b: Dtmc) -> bool:
@@ -183,6 +196,47 @@ def _same_chain(a: Dtmc, b: Dtmc) -> bool:
         and np.array_equal(a.probs, b.probs)
         and a.exact_probs == b.exact_probs
     )
+
+
+@dataclass(frozen=True)
+class _Remeasured:
+    """One pruned measurement, kept for later prunes that change the same decisions.
+
+    ``inputs``, ``sets`` and ``picked`` describe the pruned chain's states
+    that the original chain lacks: their features in the narrowest type
+    that holds them, the index of their action set in ``offered``, and the
+    schema index of their chosen action. ``result`` is the original's when
+    the pruned chain came out the same, else the pruned check without its
+    ``per_state`` vector.
+    """
+
+    result: CheckResult
+    states: int
+    transitions: int
+    inputs: np.ndarray
+    offered: tuple[tuple[str, ...], ...]
+    sets: np.ndarray
+    picked: np.ndarray
+
+    def picked_by(self, policy: NeuralPolicy) -> bool:
+        """Whether ``policy`` chooses this measurement's action on each of its new states."""
+        if not len(self.picked):
+            return True
+        names = policy.action_names
+        available = np.array([[name in offered for name in names] for offered in self.offered])[self.sets]
+        logits = policy.forward(self.inputs)
+        picks = _picks(policy, logits, available, [self.offered[k] for k in self.sets.tolist()])
+        return bool((picks == self.picked).all())
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """``values`` in the narrowest of int8, int16 and int32 that holds each exactly, else as they are."""
+    low, high = values.min(initial=0), values.max(initial=0)
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max and np.array_equal(narrow := values.astype(dtype), values):
+            return narrow
+    return values
 
 
 def _reports(
@@ -199,15 +253,23 @@ def _reports(
     The original is measured once. ``specs`` is read only after its report
     is yielded, so a bad property or an exceeded cap is reported before any
     bad spec, and a caller that takes only the first report pays for nothing
-    else. A pruned policy that keeps every action of the original chain
-    induces that same chain, so its measurement is the original's, reused
-    without a rebuild or a solve; any flip rebuilds the chain from the
-    original's rows, asking ``pick`` and the environment again only on the
-    flipped states and those the original never reached, and re-checks
-    it, unless it came out the same (a flipped action with the same
-    distribution) and the original's measurement stands again. ``time_ms``
-    of the pruned chain is the time this decision and any re-measurement
-    took.
+    else.
+
+    A pruned chain depends only on the pruned policy's decisions, so each
+    prune is keyed by the decisions it changes on the original chain: the
+    (state index, new action) pairs where ``pick`` differs from the
+    original's choice. The first prune with a key rebuilds the chain from
+    the original's rows, asking ``pick`` and the environment again only on
+    the changed states and those the original never reached, and re-checks
+    it, unless it came out the same (a changed action with the same
+    distribution) and the original's measurement stands again. A later
+    prune with the same key reuses that measurement if it also picks the
+    same action on each of those newly reached states: BFS then visits the
+    same states with the same rows, because the environment's callables are
+    pure. Otherwise it rebuilds, and its measurement replaces the kept one.
+    The empty key is the original's measurement. Only what a report reads
+    is kept, never a chain or a ``per_state`` vector. ``time_ms`` of the
+    pruned chain is the time this decision and any re-measurement took.
     """
     prop = parse_property(property_text)
     started = time.perf_counter()
@@ -232,25 +294,48 @@ def _reports(
     states = build.dtmc.state_vectors
     index = policy.action_index
     inputs = np.array(states, dtype=np.float64)
+    width = inputs.shape[1]
     chosen = np.array([index[name] for name in build.chosen_actions])
     available = np.zeros((len(states), len(index)), dtype=bool)
     for s, names in enumerate(build.available_actions):
         available[s, [index[name] for name in names]] = True
     rows = original_rows(build)
 
+    def remeasure(pruned_policy: NeuralPolicy, flipped: dict) -> _Remeasured:
+        """Rebuild and check ``pruned_policy``'s chain, keeping what a later prune needs."""
+        rebuilt = rebuild_induced_dtmc(rows, env, pruned_policy, flipped, limits)
+        dtmc = rebuilt.dtmc
+        new = [i for i, state in enumerate(dtmc.state_vectors) if state not in rows]
+        features = chain.from_iterable(dtmc.state_vectors[i] for i in new)
+        offered: dict[tuple[str, ...], int] = {}
+        sets = [offered.setdefault(rebuilt.available_actions[i], len(offered)) for i in new]
+        return _Remeasured(
+            result if _same_chain(dtmc, build.dtmc) else replace(check(dtmc, prop), per_state=()),
+            rebuilt.stats.states,
+            rebuilt.stats.transitions,
+            _narrow(np.fromiter(features, np.float64, len(new) * width).reshape(len(new), width)),
+            tuple(offered),
+            np.array(sets, dtype=np.min_scalar_type(len(offered))),
+            np.array([index[rebuilt.chosen_actions[i]] for i in new], dtype=np.min_scalar_type(len(index))),
+        )
+
+    # Measurements by the decisions a prune changes on the original chain,
+    # each (state index s, new action a) as the number s * len(index) + a.
+    code = np.min_scalar_type(len(states) * len(index))
+    measured = {b"": _Remeasured(result, stats.states, stats.transitions, inputs[:0], (), chosen[:0], chosen[:0])}
     for spec in specs:
         pruned_policy, mask = prune(policy, spec)
         started = time.perf_counter()
         logits = pruned_policy.forward(inputs)
-        flips = _flips(logits, chosen, available)
-        if not flips.any():
-            pruned, pruned_stats = result, stats
-        else:
-            flipped = {states[s]: logits[s].tolist() for s in np.flatnonzero(flips)}
-            rebuilt = rebuild_induced_dtmc(rows, env, pruned_policy, flipped, limits)
-            pruned = result if _same_chain(rebuilt.dtmc, build.dtmc) else check(rebuilt.dtmc, prop)
-            pruned_stats = replace(stats, states=rebuilt.stats.states, transitions=rebuilt.stats.transitions)
-        pruned_stats = replace(pruned_stats, time_ms=(time.perf_counter() - started) * 1000.0)
+        picks = _picks(pruned_policy, logits, available, build.available_actions)
+        changed = np.flatnonzero(picks != chosen)
+        key = (changed * len(index) + picks[changed]).astype(code).tobytes()
+        entry = measured.get(key)
+        if entry is None or not entry.picked_by(pruned_policy):
+            flipped = {states[s]: logits[s].tolist() for s in changed.tolist()}
+            entry = measured[key] = remeasure(pruned_policy, flipped)
+        pruned = entry.result
+        pruned_stats = ChainStats(entry.states, entry.transitions, (time.perf_counter() - started) * 1000.0)
         delta = pruned.value - result.value
         yield replace(
             original,

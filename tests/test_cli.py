@@ -349,6 +349,20 @@ class TestSweep:
         assert code == 2
         assert "comma-separated integers" in capsys.readouterr().err
 
+    def test_negative_seeds_take_the_equals_form(self, capsys, lazy_policy_path):
+        """argparse reads ``-3,2`` after ``--seeds`` as a flag; ``--seeds=-3,2`` is the value."""
+        argv = [
+            "sweep", "--model", AVOID_URI, "--policy", lazy_policy_path,
+            "--prop", NO_COLLISION_6, "--method", "random", "--layer", "1", "--fractions", "0:1:0.5",
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--seeds", "-3,2"])
+        assert exit_info.value.code == 2
+        assert "--seeds: expected one argument" in capsys.readouterr().err
+        assert main([*argv, "--seeds=-3,2"]) == 0
+        direct = sweep(from_uri(AVOID_URI), lazy_walker_policy(), NO_COLLISION_6, "random", 1, "0:1:0.5", (-3, 2))
+        assert capsys.readouterr().out == direct
+
     def test_repeated_seed(self, capsys, lazy_policy_path):
         code = main(
             [

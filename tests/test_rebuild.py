@@ -39,7 +39,7 @@ from prunecheck import (
 )
 from prunecheck.environments import AVOIDANCE_ACTIONS, AVOIDANCE_FEATURES, TAXI_ACTIONS, TAXI_FEATURES
 from prunecheck.induced import original_rows, rebuild_induced_dtmc
-from prunecheck.workflow import _flips
+from prunecheck.workflow import _picks
 
 from .conftest import random_policy
 
@@ -47,7 +47,7 @@ from .conftest import random_policy
 
 
 def flipped_states(original, policy, extra=()):
-    """The flip check's verdict as the workflow computes it, as a rebuild takes it.
+    """The states whose pick changes, as the workflow finds them, as a rebuild takes them.
 
     ``extra`` original state indices are sent to ``pick`` as well, which must
     not change the result: a kept action is picked again.
@@ -59,7 +59,7 @@ def flipped_states(original, policy, extra=()):
     available = np.zeros((len(states), len(index)), dtype=bool)
     for s, names in enumerate(original.available_actions):
         available[s, [index[name] for name in names]] = True
-    flips = _flips(logits, chosen, available)
+    flips = _picks(policy, logits, available, original.available_actions) != chosen
     flips[list(extra)] = True
     return {states[s]: logits[s].tolist() for s in np.flatnonzero(flips)}
 

@@ -492,7 +492,7 @@ def _evaluate(dtmc: Dtmc, sf: StateFormula) -> np.ndarray:
         mask = np.fromiter((sf.name in labels for labels in dtmc.state_labels), dtype=bool, count=n)
         if not mask.any():
             warnings.warn(
-                f"label {sf.name!r} does not occur in the model; treating it as the empty set",
+                f"label {sf.name!r} does not occur in the checked chain; treating it as the empty set",
                 UnknownLabelWarning,
                 stacklevel=4,
             )

@@ -26,8 +26,11 @@ rejects an unavailable action by a cache lookup instead of re-deriving the
 set.
 
 Each environment also sets ``expansion``, the same rules as array arithmetic
-over a level of states, which ``validate_model`` walks; its per-action tables
-are built when the factory runs, and nothing is kept between calls.
+over a level of states, which ``validate_model`` walks. The factory builds
+only tables whose size does not depend on the grid: one row per action. A
+table that grows with the grid, ``avoidance``'s offered moves per agent cell,
+is built on the first ``step`` call and kept for the environment's lifetime,
+so building an environment does no work that grows with the grid.
 """
 
 from __future__ import annotations
@@ -264,21 +267,38 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
             return frozenset({"collision"})
         return frozenset()
 
-    steps = np.array([_MOVES.get(action, (0, 0)) for action in AVOIDANCE_ACTIONS])
+    # Each action's change to (ax, ay, ox, oy) before the obstacle moves.
+    shifts = np.array([(*_MOVES.get(action, (0, 0)), 0, 0) for action in AVOIDANCE_ACTIONS])
+
+    @functools.cache
+    def offered() -> np.ndarray:
+        """Whether each action is offered, per agent cell ax * height + ay."""
+        ax, ay = np.divmod(np.arange(cfg.width * cfg.height), cfg.height)
+        tx, ty = ax[:, None] + shifts[:, 0], ay[:, None] + shifts[:, 1]
+        return (0 <= tx) & (tx < cfg.width) & (0 <= ty) & (ty < cfg.height)
 
     def expand(level: np.ndarray) -> tuple[np.ndarray, ...]:
-        tx, ty = level[:, :1] + steps[:, 0], level[:, 1:2] + steps[:, 1]
-        source, action = np.nonzero((0 <= tx) & (tx < cfg.width) & (0 <= ty) & (ty < cfg.height))
-        ax, ay, ox, oy = tx[source, action], ty[source, action], level[source, 2], level[source, 3]
-        aligned = ox == ax
-        moved = np.column_stack((ax, ay, ox + np.sign(ax - ox), oy + aligned * np.sign(ay - oy)))
-        stayed = np.column_stack((ax, ay, ox, oy))
+        # Row r is the r-th offered (state, action) pair in state order, then schema order.
+        pairs = np.flatnonzero(offered()[level[:, 0] * cfg.height + level[:, 1]])
+        source = pairs // len(shifts)
+        action = pairs - source * len(shifts)
+        stayed = level.take(source, axis=0)
+        stayed += shifts.take(action, axis=0)
+        ax, ay, ox, oy = stayed.T
+        dx = np.sign(ax - ox)
+        dy = np.sign(ay - oy) * (dx == 0)
         p = cfg.obstacle_move_prob
-        two = ~(aligned & (oy == ay)) & (0.0 < p < 1.0)
-        keep = np.column_stack((np.ones_like(two), two))
-        targets = np.stack((stayed if p == 0.0 else moved, stayed), axis=1)[keep]
-        probs = np.column_stack((np.where(two, p, 1.0), np.full(len(two), 1.0 - p)))[keep]
-        return source, action, 1 + two, targets, probs
+        # A row branches when the obstacle may either step or stay; the step comes first.
+        two = ((dx != 0) | (dy != 0)) & (0.0 < p < 1.0)
+        counts = 1 + two
+        first = np.cumsum(counts) - counts
+        targets = np.repeat(stayed, counts, axis=0)
+        if p > 0.0:
+            targets[first, 2] += dx
+            targets[first, 3] += dy
+        probs = np.full(len(targets), 1.0 - p)
+        probs[first] = np.where(two, p, 1.0)
+        return source, action, counts, targets, probs
 
     bx, by = cfg.obstacle_start
     return EnvironmentModel(

@@ -12,11 +12,12 @@ policy has picked one action per state, stored as compressed sparse rows.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -441,18 +442,34 @@ def check_cap(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ValidationReport:
-    """Outcome of a reachability walk over every action of a model."""
+    """Outcome of a reachability walk over every action of a model.
+
+    ``reachable``, the set of reachable states, is built from what the walk
+    kept the first time it is read, and then kept; the validate command
+    never reads it. Two reports are equal when their counts, violations and
+    reachable sets are, so a comparison builds the sets it needs.
+    """
 
     states: int
     transitions: int
     violations: list[str]
-    reachable: frozenset[StateVector]
+    build_reachable: Callable[[], frozenset[StateVector]] = field(repr=False)
+
+    @functools.cached_property
+    def reachable(self) -> frozenset[StateVector]:
+        return self.build_reachable()
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ValidationReport):
+            return NotImplemented
+        counts = (self.states, self.transitions, self.violations)
+        return counts == (other.states, other.transitions, other.violations) and self.reachable == other.reachable
 
 
 def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) -> ValidationReport:
@@ -474,7 +491,7 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
 
     Returns:
         A ValidationReport with counts, violation strings and the reachable
-        state set.
+        state set, which is built on first read.
 
     Raises:
         ValueError: ``max_states`` is below 1.
@@ -482,16 +499,16 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
     check_cap("max_states", max_states)
     expansion = env.expansion
     if expansion is not None and math.prod(expansion.shape) <= LEVEL_WALK_MAX_CELLS:
-        transitions, violations, seen = _walk_levels(env, max_states)
+        transitions, violations, states, build_reachable = _walk_levels(env, max_states)
     else:
-        transitions, violations, seen = _walk_states(env, max_states)
+        transitions, violations, states, build_reachable = _walk_states(env, max_states)
+    report = ValidationReport(states, transitions, violations, build_reachable)
 
     if env.declared_states is not None:
         for state in env.declared_states:
-            if state not in seen:
+            if state not in report.reachable:
                 violations.append(f"declared state {list(state)} is unreachable")
-
-    return ValidationReport(states=len(seen), transitions=transitions, violations=violations, reachable=seen)
+    return report
 
 
 def _limit_error(max_states: int, transitions: int) -> LimitExceededError:
@@ -502,7 +519,12 @@ def _limit_error(max_states: int, transitions: int) -> LimitExceededError:
     )
 
 
-def _walk_states(env: EnvironmentModel, max_states: int) -> tuple[int, list[str], frozenset[StateVector]]:
+# A walk's transition count, violations, reachable state count, and what
+# builds its reachable set.
+_Walk = tuple[int, list[str], int, Callable[[], frozenset[StateVector]]]
+
+
+def _walk_states(env: EnvironmentModel, max_states: int) -> _Walk:
     """The walk one state at a time over the model's two functions, each read once."""
     width = len(env.feature_schema)
     schema = frozenset(env.action_schema)
@@ -545,10 +567,10 @@ def _walk_states(env: EnvironmentModel, max_states: int) -> tuple[int, list[str]
                         raise _limit_error(max_states, transitions)
                     seen.add(target)
                     frontier.append(target)
-    return transitions, violations, frozenset(seen)
+    return transitions, violations, len(seen), functools.partial(frozenset, seen)
 
 
-def _walk_levels(env: EnvironmentModel, max_states: int) -> tuple[int, list[str], frozenset[StateVector]]:
+def _walk_levels(env: EnvironmentModel, max_states: int) -> _Walk:
     """The walk one breadth-first level at a time over the model's ``expansion``.
 
     A level's states come in discovery order, each state's rows in schema
@@ -610,5 +632,10 @@ def _walk_levels(env: EnvironmentModel, max_states: int) -> tuple[int, list[str]
         seen += len(fresh)
         level = targets[fresh]
 
-    columns = np.unravel_index(np.flatnonzero(visited), shape)
-    return transitions, violations, frozenset(zip(*(column.tolist() for column in columns)))
+    return transitions, violations, seen, functools.partial(_box_states, np.flatnonzero(visited), shape)
+
+
+def _box_states(codes: np.ndarray, shape: tuple[int, ...]) -> frozenset[StateVector]:
+    """The states at flat positions ``codes`` of a box of ``shape``."""
+    columns = np.unravel_index(codes, shape)
+    return frozenset(zip(*(column.tolist() for column in columns)))

@@ -9,11 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from prunecheck import AvoidanceConfig, Distribution, Dtmc, NeuralPolicy, avoidance, load_explicit_model, make_policy
 from prunecheck.environments import AVOIDANCE_ACTIONS, AVOIDANCE_FEATURES
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Selected with --hypothesis-profile=ci: a failing property also prints the
+# blob that reproduces it with @reproduce_failure. Deadlines and example
+# counts stay as each test sets them.
+settings.register_profile("ci", print_blob=True)
 
 # ===== Chains written as rows =====
 

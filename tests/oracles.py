@@ -233,7 +233,7 @@ def _evaluate_sets(state_labels, sf, alphabet: frozenset) -> frozenset:
     if isinstance(sf, Label):
         if sf.name not in alphabet:
             warnings.warn(
-                f"label {sf.name!r} does not occur in the model; treating it as the empty set",
+                f"label {sf.name!r} does not occur in the checked chain; treating it as the empty set",
                 UnknownLabelWarning,
             )
         return frozenset(i for i, labels in enumerate(state_labels) if sf.name in labels)

@@ -482,6 +482,14 @@ class TestEvaluateStates:
             result = check(chain3, parse_property('P=?[F "mystery"]'))
         assert result.value == 0.0
 
+    def test_unknown_label_warning_names_the_checked_chain(self, chain3):
+        """The chain is a policy's fragment of the model, which may carry the label elsewhere."""
+        with pytest.warns(UnknownLabelWarning) as caught:
+            check(chain3, parse_property('P=?[F "mystery"]'))
+        assert [str(w.message) for w in caught] == [
+            "label 'mystery' does not occur in the checked chain; treating it as the empty set"
+        ]
+
     def test_known_labels_stay_silent(self, chain3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

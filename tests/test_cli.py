@@ -683,7 +683,7 @@ class TestFeatures:
         command = "sweep" if extra else "features"
         argv = [command, "--model", AVOID_URI, "--policy", str(policy), "--prop", 'P=? [G<=6 !"nosuch"]', *extra]
         assert main(argv) == 0
-        warning = "warning: label 'nosuch' does not occur in the model; treating it as the empty set\n"
+        warning = "warning: label 'nosuch' does not occur in the checked chain; treating it as the empty set\n"
         assert capsys.readouterr().err == warning
 
 

@@ -9,6 +9,8 @@ violations in order, and where and how a state cap trips.
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from prunecheck import (
     Expansion,
     LimitExceededError,
     MiniTaxiConfig,
+    ValidationReport,
     avoidance,
     from_uri,
     mini_taxi,
@@ -129,6 +132,73 @@ def test_the_benchmark_sized_grid_agrees():
     assert validate_model(env) == validate_model(replace(env, expansion=None))
 
 
+# ===== Rows of the expansions =====
+
+
+def scalar_rows(env: EnvironmentModel, level: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays ``Expansion.step`` must return for ``level``, read off the callables."""
+    source, action, counts, targets, probs = [], [], [], [], []
+    for s, state in enumerate(map(tuple, level.tolist())):
+        for name in env.available_actions(state):
+            support = env.successors(state, name).support
+            source.append(s)
+            action.append(env.action_schema.index(name))
+            counts.append(len(support))
+            targets.extend(target for target, _ in support)
+            probs.extend(prob for _, prob in support)
+    return (
+        np.array(source, dtype=np.intp),
+        np.array(action, dtype=np.intp),
+        np.array(counts, dtype=np.intp),
+        np.array(targets, dtype=level.dtype).reshape(-1, level.shape[1]),
+        np.array(probs, dtype=np.float64),
+    )
+
+
+def assert_rows_match(env: EnvironmentModel, level: np.ndarray) -> None:
+    """Every array of the step, shape, dtype and bits, is the callables' row for row."""
+    got, expected = env.expansion.step(level), scalar_rows(env, level)
+    for name, a, b in zip(("source", "action", "counts", "targets", "probs"), got, expected):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def box_levels(env: EnvironmentModel):
+    """Every state of the expansion's box, in a drawn order, cut into drawn levels."""
+    box = np.argwhere(np.ones(env.expansion.shape, dtype=bool)).astype(np.int64)
+    return st.permutations(range(len(box))).flatmap(
+        lambda order: st.lists(st.integers(0, len(box)), max_size=4).map(
+            lambda cuts: np.split(box[list(order)], sorted(cuts))
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.one_of(avoidance_configs().map(avoidance), taxi_configs().map(mini_taxi)))
+def test_expansion_rows_are_the_callables_rows(data, env):
+    for level in data.draw(box_levels(env)):
+        assert_rows_match(env, level)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        avoidance(AvoidanceConfig(width=1, height=1, obstacle_move_prob=0.25)),
+        avoidance(AvoidanceConfig(width=1, height=3, obstacle_move_prob=0.0)),
+        avoidance(AvoidanceConfig(width=3, height=1, obstacle_move_prob=1.0)),
+        avoidance(AvoidanceConfig(width=3, height=2, obstacle_start=(0, 0), obstacle_move_prob=1 / 3)),
+        mini_taxi(MiniTaxiConfig(width=1, height=1, max_fuel=1)),
+        mini_taxi(MiniTaxiConfig(width=2, height=3, max_fuel=2, station=(1, 2), jobs_target=1)),
+    ],
+    ids=lambda env: env.feature_schema[0] + str(env.expansion.shape),
+)
+def test_every_box_state_and_no_state_give_the_callables_rows(env):
+    box = np.argwhere(np.ones(env.expansion.shape, dtype=bool)).astype(np.int64)
+    assert_rows_match(env, box)
+    assert_rows_match(env, box[::-1])
+    assert_rows_match(env, box[:0])
+
+
 # ===== Broken rows =====
 
 # state -> its rows in schema order, as (action, support); broken rows are
@@ -220,3 +290,69 @@ def test_a_box_too_large_for_flags_is_walked_state_by_state():
 
     report = validate_model(replace(env, expansion=replace(env.expansion, step=unwalked)))
     assert report == validate_model(replace(env, expansion=None))
+
+
+# ===== The reachable set =====
+
+
+def breadth_first_states(env: EnvironmentModel) -> set:
+    """Every state reachable under some action, read off the callables."""
+    seen, frontier = {env.initial}, deque([env.initial])
+    while frontier:
+        state = frontier.popleft()
+        for name in env.available_actions(state):
+            for target, _ in env.successors(state, name).support:
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+    return seen
+
+
+def test_reports_differing_only_in_reachable_are_unequal():
+    one = ValidationReport(1, 1, [], lambda: frozenset({(0,)}))
+    other = ValidationReport(1, 1, [], lambda: frozenset({(1,)}))
+    assert one != other
+    assert one == ValidationReport(1, 1, [], lambda: frozenset({(0,)}))
+
+
+def test_reachable_is_built_once():
+    calls = []
+    report = ValidationReport(1, 1, [], lambda: calls.append(1) or frozenset({(0,)}))
+    assert calls == []
+    assert report.reachable is report.reachable
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        avoidance(AvoidanceConfig(width=4, height=3, obstacle_start=(1, 2), obstacle_move_prob=0.25)),
+        mini_taxi(MiniTaxiConfig(width=3, height=2, max_fuel=2, station=(1, 1), jobs_target=1)),
+    ],
+    ids=lambda env: env.feature_schema[0],
+)
+def test_both_walks_build_the_reachable_set(env):
+    expected = breadth_first_states(env)
+    for walked in (env, replace(env, expansion=None)):
+        reachable = validate_model(walked).reachable
+        assert type(reachable) is frozenset
+        assert reachable == expected
+        assert {type(feature) for state in reachable for feature in state} == {int}
+
+
+# ===== Building a builtin =====
+
+
+@pytest.mark.parametrize(
+    "uri",
+    ["builtin:avoidance?width=3000&height=3000", "builtin:mini_taxi?width=3000&height=3000&max_fuel=3000"],
+)
+def test_building_a_large_builtin_allocates_no_grid_table(uri):
+    tracemalloc.start()
+    try:
+        from_uri(uri)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A byte per cell of the 3000 x 3000 grid would be 9 MB.
+    assert peak < 1 << 20

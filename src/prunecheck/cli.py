@@ -37,6 +37,8 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as err:
         raise PrunecheckError(f"cannot read {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise PrunecheckError(f"cannot read {path}: {err}") from err
 
 
 def write_text(path: str, text: str) -> None:

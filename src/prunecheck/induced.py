@@ -10,16 +10,17 @@ distributions mention them, which makes state numbering a deterministic
 function of (environment, policy). The batched forward pass gives each state
 bit for bit the logits of a one-state pass, so the chosen actions are those
 ``NeuralPolicy.select_action`` would choose. Each visited state's row is
-appended straight onto the chain's compressed sparse row arrays, and the
-row's ``Distribution.exact`` rationals onto the chain's ``exact_probs``, as
-long as every row has them.
+appended straight onto the chain's compressed sparse row arrays, and its
+``Distribution.exact`` rationals are kept per state; they make the chain's
+``exact_probs`` when every row has them.
 
-``rebuild_induced_dtmc`` runs the same loop from the rows of an original
-build. A state of the original on which the new policy keeps the chosen
-action takes its original row, action set and labels with no environment
-call; only flipped states and states the original never reached call the
-environment, and only the latter take the forward pass. Rows are appended in the same order as in a full build, so
-the result, errors and their counts included, is the full build's.
+``rebuild_induced_dtmc`` runs the same loop from an original build's rows
+and the new action on each state where the new policy chooses another. The
+other states take their original rows, rationals, action sets and labels
+with no environment call; only changed and newly reached states call the
+environment, and only the latter take the forward pass. Rows are appended in
+a full build's order, so the result, errors and their counts included, is
+the full build's.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import LimitExceededError, ModelSemanticError
 from .model import DEFAULT_MAX_STATES, Dtmc, EnvironmentModel, StateVector, check_cap
@@ -55,12 +57,13 @@ class BuildStats:
 
 @dataclass(frozen=True)
 class BuildResult:
-    """A chain with, per state in index order, its chosen action and its available actions."""
+    """A chain with, per state in index order, its chosen action, available actions and rationals."""
 
     dtmc: Dtmc
     chosen_actions: tuple[str, ...]
     stats: BuildStats
     available_actions: tuple[tuple[str, ...], ...]
+    exact_rows: tuple[tuple[Fraction, ...] | None, ...]  # each row's Distribution.exact
 
 
 # ===== Builder =====
@@ -93,18 +96,17 @@ def build_induced_dtmc(
 def original_rows(build: BuildResult) -> dict[StateVector, Row]:
     """Each state's row of ``build``, keyed by state, for ``rebuild_induced_dtmc``.
 
-    A row's rationals are None when the chain has no ``exact_probs``.
+    A row carries its own rationals, as ``build.exact_rows`` holds them.
     """
     dtmc = build.dtmc
     vectors = dtmc.state_vectors
     indptr, indices, probs = dtmc.indptr.tolist(), dtmc.indices.tolist(), dtmc.probs.tolist()
-    exact = dtmc.exact_probs
     return {
         state: (
             build.chosen_actions[i],
             build.available_actions[i],
             tuple(zip([vectors[t] for t in indices[indptr[i] : indptr[i + 1]]], probs[indptr[i] : indptr[i + 1]])),
-            exact and exact[indptr[i] : indptr[i + 1]],
+            build.exact_rows[i],
             dtmc.state_labels[i],
         )
         for i, state in enumerate(vectors)
@@ -115,21 +117,21 @@ def rebuild_induced_dtmc(
     rows: dict[StateVector, Row],
     env: EnvironmentModel,
     policy: NeuralPolicy,
-    flipped: dict[StateVector, list[float]],
+    changed: dict[StateVector, str],
     limits: BuildLimits | None = None,
 ) -> BuildResult:
     """``build_induced_dtmc(env, policy, limits)``, reusing an original build's rows.
 
     ``rows`` are ``original_rows`` of the build of another policy on the
-    same ``env``, and ``flipped`` maps each of its states on which ``policy``
-    may choose another action to ``policy``'s logits there; ``policy``
-    keeps the original's action on every other state of ``rows``. Such a
-    kept state takes its original row with no environment call: the
-    environment's callables are pure, so they would give that row again.
-    Only flipped states and states the original never reached are asked.
-    The result, errors included, is that of the full build.
+    same ``env``, and ``changed`` maps each of its states on which
+    ``policy`` chooses another action to that action, as ``pick`` decides
+    it. Every other state of ``rows`` takes its original row with no
+    environment call: the environment's callables are pure, so they would
+    give that row again. Only changed states and states the original never
+    reached are asked, and only the latter are decided here. The result,
+    errors included, is that of the full build.
     """
-    return _explore(env, policy, limits, rows, flipped)
+    return _explore(env, policy, limits, rows, changed)
 
 
 def _explore(
@@ -137,14 +139,9 @@ def _explore(
     policy: NeuralPolicy,
     limits: BuildLimits | None,
     known: dict[StateVector, Row],
-    flipped: dict[StateVector, list[float]],
+    changed: dict[StateVector, str],
 ) -> BuildResult:
-    """The BFS level loop of both builds: ``known`` rows are reused unless ``flipped``.
-
-    A kept row whose rationals are unknown is fetched again while the chain
-    still collects rationals, since the environment may know them; the
-    first row without rationals ends that, and with it the fetching.
-    """
+    """The BFS level loop of both builds: ``known`` rows are reused unless ``changed``."""
     limits = limits or BuildLimits()
     policy.check_schemas(env)
 
@@ -154,9 +151,9 @@ def _explore(
     indptr: list[int] = [0]
     indices: list[int] = []
     probs: list[float] = []
-    rationals: list[Fraction] | None = []
     chosen: list[str] = []
     offered: list[tuple[str, ...]] = []
+    exact_rows: list[tuple[Fraction, ...] | None] = []
     labels: list[frozenset[str]] = []
     transitions = 0
 
@@ -175,10 +172,8 @@ def _explore(
                 support, exact = dist.support, dist.exact
             else:
                 action, available, support, exact, tags = row
-                logits = flipped.get(state)
-                if logits is not None:
-                    action = policy.pick(logits, available)
-                if logits is not None or (exact is None and rationals is not None):
+                if state in changed:
+                    action = changed[state]
                     dist = env.successors(state, action)
                     support, exact = dist.support, dist.exact
             transitions += len(support)
@@ -201,19 +196,17 @@ def _explore(
                     next_level.append(target)
                 indices.append(index[target])
                 probs.append(prob)
-            if rationals is not None and exact is not None:
-                rationals.extend(exact)
-            else:
-                rationals = None
             indptr.append(transitions)
             chosen.append(action)
             offered.append(available)
+            exact_rows.append(exact)
             labels.append(env.labels(state) if row is None else tags)
         level = next_level
 
-    dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs, rationals and tuple(rationals))
+    rationals = None if None in exact_rows else tuple(chain.from_iterable(exact_rows))
+    dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs, rationals)
     stats = BuildStats(states=dtmc.num_states, transitions=dtmc.num_transitions)
-    return BuildResult(dtmc=dtmc, chosen_actions=tuple(chosen), stats=stats, available_actions=tuple(offered))
+    return BuildResult(dtmc, tuple(chosen), stats, tuple(offered), tuple(exact_rows))
 
 
 # ===== Export =====

@@ -9,6 +9,7 @@ so a state's logits are a pure deterministic function of the weights.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,6 +102,26 @@ class NeuralPolicy:
             if best is None or logits[i] > logits[best] or (logits[i] == logits[best] and i < best):
                 best = i
         return self.action_names[best]
+
+    def pick_rows(self, inputs: np.ndarray, available: np.ndarray, offered: Sequence[tuple[str, ...]]) -> np.ndarray:
+        """The schema index ``pick`` chooses on each row of ``inputs``; an empty ``inputs`` skips ``forward``.
+
+        ``available`` masks each row's action set, and ``offered[row]`` lists
+        it in the order ``pick`` reads it. Without a NaN among the available
+        logits, ``pick`` takes the largest, an equal one going to the smaller
+        schema index whatever that order, and one ``argmax`` does the same. NaN
+        orders nothing, so ``pick``'s choice then depends on the order of the
+        set, and such a row is left to ``pick`` itself.
+        """
+        if not len(inputs):
+            return np.zeros(0, dtype=np.intp)
+        logits = self.forward(inputs)
+        offered_logits = np.where(available, logits, -np.inf)
+        best = offered_logits.max(axis=1, keepdims=True)
+        picks = np.argmax(available & (logits == best), axis=1)
+        for row in np.flatnonzero(np.isnan(offered_logits).any(axis=1)).tolist():
+            picks[row] = self.action_index[self.pick(logits[row].tolist(), offered[row])]
+        return picks
 
     def check_schemas(self, env: EnvironmentModel) -> None:
         if self.feature_names != env.feature_schema:

@@ -4,13 +4,13 @@ Every report comes from ``_reports``, which yields the original's report
 and then one pruned report per PruneSpec of a stream. ``measure`` takes the
 first report; ``prune_and_measure``, the rows of ``feature_importance`` and
 the rows of ``sweep`` differ only in the specs they stream. A pruned chain
-depends only on the pruned policy's decisions, so each prune is keyed by
-the actions it changes on the original chain. A prune that changes none
-reuses the original's measurement. The first prune with a given set of
-changes is rebuilt from the original chain's rows, calling the environment
-only for the changed and the newly reached states, and re-checked; a
-later prune with the same changes reuses that measurement if it also
-picks the same actions on the newly reached states.
+depends only on the pruned policy's decisions, so each prune is described
+by the (state, new action) pairs it changes on the original chain. One that
+changes none reuses the original's measurement. The first with a given set
+of changes is rebuilt from the original chain's rows with those actions,
+calling the environment only for the changed and the newly reached states,
+and re-checked; a later one with the same changes reuses that measurement
+if it also picks the same actions on the newly reached states.
 
 Everything here returns SafetyReports or CSV text built only from the
 inputs and declared seeds, so repeated runs are byte-identical. Wall-clock
@@ -26,13 +26,13 @@ import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .checking import UNDECIDED, CheckResult, check
 from .errors import PruneSpecError
-from .induced import BuildLimits, build_induced_dtmc, original_rows, rebuild_induced_dtmc
+from .induced import BuildLimits, BuildResult, build_induced_dtmc, original_rows, rebuild_induced_dtmc
 from .model import Dtmc, EnvironmentModel
 from .policy import NeuralPolicy
 from .properties import Prob, parse_property
@@ -163,29 +163,6 @@ def measure(
     return next(_reports(env, policy, property_text, (), limits))
 
 
-def _picks(
-    policy: NeuralPolicy,
-    logits: np.ndarray,
-    available: np.ndarray,
-    offered: Sequence[tuple[str, ...]],
-) -> np.ndarray:
-    """The schema index ``policy.pick`` chooses on each row of ``logits``.
-
-    ``available`` masks each row's action set, and ``offered[row]`` lists
-    it in the order ``pick`` reads it. Without a NaN among the available
-    logits, ``pick`` takes the largest, an equal one going to the smaller
-    schema index whatever that order, and one ``argmax`` does the same. NaN
-    orders nothing, so ``pick``'s choice then depends on the order of the
-    set, and such a row is left to ``pick`` itself.
-    """
-    offered_logits = np.where(available, logits, -np.inf)
-    best = offered_logits.max(axis=1, keepdims=True)
-    picks = np.argmax(available & (logits == best), axis=1)
-    for row in np.flatnonzero(np.isnan(offered_logits).any(axis=1)).tolist():
-        picks[row] = policy.action_index[policy.pick(logits[row].tolist(), offered[row])]
-    return picks
-
-
 def _same_chain(a: Dtmc, b: Dtmc) -> bool:
     """Whether two chains have the same states and transitions, so the same values."""
     return (
@@ -199,44 +176,47 @@ def _same_chain(a: Dtmc, b: Dtmc) -> bool:
 
 
 @dataclass(frozen=True)
+class _Decisions:
+    """Some states of a chain as a policy decides on them, one row each.
+
+    ``inputs`` are their features, ``available`` masks each one's action
+    set over the schema, ``offered`` lists that set in the order ``pick``
+    reads it, and ``chosen`` is the schema index of the chain's action.
+    """
+
+    inputs: np.ndarray
+    available: np.ndarray
+    offered: tuple[tuple[str, ...], ...]
+    chosen: np.ndarray
+
+    @classmethod
+    def of(cls, build: BuildResult, states: Sequence[int], index: dict[str, int]) -> _Decisions:
+        """The rows of ``build``'s states at ``states``, actions numbered by ``index``."""
+        vectors = build.dtmc.state_vectors
+        offered = tuple(build.available_actions[s] for s in states)
+        masks = {names: [name in names for name in index] for names in set(offered)}
+        available = np.array([masks[names] for names in offered], dtype=bool).reshape(len(states), len(index))
+        inputs = np.array([vectors[s] for s in states], dtype=np.float64).reshape(len(states), len(vectors[0]))
+        chosen = np.array([index[build.chosen_actions[s]] for s in states], dtype=np.intp)
+        return cls(inputs, available, offered, chosen)
+
+    def picks(self, policy: NeuralPolicy) -> np.ndarray:
+        return policy.pick_rows(self.inputs, self.available, self.offered)
+
+
+@dataclass(frozen=True)
 class _Remeasured:
     """One pruned measurement, kept for later prunes that change the same decisions.
 
-    ``inputs``, ``sets`` and ``picked`` describe the pruned chain's states
-    that the original chain lacks: their features in the narrowest type
-    that holds them, the index of their action set in ``offered``, and the
-    schema index of their chosen action. ``result`` is the original's when
-    the pruned chain came out the same, else the pruned check without its
-    ``per_state`` vector.
+    ``new`` holds the pruned chain's states that the original chain lacks.
+    ``result`` is the original's when the pruned chain came out the same,
+    else the pruned check without its ``per_state`` vector.
     """
 
     result: CheckResult
     states: int
     transitions: int
-    inputs: np.ndarray
-    offered: tuple[tuple[str, ...], ...]
-    sets: np.ndarray
-    picked: np.ndarray
-
-    def picked_by(self, policy: NeuralPolicy) -> bool:
-        """Whether ``policy`` chooses this measurement's action on each of its new states."""
-        if not len(self.picked):
-            return True
-        names = policy.action_names
-        available = np.array([[name in offered for name in names] for offered in self.offered])[self.sets]
-        logits = policy.forward(self.inputs)
-        picks = _picks(policy, logits, available, [self.offered[k] for k in self.sets.tolist()])
-        return bool((picks == self.picked).all())
-
-
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """``values`` in the narrowest of int8, int16 and int32 that holds each exactly, else as they are."""
-    low, high = values.min(initial=0), values.max(initial=0)
-    for dtype in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= low and high <= info.max and np.array_equal(narrow := values.astype(dtype), values):
-            return narrow
-    return values
+    new: _Decisions
 
 
 def _reports(
@@ -256,20 +236,22 @@ def _reports(
     else.
 
     A pruned chain depends only on the pruned policy's decisions, so each
-    prune is keyed by the decisions it changes on the original chain: the
-    (state index, new action) pairs where ``pick`` differs from the
-    original's choice. The first prune with a key rebuilds the chain from
-    the original's rows, asking ``pick`` and the environment again only on
-    the changed states and those the original never reached, and re-checks
-    it, unless it came out the same (a changed action with the same
-    distribution) and the original's measurement stands again. A later
-    prune with the same key reuses that measurement if it also picks the
-    same action on each of those newly reached states: BFS then visits the
-    same states with the same rows, because the environment's callables are
-    pure. Otherwise it rebuilds, and its measurement replaces the kept one.
-    The empty key is the original's measurement. Only what a report reads
-    is kept, never a chain or a ``per_state`` vector. ``time_ms`` of the
-    pruned chain is the time this decision and any re-measurement took.
+    prune is described by the decisions it changes on the original chain:
+    the (state index, new action) pairs where ``pick`` differs from the
+    original's choice, read off a ``_Decisions`` table of its states. The
+    first prune with those changes rebuilds the chain from the original's
+    rows with those actions, asking the environment only on the changed
+    states and those the original never reached, and re-checks it, unless it
+    came out the same (a changed action with the same distribution) and the
+    original's measurement stands again. A later prune with the same changes
+    reuses that measurement if it also picks the same action on each of the
+    newly reached states, as the measurement's own table holds them: BFS
+    then visits the same states with the same rows, because the
+    environment's callables are pure. Otherwise it rebuilds, and its
+    measurement replaces the kept one. No change is the original's
+    measurement. Only what a report reads is kept, never a chain or a
+    ``per_state`` vector. ``time_ms`` of the pruned chain is the time this
+    decision and any re-measurement took.
     """
     prop = parse_property(property_text)
     started = time.perf_counter()
@@ -288,52 +270,34 @@ def _reports(
     )
     yield original
 
-    # The original chain's states in index order: feature vectors, the
-    # schema index of the chosen action, and the available schema actions
-    # as the build found them; and its rows, for rebuilds to reuse.
+    # The original chain's states as each pruned policy decides on them,
+    # and its rows, for rebuilds to reuse.
     states = build.dtmc.state_vectors
     index = policy.action_index
-    inputs = np.array(states, dtype=np.float64)
-    width = inputs.shape[1]
-    chosen = np.array([index[name] for name in build.chosen_actions])
-    available = np.zeros((len(states), len(index)), dtype=bool)
-    for s, names in enumerate(build.available_actions):
-        available[s, [index[name] for name in names]] = True
+    decisions = _Decisions.of(build, range(len(states)), index)
     rows = original_rows(build)
-
-    def remeasure(pruned_policy: NeuralPolicy, flipped: dict) -> _Remeasured:
-        """Rebuild and check ``pruned_policy``'s chain, keeping what a later prune needs."""
-        rebuilt = rebuild_induced_dtmc(rows, env, pruned_policy, flipped, limits)
-        dtmc = rebuilt.dtmc
-        new = [i for i, state in enumerate(dtmc.state_vectors) if state not in rows]
-        features = chain.from_iterable(dtmc.state_vectors[i] for i in new)
-        offered: dict[tuple[str, ...], int] = {}
-        sets = [offered.setdefault(rebuilt.available_actions[i], len(offered)) for i in new]
-        return _Remeasured(
-            result if _same_chain(dtmc, build.dtmc) else replace(check(dtmc, prop), per_state=()),
-            rebuilt.stats.states,
-            rebuilt.stats.transitions,
-            _narrow(np.fromiter(features, np.float64, len(new) * width).reshape(len(new), width)),
-            tuple(offered),
-            np.array(sets, dtype=np.min_scalar_type(len(offered))),
-            np.array([index[rebuilt.chosen_actions[i]] for i in new], dtype=np.min_scalar_type(len(index))),
-        )
 
     # Measurements by the decisions a prune changes on the original chain,
     # each (state index s, new action a) as the number s * len(index) + a.
-    code = np.min_scalar_type(len(states) * len(index))
-    measured = {b"": _Remeasured(result, stats.states, stats.transitions, inputs[:0], (), chosen[:0], chosen[:0])}
+    measured = {b"": _Remeasured(result, stats.states, stats.transitions, _Decisions.of(build, [], index))}
     for spec in specs:
         pruned_policy, mask = prune(policy, spec)
         started = time.perf_counter()
-        logits = pruned_policy.forward(inputs)
-        picks = _picks(pruned_policy, logits, available, build.available_actions)
-        changed = np.flatnonzero(picks != chosen)
-        key = (changed * len(index) + picks[changed]).astype(code).tobytes()
+        picks = decisions.picks(pruned_policy)
+        changed = np.flatnonzero(picks != decisions.chosen)
+        key = (changed * len(index) + picks[changed]).tobytes()
         entry = measured.get(key)
-        if entry is None or not entry.picked_by(pruned_policy):
-            flipped = {states[s]: logits[s].tolist() for s in changed.tolist()}
-            entry = measured[key] = remeasure(pruned_policy, flipped)
+        if entry is None or not (entry.new.picks(pruned_policy) == entry.new.chosen).all():
+            actions = {states[s]: policy.action_names[a] for s, a in zip(changed.tolist(), picks[changed].tolist())}
+            rebuilt = rebuild_induced_dtmc(rows, env, pruned_policy, actions, limits)
+            dtmc = rebuilt.dtmc
+            new = [i for i, state in enumerate(dtmc.state_vectors) if state not in rows]
+            entry = measured[key] = _Remeasured(
+                result if _same_chain(dtmc, build.dtmc) else replace(check(dtmc, prop), per_state=()),
+                rebuilt.stats.states,
+                rebuilt.stats.transitions,
+                _Decisions.of(rebuilt, new, index),
+            )
         pruned = entry.result
         pruned_stats = ChainStats(entry.states, entry.transitions, (time.perf_counter() - started) * 1000.0)
         delta = pruned.value - result.value

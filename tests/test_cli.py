@@ -598,6 +598,22 @@ def test_documents_behind_the_malformed_cases_are_well_formed(capsys, tmp_path, 
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("flag", ["--model", "--policy", "--prop-file"])
+def test_a_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, step_policy_path, flag):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"bad"')
+    args = {"--model": CHAIN3, "--policy": step_policy_path, "--prop-file": str(tmp_path / "prop.pctl")}
+    (tmp_path / "prop.pctl").write_text('P=? [F "goal"]\n')
+    args[flag] = str(path)
+    code = main(["check", *(item for pair in args.items() for item in pair)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 def _read_document(tmp_path, kind: str, text: str) -> list[str]:
     """Write ``text`` to a file and return the arguments of a call that reads it as ``kind``."""
     path = tmp_path / "doc.json"

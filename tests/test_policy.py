@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prunecheck import (
@@ -151,6 +151,52 @@ class TestSelectAction:
     def test_unknown_action_name_rejected(self):
         with pytest.raises(SchemaMismatchError, match="not in the policy's schema"):
             two_layer_policy().select_action((0, 0), ("a", "zigzag"))
+
+
+class LogitsAsInputs(NeuralPolicy):
+    """A policy whose logits are its inputs, so that a test can give it any logits."""
+
+    def forward(self, states) -> np.ndarray:
+        return np.array(states, dtype=np.float64)
+
+
+class NoForward(NeuralPolicy):
+    def forward(self, states) -> np.ndarray:
+        raise AssertionError("forward was called")
+
+
+ACTIONS = ("a", "b", "c", "d")
+# Ties (0.0 == -0.0, repeated values), rows that are all -inf, and NaN rows.
+SPECIAL_LOGITS = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308)
+
+
+@st.composite
+def decision_rows(draw) -> list[tuple[list[float], tuple[str, ...]]]:
+    """Rows of (logits, offered actions), each action set in any order."""
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        logits = draw(st.lists(st.sampled_from(SPECIAL_LOGITS), min_size=len(ACTIONS), max_size=len(ACTIONS)))
+        offered = draw(st.sets(st.sampled_from(ACTIONS), min_size=1))
+        rows.append((logits, tuple(draw(st.permutations(sorted(offered))))))
+    return rows
+
+
+class TestPickRows:
+    @given(decision_rows())
+    @example([([0.0, -0.0, 1.0, 1.0], ("d", "c", "b", "a")), ([-np.inf] * 4, ("c", "b"))])
+    @example([([np.nan, 1.0, 1.0, 0.0], ("d", "b", "a", "c")), ([1.0, np.nan, 1e308, 1e308], ("b", "d", "c"))])
+    def test_equals_pick_on_each_row(self, rows):
+        policy = LogitsAsInputs(ACTIONS, ACTIONS, ())
+        logits = np.array([row for row, _ in rows], dtype=np.float64)
+        offered = [names for _, names in rows]
+        available = np.array([[name in names for name in ACTIONS] for names in offered])
+        picks = policy.pick_rows(logits, available, offered)
+        assert [ACTIONS[i] for i in picks.tolist()] == [policy.pick(row, names) for row, names in rows]
+
+    def test_an_empty_table_takes_no_forward_pass(self):
+        policy = NoForward(ACTIONS, ACTIONS, ())
+        picks = policy.pick_rows(np.zeros((0, len(ACTIONS))), np.zeros((0, len(ACTIONS)), dtype=bool), ())
+        assert picks.shape == (0,)
 
 
 # ===== Schema checks =====

@@ -39,29 +39,25 @@ from prunecheck import (
 )
 from prunecheck.environments import AVOIDANCE_ACTIONS, AVOIDANCE_FEATURES, TAXI_ACTIONS, TAXI_FEATURES
 from prunecheck.induced import original_rows, rebuild_induced_dtmc
-from prunecheck.workflow import _picks
+from prunecheck.workflow import _Decisions
 
 from .conftest import random_policy
 
 # ===== Comparing a rebuild with a full build =====
 
 
-def flipped_states(original, policy, extra=()):
-    """The states whose pick changes, as the workflow finds them, as a rebuild takes them.
+def changed_actions(original, policy, extra=()):
+    """The new action on each state whose pick changes, as the workflow decides it and a rebuild takes it.
 
-    ``extra`` original state indices are sent to ``pick`` as well, which must
-    not change the result: a kept action is picked again.
+    ``extra`` original state indices are given their pick as well, which
+    must not change the result: a kept action is fetched again.
     """
+    decisions = _Decisions.of(original, range(original.stats.states), policy.action_index)
+    picks = decisions.picks(policy)
+    changed = picks != decisions.chosen
+    changed[list(extra)] = True
     states = original.dtmc.state_vectors
-    index = policy.action_index
-    logits = policy.forward(np.array(states, dtype=np.float64))
-    chosen = np.array([index[name] for name in original.chosen_actions])
-    available = np.zeros((len(states), len(index)), dtype=bool)
-    for s, names in enumerate(original.available_actions):
-        available[s, [index[name] for name in names]] = True
-    flips = _picks(policy, logits, available, original.available_actions) != chosen
-    flips[list(extra)] = True
-    return {states[s]: logits[s].tolist() for s in np.flatnonzero(flips)}
+    return {states[s]: policy.action_names[picks[s]] for s in np.flatnonzero(changed)}
 
 
 def fields(build) -> tuple:
@@ -91,9 +87,9 @@ def outcome(make) -> tuple:
 
 def assert_rebuild_is_full_build(env, original_policy, policy, limits=None, extra=()):
     original = build_induced_dtmc(env, original_policy)
-    flipped = flipped_states(original, policy, extra)
+    changed = changed_actions(original, policy, extra)
     rows = original_rows(original)
-    rebuilt = outcome(lambda: rebuild_induced_dtmc(rows, env, policy, flipped, limits))
+    rebuilt = outcome(lambda: rebuild_induced_dtmc(rows, env, policy, changed, limits))
     assert rebuilt == outcome(lambda: build_induced_dtmc(env, policy, limits))
     return rebuilt
 
@@ -207,12 +203,12 @@ def trap_model() -> EnvironmentModel:
     return load_explicit_model(json.dumps({"features": ["pos"], "actions": ["a", "b"], "initial": [1], "states": states}))
 
 
-def test_a_kept_row_without_rationals_is_fetched_while_the_chain_has_them():
+def test_a_kept_row_keeps_its_rationals_when_the_original_chain_lost_them():
     """The original chain has no rationals; the pruned chain keeps all of its own.
 
     The original picks "a" at (1,) (logit pos - 0.5 against 0). Zeroing the
-    weight picks "b" there, and (4,) is kept: its original row must not
-    stand in for the rationals the environment has for it.
+    weight picks "b" there, and (4,) is kept with no environment call: its
+    original row must bring the rationals the original chain dropped.
     """
     env = trap_model()
     policy = linear_policy([1, 0], [-0.5, 0])
@@ -288,8 +284,8 @@ def written_in_fractions(env) -> EnvironmentModel:
 def test_only_flipped_and_new_states_call_the_environment(exact):
     """Each flipped or newly reached state is asked once, kept states not at all.
 
-    The builtin chain has no rationals, so its initial row is fetched once
-    more to learn that; the same model written in fractions has them.
+    That holds for the builtin, whose chain has no rationals, and for the
+    same model written in fractions, whose chain has them.
     """
     env = avoidance(AvoidanceConfig(width=4, height=4))
     if exact:
@@ -297,16 +293,15 @@ def test_only_flipped_and_new_states_call_the_environment(exact):
     policy = random_policy(3, AVOIDANCE_FEATURES, AVOIDANCE_ACTIONS, hidden=(6,))
     pruned = prune(policy, PruneSpec("l1", 1, 0.5))[0]
     original = build_induced_dtmc(env, policy)
-    flipped = flipped_states(original, pruned)
+    changed = changed_actions(original, pruned)
     env, calls = counted(env)
-    rebuilt = rebuild_induced_dtmc(original_rows(original), env, pruned, flipped)
+    rebuilt = rebuild_induced_dtmc(original_rows(original), env, pruned, changed)
     assert (rebuilt.dtmc.exact_probs is not None) == exact
 
     states = set(rebuilt.dtmc.state_vectors)
     new = states - set(original.dtmc.state_vectors)
-    asked = (states & set(flipped)) | new | (set() if exact else {env.initial})
-    assert flipped and new and env.initial not in flipped
-    assert calls["successors"] == Counter(asked)
+    assert changed and new and env.initial not in changed
+    assert calls["successors"] == Counter((states & set(changed)) | new)
     assert calls["available_actions"] == calls["labels"] == Counter(new)
 
 

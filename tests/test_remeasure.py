@@ -185,9 +185,9 @@ class BuildCounter:
         self._count(policy)
         return build_induced_dtmc(env, policy, limits)
 
-    def _rebuild(self, rows, env, policy, flipped, limits=None):
+    def _rebuild(self, rows, env, policy, changed, limits=None):
         self._count(policy)
-        return rebuild_induced_dtmc(rows, env, policy, flipped, limits)
+        return rebuild_induced_dtmc(rows, env, policy, changed, limits)
 
 
 class TestOriginalMeasuredOnce:

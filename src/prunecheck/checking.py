@@ -169,6 +169,11 @@ def _sources(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions of the spans ``[start, start + count)``, laid end to end."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
 def _backward_set(rev_ptr: np.ndarray, rev_src: np.ndarray, seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Least fixpoint: seeds plus allowed states with an edge into the set.
 
@@ -179,10 +184,7 @@ def _backward_set(rev_ptr: np.ndarray, rev_src: np.ndarray, seeds: np.ndarray, a
     frontier = np.flatnonzero(seeds)
     while frontier.size:
         starts = rev_ptr[frontier]
-        counts = rev_ptr[frontier + 1] - starts
-        # Every frontier state's span of rev_src, laid end to end.
-        spans = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        preds = rev_src[spans]
+        preds = rev_src[_spans(starts, rev_ptr[frontier + 1] - starts)]
         frontier = np.unique(preds[allowed[preds] & ~reached[preds]])
         reached[frontier] = True
     return reached
@@ -273,7 +275,7 @@ class _Block:
         local = np.full(len(indptr) - 1, -1)
         local[uncertain] = np.arange(m)
         counts = indptr[uncertain + 1] - indptr[uncertain]
-        spans = np.repeat(indptr[uncertain] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        spans = _spans(indptr[uncertain], counts)
         row, target, prob = np.repeat(np.arange(m), counts), indices[spans], probs[spans]
         known = np.bincount(row, weights=np.where(prob1[target], prob, 0.0), minlength=m)
         inside = local[target] >= 0

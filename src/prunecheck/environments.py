@@ -154,21 +154,13 @@ def mini_taxi(config: MiniTaxiConfig | None = None) -> EnvironmentModel:
         return action_set(x, y, fuel == 0, on_board)
 
     def successors(state: StateVector, action: str) -> Distribution:
-        x, y, fuel, on_board, jobs = state
         if action not in available_actions(state):
             raise ValueError(f"action {action!r} unavailable in state {list(state)}")
-        if fuel == 0:
+        if state[2] == 0:  # no fuel
             return Distribution(((state, 1.0),))
-        if action in _MOVES:
-            dx, dy = _MOVES[action]
-            target = (x + dx, y + dy, fuel - 1, on_board, jobs)
-        elif action == "pickup":
-            target = (x, y, fuel, 1, jobs)
-        elif action == "dropoff":
-            target = (x, y, fuel, 0, min(jobs + 1, cfg.jobs_target))
-        else:  # refuel
-            target = (x, y, cfg.max_fuel, on_board, jobs)
-        return Distribution(((target, 1.0),))
+        x, y, fuel, on_board, jobs = (value + step for value, step in zip(state, _TAXI_STEPS[action]))
+        fuel = cfg.max_fuel if action == "refuel" else fuel
+        return Distribution((((x, y, fuel, on_board, min(jobs, cfg.jobs_target)), 1.0),))
 
     def labels(state: StateVector) -> frozenset[str]:
         x, y, fuel, on_board, jobs = state
@@ -238,21 +230,16 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
         ax, ay, _ox, _oy = state
         return action_set(ax, ay)
 
-    def _chase_step(ox: int, oy: int, ax: int, ay: int) -> tuple[int, int]:
-        if ox != ax:
-            return (ox + (1 if ax > ox else -1), oy)
-        if oy != ay:
-            return (ox, oy + (1 if ay > oy else -1))
-        return (ox, oy)
-
     def successors(state: StateVector, action: str) -> Distribution:
         ax, ay, ox, oy = state
         if action not in available_actions(state):
             raise ValueError(f"action {action!r} unavailable in state {list(state)}")
-        if action in _MOVES:
-            dx, dy = _MOVES[action]
-            ax, ay = ax + dx, ay + dy
-        moved = (ax, ay) + _chase_step(ox, oy, ax, ay)
+        mx, my = _MOVES.get(action, (0, 0))
+        ax, ay = ax + mx, ay + my
+        # The obstacle's step: the sign of the gap along x, else along y.
+        dx = (ax > ox) - (ax < ox)
+        dy = (ay > oy) - (ay < oy) if dx == 0 else 0
+        moved = (ax, ay, ox + dx, oy + dy)
         stayed = (ax, ay, ox, oy)
         p = cfg.obstacle_move_prob
         if moved == stayed or p == 1.0:

@@ -14,13 +14,15 @@ appended straight onto the chain's compressed sparse row arrays, and its
 ``Distribution.exact`` rationals are kept per state; they make the chain's
 ``exact_probs`` when every row has them.
 
-``rebuild_induced_dtmc`` runs the same loop from an original build's rows
+``rebuild_induced_dtmc`` runs the same loop from an original ``BuildResult``
 and the new action on each state where the new policy chooses another. The
 other states take their original rows, rationals, action sets and labels
 with no environment call; only changed and newly reached states call the
-environment, and only the latter take the forward pass. Rows are appended in
-a full build's order, so the result, errors and their counts included, is
-the full build's.
+environment, and only the latter take the forward pass. The original's rows
+are gathered from its arrays by the first rebuild that reads them and kept
+with the build, so a build nothing rebuilds from never gathers them. Rows
+are appended in a full build's order, so the result, errors and their counts
+included, is the full build's.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 from .errors import LimitExceededError, ModelSemanticError
@@ -55,22 +58,43 @@ class BuildStats:
     transitions: int
 
 
+# A state's row as an original build left it: chosen action, available
+# actions, (target, probability) support, its rationals or None, labels.
+_Row = tuple[str, tuple[str, ...], tuple[tuple[StateVector, float], ...], tuple[Fraction, ...] | None, frozenset[str]]
+
+
 @dataclass(frozen=True)
 class BuildResult:
     """A chain with, per state in index order, its chosen action, available actions and rationals."""
 
     dtmc: Dtmc
     chosen_actions: tuple[str, ...]
-    stats: BuildStats
     available_actions: tuple[tuple[str, ...], ...]
     exact_rows: tuple[tuple[Fraction, ...] | None, ...]  # each row's Distribution.exact
 
+    @property
+    def stats(self) -> BuildStats:
+        return BuildStats(states=self.dtmc.num_states, transitions=self.dtmc.num_transitions)
+
+    @cached_property
+    def rows(self) -> dict[StateVector, _Row]:
+        """Each state's row, keyed by state, with its own rationals: what a rebuild reuses."""
+        dtmc = self.dtmc
+        vectors = dtmc.state_vectors
+        indptr, indices, probs = dtmc.indptr.tolist(), dtmc.indices.tolist(), dtmc.probs.tolist()
+        return {
+            state: (
+                self.chosen_actions[i],
+                self.available_actions[i],
+                tuple(zip([vectors[t] for t in indices[indptr[i] : indptr[i + 1]]], probs[indptr[i] : indptr[i + 1]])),
+                self.exact_rows[i],
+                dtmc.state_labels[i],
+            )
+            for i, state in enumerate(vectors)
+        }
+
 
 # ===== Builder =====
-
-# A state's row as an original build left it: chosen action, available
-# actions, (target, probability) support, its rationals or None, labels.
-Row = tuple[str, tuple[str, ...], tuple[tuple[StateVector, float], ...], tuple[Fraction, ...] | None, frozenset[str]]
 
 
 def build_induced_dtmc(
@@ -93,52 +117,32 @@ def build_induced_dtmc(
     return _explore(env, policy, limits, {}, {})
 
 
-def original_rows(build: BuildResult) -> dict[StateVector, Row]:
-    """Each state's row of ``build``, keyed by state, for ``rebuild_induced_dtmc``.
-
-    A row carries its own rationals, as ``build.exact_rows`` holds them.
-    """
-    dtmc = build.dtmc
-    vectors = dtmc.state_vectors
-    indptr, indices, probs = dtmc.indptr.tolist(), dtmc.indices.tolist(), dtmc.probs.tolist()
-    return {
-        state: (
-            build.chosen_actions[i],
-            build.available_actions[i],
-            tuple(zip([vectors[t] for t in indices[indptr[i] : indptr[i + 1]]], probs[indptr[i] : indptr[i + 1]])),
-            build.exact_rows[i],
-            dtmc.state_labels[i],
-        )
-        for i, state in enumerate(vectors)
-    }
-
-
 def rebuild_induced_dtmc(
-    rows: dict[StateVector, Row],
+    original: BuildResult,
     env: EnvironmentModel,
     policy: NeuralPolicy,
     changed: dict[StateVector, str],
     limits: BuildLimits | None = None,
 ) -> BuildResult:
-    """``build_induced_dtmc(env, policy, limits)``, reusing an original build's rows.
+    """``build_induced_dtmc(env, policy, limits)``, reusing ``original``'s rows.
 
-    ``rows`` are ``original_rows`` of the build of another policy on the
-    same ``env``, and ``changed`` maps each of its states on which
-    ``policy`` chooses another action to that action, as ``pick`` decides
-    it. Every other state of ``rows`` takes its original row with no
-    environment call: the environment's callables are pure, so they would
-    give that row again. Only changed states and states the original never
-    reached are asked, and only the latter are decided here. The result,
-    errors included, is that of the full build.
+    ``original`` is the build of another policy on the same ``env``, and
+    ``changed`` maps each of its states on which ``policy`` chooses another
+    action to that action, as ``pick`` decides it. Every other state of
+    ``original`` takes its row from ``original.rows`` with no environment
+    call: the environment's callables are pure, so they would give that row
+    again. Only changed states and states the original never reached are
+    asked, and only the latter are decided here. The result, errors
+    included, is that of the full build.
     """
-    return _explore(env, policy, limits, rows, changed)
+    return _explore(env, policy, limits, original.rows, changed)
 
 
 def _explore(
     env: EnvironmentModel,
     policy: NeuralPolicy,
     limits: BuildLimits | None,
-    known: dict[StateVector, Row],
+    known: dict[StateVector, _Row],
     changed: dict[StateVector, str],
 ) -> BuildResult:
     """The BFS level loop of both builds: ``known`` rows are reused unless ``changed``."""
@@ -205,8 +209,7 @@ def _explore(
 
     rationals = None if None in exact_rows else tuple(chain.from_iterable(exact_rows))
     dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs, rationals)
-    stats = BuildStats(states=dtmc.num_states, transitions=dtmc.num_transitions)
-    return BuildResult(dtmc, tuple(chosen), stats, tuple(offered), tuple(exact_rows))
+    return BuildResult(dtmc, tuple(chosen), tuple(offered), tuple(exact_rows))
 
 
 # ===== Export =====

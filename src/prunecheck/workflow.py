@@ -32,7 +32,7 @@ import numpy as np
 
 from .checking import UNDECIDED, CheckResult, check
 from .errors import PruneSpecError
-from .induced import BuildLimits, BuildResult, build_induced_dtmc, original_rows, rebuild_induced_dtmc
+from .induced import BuildLimits, BuildResult, BuildStats, build_induced_dtmc, rebuild_induced_dtmc
 from .model import Dtmc, EnvironmentModel
 from .policy import NeuralPolicy
 from .properties import Prob, parse_property
@@ -214,8 +214,7 @@ class _Remeasured:
     """
 
     result: CheckResult
-    states: int
-    transitions: int
+    stats: BuildStats
     new: _Decisions
 
 
@@ -270,16 +269,15 @@ def _reports(
     )
     yield original
 
-    # The original chain's states as each pruned policy decides on them,
-    # and its rows, for rebuilds to reuse.
+    # The original chain's states as each pruned policy decides on them.
+    # A rebuild reuses the original's rows, which it gathers on first use.
     states = build.dtmc.state_vectors
     index = policy.action_index
     decisions = _Decisions.of(build, range(len(states)), index)
-    rows = original_rows(build)
 
     # Measurements by the decisions a prune changes on the original chain,
     # each (state index s, new action a) as the number s * len(index) + a.
-    measured = {b"": _Remeasured(result, stats.states, stats.transitions, _Decisions.of(build, [], index))}
+    measured = {b"": _Remeasured(result, build.stats, _Decisions.of(build, [], index))}
     for spec in specs:
         pruned_policy, mask = prune(policy, spec)
         started = time.perf_counter()
@@ -289,17 +287,16 @@ def _reports(
         entry = measured.get(key)
         if entry is None or not (entry.new.picks(pruned_policy) == entry.new.chosen).all():
             actions = {states[s]: policy.action_names[a] for s, a in zip(changed.tolist(), picks[changed].tolist())}
-            rebuilt = rebuild_induced_dtmc(rows, env, pruned_policy, actions, limits)
+            rebuilt = rebuild_induced_dtmc(build, env, pruned_policy, actions, limits)
             dtmc = rebuilt.dtmc
-            new = [i for i, state in enumerate(dtmc.state_vectors) if state not in rows]
+            new = [i for i, state in enumerate(dtmc.state_vectors) if state not in build.rows]
             entry = measured[key] = _Remeasured(
                 result if _same_chain(dtmc, build.dtmc) else replace(check(dtmc, prop), per_state=()),
-                rebuilt.stats.states,
-                rebuilt.stats.transitions,
+                rebuilt.stats,
                 _Decisions.of(rebuilt, new, index),
             )
         pruned = entry.result
-        pruned_stats = ChainStats(entry.states, entry.transitions, (time.perf_counter() - started) * 1000.0)
+        time_ms = (time.perf_counter() - started) * 1000.0
         delta = pruned.value - result.value
         yield replace(
             original,
@@ -308,7 +305,7 @@ def _reports(
             verdict=_verdict(prop, result, pruned, lower_is_safer),
             prune_spec=spec,
             mask_size=mask.size,
-            pruned=pruned_stats,
+            pruned=ChainStats(entry.stats.states, entry.stats.transitions, time_ms),
         )
 
 

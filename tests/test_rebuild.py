@@ -38,7 +38,7 @@ from prunecheck import (
     prune,
 )
 from prunecheck.environments import AVOIDANCE_ACTIONS, AVOIDANCE_FEATURES, TAXI_ACTIONS, TAXI_FEATURES
-from prunecheck.induced import original_rows, rebuild_induced_dtmc
+from prunecheck.induced import rebuild_induced_dtmc
 from prunecheck.workflow import _Decisions
 
 from .conftest import random_policy
@@ -88,8 +88,7 @@ def outcome(make) -> tuple:
 def assert_rebuild_is_full_build(env, original_policy, policy, limits=None, extra=()):
     original = build_induced_dtmc(env, original_policy)
     changed = changed_actions(original, policy, extra)
-    rows = original_rows(original)
-    rebuilt = outcome(lambda: rebuild_induced_dtmc(rows, env, policy, changed, limits))
+    rebuilt = outcome(lambda: rebuild_induced_dtmc(original, env, policy, changed, limits))
     assert rebuilt == outcome(lambda: build_induced_dtmc(env, policy, limits))
     return rebuilt
 
@@ -295,7 +294,7 @@ def test_only_flipped_and_new_states_call_the_environment(exact):
     original = build_induced_dtmc(env, policy)
     changed = changed_actions(original, pruned)
     env, calls = counted(env)
-    rebuilt = rebuild_induced_dtmc(original_rows(original), env, pruned, changed)
+    rebuilt = rebuild_induced_dtmc(original, env, pruned, changed)
     assert (rebuilt.dtmc.exact_probs is not None) == exact
 
     states = set(rebuilt.dtmc.state_vectors)

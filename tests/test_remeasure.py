@@ -13,6 +13,7 @@ each pruned policy on its own with ``measure``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from collections import Counter
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from prunecheck import (
     AvoidanceConfig,
+    BuildResult,
     MiniTaxiConfig,
     NeuralPolicy,
     PruneSpec,
@@ -161,7 +163,7 @@ def reference_features(env, policy, property_text):
 class BuildCounter:
     """Wraps both builders the workflow calls and sorts builds by policy.
 
-    A rebuild from the original chain's rows counts as a build of its policy.
+    A rebuild from the original build counts as a build of its policy.
     """
 
     def __init__(self, monkeypatch, original):
@@ -185,9 +187,25 @@ class BuildCounter:
         self._count(policy)
         return build_induced_dtmc(env, policy, limits)
 
-    def _rebuild(self, rows, env, policy, changed, limits=None):
+    def _rebuild(self, original, env, policy, changed, limits=None):
         self._count(policy)
-        return rebuild_induced_dtmc(rows, env, policy, changed, limits)
+        return rebuild_induced_dtmc(original, env, policy, changed, limits)
+
+
+class RowCounter:
+    """Wraps ``BuildResult.rows`` and lists each build whose rows are gathered."""
+
+    def __init__(self, monkeypatch):
+        self.builds = []
+        gather = BuildResult.rows.func
+
+        def rows(build):
+            self.builds.append(build)
+            return gather(build)
+
+        counted = functools.cached_property(rows)
+        counted.__set_name__(BuildResult, "rows")
+        monkeypatch.setattr(BuildResult, "rows", counted)
 
 
 class TestOriginalMeasuredOnce:
@@ -219,11 +237,12 @@ class TestOriginalMeasuredOnce:
 
     def test_prune_and_measure_without_a_flip_builds_once(self, monkeypatch):
         policy = lazy_walker_policy()
-        counter = BuildCounter(monkeypatch, policy)
+        counter, rows = BuildCounter(monkeypatch, policy), RowCounter(monkeypatch)
         report = prune_and_measure(
             drift_avoidance_env(), policy, NO_COLLISION_6, PruneSpec(method="feature", feature="oy")
         )
         assert (counter.original, counter.pruned) == (1, 0)
+        assert rows.builds == []
         assert report.m_hat == report.m and report.delta == 0.0
         assert report.pruned.states == report.original.states
 
@@ -249,6 +268,40 @@ class TestOriginalMeasuredOnce:
         prune_and_measure(counted, lazy_walker_policy(), NO_COLLISION_6, PruneSpec(method="feature", feature="oy"))
         assert len(asked) == report.original.states
         assert set(asked.values()) == {1}
+
+
+# ===== The original's rows are gathered only for a rebuild =====
+
+
+def steady_walker_policy():
+    """Heads east whatever the obstacle does: east 1 + ox / 100 against stay 0.25.
+
+    Its one nonzero weight reads "ox", and pruning it leaves east at 1, so
+    no feature's prune changes a decision.
+    """
+    weights = np.zeros((5, 4))
+    weights[AVOIDANCE_ACTIONS.index("east"), AVOIDANCE_FEATURES.index("ox")] = 0.01
+    bias = np.array([-10.0, -10.0, 1.0, -10.0, 0.25])
+    return make_policy(AVOIDANCE_FEATURES, AVOIDANCE_ACTIONS, [(weights, bias)])
+
+
+class TestRowsGatheredOnlyToRebuild:
+    def test_features_table_without_a_change(self, monkeypatch):
+        policy = steady_walker_policy()
+        counter, rows = BuildCounter(monkeypatch, policy), RowCounter(monkeypatch)
+        reports = feature_importance(drift_avoidance_env(), policy, NO_COLLISION_6)
+        assert [r.verdict for r in reports] == ["unchanged"] * 4
+        assert (counter.original, counter.pruned) == (1, 0)
+        assert rows.builds == []
+
+    def test_many_rebuilds_gather_the_original_rows_once(self, monkeypatch):
+        env = avoidance(AvoidanceConfig(width=4, height=4))
+        policy = random_policy(3, AVOIDANCE_FEATURES, AVOIDANCE_ACTIONS, hidden=(6,))
+        counter, rows = BuildCounter(monkeypatch, policy), RowCounter(monkeypatch)
+        sweep(env, policy, NO_COLLISION_6, "random", 1, "0:1:1/4", seeds=(1, 2, 3))
+        assert counter.original == 1 and counter.pruned > 1
+        assert len(rows.builds) == 1
+        assert rows.builds[0].chosen_actions == build_induced_dtmc(env, policy).chosen_actions
 
 
 # ===== Byte-identical to measuring every prune on its own =====

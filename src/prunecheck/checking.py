@@ -24,9 +24,11 @@ synchronous float iteration with no stopping tolerance, one array operation
 per step over the chain's transitions in row order. Every row is summed
 from 0.0 pair by pair, as a per-element loop would, so the results are the
 loop's bit for bit; a matrix product or a per-row reduction would sum in
-another order. They are reported with ``lower == upper``, although a sum
-that a float cannot hold is rounded. SEQ goes through a three-state monitor
-product and the unbounded-until machinery.
+another order. Their interval is the value widened by the standard
+summation bound on those roundings, so ``lower < upper`` once a step is
+taken, and a threshold inside it, even one equal to a value the floats hold
+exactly, is ``UNDECIDED``. SEQ goes through a three-state monitor product
+and the unbounded-until machinery.
 
 Every routine reads the chain's compressed sparse row arrays. State sets
 are boolean masks from the label lookup to the solver; a label that no
@@ -100,11 +102,12 @@ UNDECIDED = "undecided"
 class CheckResult:
     """Outcome of checking one property against one chain.
 
-    ``value`` is always the initial state's probability. For unbounded
-    operators ``lower`` and ``upper`` certify it: the model's probability
-    lies in [lower, upper], and they are equal when graph analysis or the
-    exact solve found it. Bounded operators and ``X`` give lower == upper
-    too, though their float sums may round. ``satisfied`` is the comparator
+    ``value`` is always the initial state's probability. ``lower`` and
+    ``upper`` certify it: the model's probability lies in [lower, upper].
+    They are equal when graph analysis or the exact solve found it, and for
+    a bound of 0 steps. Bounded operators and ``X`` widen their float sum by
+    its rounding allowance, which a threshold equal to a value the floats
+    hold exactly also falls inside. ``satisfied`` is the comparator
     verdict: True or False when the whole interval decides it, ``UNDECIDED``
     when the threshold lies inside it, None for "=?" queries. ``per_state``
     keeps the full vector for diagnostics. ``iterations`` is the bound k of
@@ -129,7 +132,7 @@ class _Solution:
     """Per-state values of one path formula, and what certifies state 0's.
 
     ``bounds`` is state 0's certified interval, or None when ``values[0]``
-    stands as exact: bounded operators, graph analysis and the exact path.
+    stands as exact: graph analysis, the exact path and a bound of 0 steps.
     ``exact`` is state 0's rational when the exact path found it.
     """
 
@@ -412,6 +415,30 @@ def _bounded_until(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: in
     return np.clip(x, 0.0, 1.0).tolist()
 
 
+def _bounded(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: int, iterations: int) -> _Solution:
+    """``_bounded_until``'s values, with state 0's interval from the summation bound.
+
+    Each of the ``k`` steps sums a row of at most r transitions from 0.0: r
+    products, r - 1 additions, and the float that stands for each
+    probability. Every path's term thus carries at most k (r + 1) roundings,
+    so the computed value lies within gamma(k (r + 1)) of the exact one,
+    itself at most 1, where gamma(n) = n u / (1 - n u) and u = eps / 2
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3
+    and 4). That is k gamma(r + 1) to first order. The interval is rounded
+    outward and clipped to [0, 1]; no step (k = 0) is exact.
+    """
+    values = _bounded_until(dtmc, passthrough, start, k)
+    if k == 0:
+        return _Solution(values, iterations=iterations)
+    r = int(np.diff(dtmc.indptr)[passthrough].max(initial=0))
+    nu = k * (r + 1) * (_EPS / 2)
+    # The factor covers the roundings of computing the allowance itself.
+    allowance = nu / (1.0 - nu) * (1 + 4 * _EPS) if nu < 0.5 else 1.0
+    value = values[0]
+    bounds = (max(0.0, math.nextafter(value - allowance, -1.0)), min(1.0, math.nextafter(value + allowance, 2.0)))
+    return _Solution(values, bounds, iterations=iterations)
+
+
 def prob01(dtmc: Dtmc, a: frozenset[int] | set[int], b: frozenset[int] | set[int]):
     """Qualitative sets for ``a U b``: (probability-0, probability-1).
 
@@ -513,7 +540,7 @@ def _path_vector(dtmc: Dtmc, path: PathFormula) -> _Solution:
         return _seq_solve(dtmc, _evaluate(dtmc, path.first), _evaluate(dtmc, path.then))
     everything = np.ones(dtmc.num_states, dtype=bool)
     if isinstance(path, Next):
-        return _Solution(_bounded_until(dtmc, everything, _evaluate(dtmc, path.target), 1))
+        return _bounded(dtmc, everything, _evaluate(dtmc, path.target), 1, 0)
     # U, F and G are each one until a U b; G phi is the complement of F !phi.
     if isinstance(path, Until):
         a, b = _evaluate(dtmc, path.left), _evaluate(dtmc, path.right)
@@ -526,7 +553,7 @@ def _path_vector(dtmc: Dtmc, path: PathFormula) -> _Solution:
     if path.bound is None:
         solved = _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, dtmc.exact_probs, a, b)
     else:
-        solved = _Solution(_bounded_until(dtmc, a & ~b, b, path.bound), iterations=path.bound)
+        solved = _bounded(dtmc, a & ~b, b, path.bound, path.bound)
     return solved.complement() if isinstance(path, Globally) else solved
 
 

@@ -24,6 +24,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _apply(layer: Layer, x: np.ndarray, hidden: bool) -> np.ndarray:
+    """``layer`` on ``x`` or on each of its rows, one matrix-vector product per row, rectified when ``hidden``."""
+    x = np.matmul(layer.weights, x[..., None])[..., 0] + layer.bias
+    return np.maximum(x, 0.0) if hidden else x
+
+
 @dataclass(frozen=True, eq=False)
 class Layer:
     """One dense layer; row i of ``weights`` feeds output neuron i."""
@@ -60,18 +66,37 @@ class NeuralPolicy:
         layer is applied as one matrix-vector product per row, so a row's
         logits are bit for bit those of the row passed on its own; a single
         matrix-matrix product would sum in another order and can differ in
-        the last bit.
+        the last bit. A pass restarted at a later layer from the activations
+        entering it, as ``_restart`` does, gives the same bits.
         """
         x = np.asarray(states, dtype=np.float64)
         width = len(self.feature_names)
         if x.ndim not in (1, 2) or x.shape[-1] != width:
             raise ValueError(f"input has shape {x.shape}, policy expects ({width},) or (rows, {width})")
+        return self._resume(x, 0)
+
+    def _resume(self, x: np.ndarray, start: int) -> np.ndarray:
+        """The logits of rows whose activations entering layer ``start`` (0-based) are ``x``."""
         last = len(self.layers) - 1
-        for k, layer in enumerate(self.layers):
-            x = np.matmul(layer.weights, x[..., None])[..., 0] + layer.bias
-            if k != last:
-                x = np.maximum(x, 0.0)
+        for k in range(start, last + 1):
+            x = _apply(self.layers[k], x, k != last)
         return x
+
+    def _restart(self, original: NeuralPolicy, entering: list[np.ndarray]) -> np.ndarray:
+        """``forward(entering[0])`` for a policy whose first layers are ``original``'s own ``Layer`` objects.
+
+        ``entering[k]`` holds ``original``'s activations entering layer k on
+        the rows, for as many layers as were needed so far. The pass restarts
+        at the first layer that is not ``original``'s, or at the last layer
+        when none differs, and first adds the activations up to there to
+        ``entering``: the layers before it are the same, so those are the
+        activations ``forward`` would compute, bit for bit.
+        """
+        start = next((k for k, layer in enumerate(self.layers) if layer is not original.layers[k]), len(self.layers) - 1)
+        while len(entering) <= start:
+            k = len(entering) - 1
+            entering.append(_apply(original.layers[k], entering[k], True))
+        return self._resume(entering[start], start)
 
     def select_action(self, state: StateVector, available: tuple[str, ...]) -> str:
         """Pick the available action with the largest logit for ``state``.
@@ -111,15 +136,19 @@ class NeuralPolicy:
         logits, ``pick`` takes the largest, an equal one going to the smaller
         schema index whatever that order, and one ``argmax`` does the same. NaN
         orders nothing, so ``pick``'s choice then depends on the order of the
-        set, and such a row is left to ``pick`` itself.
+        set, and such a row is left to ``pick`` itself. ``max`` passes a NaN
+        on, so a row's maximum over its available logits is NaN exactly when
+        one of them is.
         """
         if not len(inputs):
             return np.zeros(0, dtype=np.intp)
-        logits = self.forward(inputs)
-        offered_logits = np.where(available, logits, -np.inf)
-        best = offered_logits.max(axis=1, keepdims=True)
+        return self._pick_logits(self.forward(inputs), available, offered)
+
+    def _pick_logits(self, logits: np.ndarray, available: np.ndarray, offered: Sequence[tuple[str, ...]]) -> np.ndarray:
+        """``pick_rows``'s choices from the rows' logits, however the pass that gave them was run."""
+        best = np.where(available, logits, -np.inf).max(axis=1, keepdims=True)
         picks = np.argmax(available & (logits == best), axis=1)
-        for row in np.flatnonzero(np.isnan(offered_logits).any(axis=1)).tolist():
+        for row in np.flatnonzero(np.isnan(best[:, 0])).tolist():
             picks[row] = self.action_index[self.pick(logits[row].tolist(), offered[row])]
         return picks
 
@@ -140,19 +169,16 @@ def make_policy(
     layers: list[tuple[np.ndarray, np.ndarray]] | tuple,
 ) -> NeuralPolicy:
     """Assemble a policy from (weights, bias) pairs, validating the names and the chain."""
-    for name, names in (("features", feature_names), ("actions", action_names)):
-        if len(set(names)) != len(names):
-            raise PolicyFormatError(f"'{name}' contains duplicates")
+    _require_distinct(feature_names, action_names)
     built = []
     d_prev = len(feature_names)
     if not layers:
         raise PolicyFormatError("policy needs at least one layer")
     for k, (w, b) in enumerate(layers, start=1):
-        not_finite = PolicyFormatError(f"layer {k}: weights and biases must be finite (no NaN or Infinity)")
         try:
             w, b = np.array(w, dtype=np.float64), np.array(b, dtype=np.float64)
         except OverflowError:  # an integer too large for a float
-            raise not_finite from None
+            raise _not_finite(k) from None
         if w.ndim != 2:
             raise PolicyFormatError(f"layer {k}: weight matrix must be 2-dimensional")
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
@@ -163,15 +189,45 @@ def make_policy(
             raise PolicyFormatError(
                 f"layer {k}: weight matrix has {w.shape[1]} columns, expected {d_prev}"
             )
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise not_finite
-        built.append(Layer(_frozen(w), _frozen(b)))
+        built.append(_finite(k, Layer(_frozen(w), _frozen(b))))
         d_prev = w.shape[0]
     if d_prev != len(action_names):
         raise PolicyFormatError(
             f"output layer emits {d_prev} logits, action schema has {len(action_names)}"
         )
     return NeuralPolicy(tuple(feature_names), tuple(action_names), tuple(built))
+
+
+def _with_weights(policy: NeuralPolicy, weights: dict[int, np.ndarray]) -> NeuralPolicy:
+    """``policy`` with the weights of the layers ``weights`` names (0-based) replaced by those arrays, frozen.
+
+    Every other layer is ``policy``'s own ``Layer`` object. The names and
+    every layer's finiteness are checked as ``make_policy`` checks them, with
+    the same errors in the same order; the shapes are ``policy``'s.
+    """
+    _require_distinct(policy.feature_names, policy.action_names)
+    layers = tuple(
+        _finite(k, Layer(_frozen(weights[k - 1]), layer.bias) if k - 1 in weights else layer)
+        for k, layer in enumerate(policy.layers, start=1)
+    )
+    return NeuralPolicy(policy.feature_names, policy.action_names, layers)
+
+
+def _require_distinct(feature_names: tuple[str, ...], action_names: tuple[str, ...]) -> None:
+    for name, names in (("features", feature_names), ("actions", action_names)):
+        if len(set(names)) != len(names):
+            raise PolicyFormatError(f"'{name}' contains duplicates")
+
+
+def _not_finite(k: int) -> PolicyFormatError:
+    return PolicyFormatError(f"layer {k}: weights and biases must be finite (no NaN or Infinity)")
+
+
+def _finite(k: int, layer: Layer) -> Layer:
+    """``layer``, the ``k``-th, once its weights and bias are found finite."""
+    if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
+        raise _not_finite(k)
+    return layer
 
 
 def load_policy(text: str) -> NeuralPolicy:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PruneSpecError
 from .model import read_json_object
-from .policy import NeuralPolicy, make_policy
+from .policy import NeuralPolicy, _with_weights
 
 # ===== Specs and masks =====
 
@@ -171,17 +171,25 @@ def _nonzero_coords(weights: np.ndarray) -> list[tuple[int, int]]:
 
 
 def apply_mask(policy: NeuralPolicy, mask: PruneMask) -> NeuralPolicy:
-    """Zero every coordinate listed in the mask (idempotent)."""
-    arrays = [np.array(lay.weights) for lay in policy.layers]
+    """Zero every coordinate listed in the mask (idempotent).
+
+    Only the layers the mask names are copied, and their copies frozen;
+    every other layer of the result is the input's own ``Layer`` object,
+    read-only in any policy ``make_policy`` built. Every layer's weights and
+    biases, shared or copied, must still be finite, as ``make_policy``
+    requires; a zeroed coordinate counts as 0.
+    """
+    weights: dict[int, np.ndarray] = {}
     for layer, row, col in mask.zeroed:
-        if not (1 <= layer <= len(arrays)):
+        if not (1 <= layer <= len(policy.layers)):
             raise PruneSpecError(f"mask layer {layer} out of range")
-        w = arrays[layer - 1]
+        w = weights.get(layer - 1)
+        if w is None:
+            w = weights[layer - 1] = np.array(policy.layers[layer - 1].weights, dtype=np.float64)
         if not (1 <= row <= w.shape[0] and 1 <= col <= w.shape[1]):
             raise PruneSpecError(f"mask coordinate ({layer},{row},{col}) out of range")
         w[row - 1, col - 1] = 0.0
-    pairs = [(w, lay.bias) for w, lay in zip(arrays, policy.layers)]
-    return make_policy(policy.feature_names, policy.action_names, pairs)
+    return _with_weights(policy, weights)
 
 
 def _finish(policy: NeuralPolicy, spec: PruneSpec, layer: int, chosen) -> tuple[NeuralPolicy, PruneMask]:

@@ -179,29 +179,36 @@ def _same_chain(a: Dtmc, b: Dtmc) -> bool:
 class _Decisions:
     """Some states of a chain as a policy decides on them, one row each.
 
-    ``inputs`` are their features, ``available`` masks each one's action
-    set over the schema, ``offered`` lists that set in the order ``pick``
-    reads it, and ``chosen`` is the schema index of the chain's action.
+    ``available`` masks each one's action set over the schema, ``offered``
+    lists that set in the order ``pick`` reads it, and ``chosen`` is the
+    schema index of the chain's action. ``entering[0]`` holds their
+    features, and ``entering[k]`` ``policy``'s activations entering layer k,
+    kept from the first prune that restarts its forward pass there or later.
     """
 
-    inputs: np.ndarray
+    policy: NeuralPolicy
     available: np.ndarray
     offered: tuple[tuple[str, ...], ...]
     chosen: np.ndarray
+    entering: list[np.ndarray]
 
     @classmethod
-    def of(cls, build: BuildResult, states: Sequence[int], index: dict[str, int]) -> _Decisions:
-        """The rows of ``build``'s states at ``states``, actions numbered by ``index``."""
+    def of(cls, build: BuildResult, states: Sequence[int], policy: NeuralPolicy) -> _Decisions:
+        """The rows of ``build``'s states at ``states``, actions numbered by ``policy``'s schema."""
+        index = policy.action_index
         vectors = build.dtmc.state_vectors
         offered = tuple(build.available_actions[s] for s in states)
         masks = {names: [name in names for name in index] for names in set(offered)}
         available = np.array([masks[names] for names in offered], dtype=bool).reshape(len(states), len(index))
         inputs = np.array([vectors[s] for s in states], dtype=np.float64).reshape(len(states), len(vectors[0]))
         chosen = np.array([index[build.chosen_actions[s]] for s in states], dtype=np.intp)
-        return cls(inputs, available, offered, chosen)
+        return cls(policy, available, offered, chosen, [inputs])
 
-    def picks(self, policy: NeuralPolicy) -> np.ndarray:
-        return policy.pick_rows(self.inputs, self.available, self.offered)
+    def picks(self, pruned: NeuralPolicy) -> np.ndarray:
+        """``pruned.pick_rows`` on these rows, for a prune of ``policy``, restarted at its first pruned layer."""
+        if not len(self.chosen):
+            return np.zeros(0, dtype=np.intp)
+        return pruned._pick_logits(pruned._restart(self.policy, self.entering), self.available, self.offered)
 
 
 @dataclass(frozen=True)
@@ -272,18 +279,17 @@ def _reports(
     # The original chain's states as each pruned policy decides on them.
     # A rebuild reuses the original's rows, which it gathers on first use.
     states = build.dtmc.state_vectors
-    index = policy.action_index
-    decisions = _Decisions.of(build, range(len(states)), index)
+    decisions = _Decisions.of(build, range(len(states)), policy)
 
     # Measurements by the decisions a prune changes on the original chain,
-    # each (state index s, new action a) as the number s * len(index) + a.
-    measured = {b"": _Remeasured(result, build.stats, _Decisions.of(build, [], index))}
+    # each (state index s, new action a) as the number s * len(actions) + a.
+    measured = {b"": _Remeasured(result, build.stats, _Decisions.of(build, [], policy))}
     for spec in specs:
         pruned_policy, mask = prune(policy, spec)
         started = time.perf_counter()
         picks = decisions.picks(pruned_policy)
         changed = np.flatnonzero(picks != decisions.chosen)
-        key = (changed * len(index) + picks[changed]).tobytes()
+        key = (changed * len(policy.action_names) + picks[changed]).tobytes()
         entry = measured.get(key)
         if entry is None or not (entry.new.picks(pruned_policy) == entry.new.chosen).all():
             actions = {states[s]: policy.action_names[a] for s, a in zip(changed.tolist(), picks[changed].tolist())}
@@ -293,7 +299,7 @@ def _reports(
             entry = measured[key] = _Remeasured(
                 result if _same_chain(dtmc, build.dtmc) else replace(check(dtmc, prop), per_state=()),
                 rebuilt.stats,
-                _Decisions.of(rebuilt, new, index),
+                _Decisions.of(rebuilt, new, policy),
             )
         pruned = entry.result
         time_ms = (time.perf_counter() - started) * 1000.0

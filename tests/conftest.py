@@ -115,6 +115,21 @@ def two_coin_env():
     return load_explicit_model(fixture_text("two_coin.json"))
 
 
+# Goal with 1/10, a trap with 1/5, and a 7/10 self-loop: P(F<=2 "goal") is exactly 17/100.
+FRACTION3 = json.dumps(
+    {
+        "features": ["pos"],
+        "actions": ["step"],
+        "initial": [0],
+        "states": [
+            {"s": [0], "act": {"step": [{"to": [1], "p": "1/10"}, {"to": [2], "p": "1/5"}, {"to": [0], "p": "7/10"}]}},
+            {"s": [1], "labels": ["goal"], "act": {"step": [{"to": [1], "p": 1}]}},
+            {"s": [2], "labels": ["trap"], "act": {"step": [{"to": [2], "p": 1}]}},
+        ],
+    }
+)
+
+
 @pytest.fixture
 def step_policy() -> NeuralPolicy:
     """Single-action policy matching the fixture-file schemas."""

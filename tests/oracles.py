@@ -5,8 +5,9 @@ pruning internals (only plain data goes in and out), so agreement between
 these oracles and the package is evidence, not circularity.
 
 * bounded operators: literal path enumeration (tree recursion over
-  successor edges, probabilities multiplied along each path), and the
-  per-element loops the checker must match bit for bit
+  successor edges, probabilities multiplied along each path), the
+  per-element loops the checker must match bit for bit, and the same
+  iteration in ``Fraction``, which the checker's certified interval must hold
 * unbounded until: dense linear solve after a local reachability pass, in
   floats or exactly in ``Fraction`` over the rationals the floats denote
 * seq: a separately formulated monitor product (monitor consumes the
@@ -80,6 +81,16 @@ def bounded_until_loop(rows, a: set, b: set, k: int) -> list[float]:
                 total += p * prev[t]
             x[s] = total
     return [min(1.0, max(0.0, v)) for v in x]
+
+
+def bounded_until_fraction(rows, a: set, b: set, k: int) -> list[Fraction]:
+    """P(a U<=k b) per state, exactly, over the rationals the row probabilities
+    denote (``Fraction(p)`` of each), by synchronous iteration."""
+    passthrough = a - b
+    x = [Fraction(int(s in b)) for s in range(len(rows))]
+    for _ in range(k):
+        x = [sum((Fraction(p) * x[t] for t, p in row), Fraction(0)) if s in passthrough else x[s] for s, row in enumerate(rows)]
+    return x
 
 
 def next_loop(rows, b: set) -> list[float]:

@@ -40,8 +40,9 @@ from prunecheck import (
 from prunecheck import checking
 from prunecheck.checking import CERTIFIED_GAP, UNDECIDED
 
-from .conftest import dtmc_from_rows, gambler_text, label_sets, random_dtmc, rows_of, state_mask, states_labelled
+from .conftest import FRACTION3, dtmc_from_rows, gambler_text, label_sets, random_dtmc, rows_of, state_mask, states_labelled
 from .oracles import (
+    bounded_until_fraction,
     bounded_until_loop,
     evaluate_sets,
     next_loop,
@@ -85,14 +86,20 @@ class TestUnboundedFixtures:
         assert result.residual == 0.0
         assert result.lower == result.value == result.upper == 0.5
         # X counts no step, F<=k counts its bound, and the exact path none.
-        for text, chain, iterations in (
-            ('P=?[X "goal"]', chain3, 0),
-            ('P=?[F<=5 "goal"]', chain3, 5),
-            ('P=?[F "goal"]', with_rationals(chain3), 0),
+        # The bounded sums are certified by their rounding allowance, so their
+        # interval is not a point even where the floats happen to be exact.
+        for text, chain, iterations, exact in (
+            ('P=?[X "goal"]', chain3, 0, False),
+            ('P=?[F<=5 "goal"]', chain3, 5, False),
+            ('P=?[F "goal"]', with_rationals(chain3), 0, True),
         ):
             result = check(chain, parse_property(text))
             assert (result.iterations, result.residual) == (iterations, 0.0), text
-            assert result.lower == result.value == result.upper == 0.5, text
+            assert result.value == 0.5, text
+            if exact:
+                assert result.lower == result.upper == 0.5, text
+            else:
+                assert result.lower < 0.5 < result.upper, text
 
     def test_globally_is_complement(self, chain3):
         result = check(chain3, parse_property('P=?[G !"bad"]'))
@@ -266,6 +273,59 @@ class TestBoundedBitIdentity:
         assert values[0] != values[4]
         once = checking._bounded_until(dtmc, state_mask(dtmc, {0, 4}), state_mask(dtmc, {1, 2, 3}), 1)
         assert once == next_loop(rows_of(dtmc), {1, 2, 3})
+
+
+# ===== Bounded operators hold the exact value in their interval =====
+
+
+@st.composite
+def fraction_chains(draw) -> tuple[Dtmc, tuple]:
+    """A chain whose probabilities are rationals of assorted denominators, and its rows of those rationals."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        weights = draw(st.lists(st.integers(1, 30), min_size=len(targets), max_size=len(targets)))
+        rows.append(tuple((t, Fraction(w, sum(weights))) for t, w in zip(targets, weights)))
+    a = draw(st.sets(st.integers(0, n - 1)))
+    b = draw(st.sets(st.integers(0, n - 1)))
+    labels = tuple(frozenset({"a"} if s in a else ()) | frozenset({"b"} if s in b else ()) for s in range(n))
+    floats = dtmc_from_rows(tuple((s,) for s in range(n)), labels, [[(t, float(p)) for t, p in row] for row in rows])
+    exact = tuple(p for row in rows for _, p in row)
+    return Dtmc(floats.state_vectors, labels, floats.indptr, floats.indices, floats.probs, exact), tuple(rows)
+
+
+class TestBoundedIntervals:
+    """X, U<=k, F<=k and G<=k sum in floats; their interval holds the exact rational."""
+
+    @given(chain=fraction_chains(), k=st.integers(1, 12))
+    def test_exact_value_lies_in_the_interval(self, chain, k):
+        dtmc, rows = chain
+        a, b = label_sets(dtmc)
+        everything = set(range(dtmc.num_states))
+        cases = (
+            ('P=? [X "b"]', next_paths(rows, b, 0)),
+            (f'P=? ["a" U<={k} "b"]', bounded_until_fraction(rows, a, b, k)[0]),
+            (f'P=? [F<={k} "b"]', bounded_until_fraction(rows, everything, b, k)[0]),
+            (f'P=? [G<={k} "a"]', 1 - bounded_until_fraction(rows, everything, everything - a, k)[0]),
+        )
+        for text, exact in cases:
+            result = check(dtmc, parse_property(text))
+            assert result.lower < result.upper, text
+            assert Fraction(result.lower) <= exact <= Fraction(result.upper), text
+            assert result.lower <= result.value <= result.upper, text
+
+    def test_threshold_at_the_exact_value_is_undecided(self, step_policy):
+        """The float sum is 0.16999999999999998, the probability exactly 17/100: the threshold lies inside."""
+        env = load_explicit_model(FRACTION3)
+        result = check(build_induced_dtmc(env, step_policy).dtmc, parse_property('P>=0.17 [F<=2 "goal"]'))
+        assert result.value == 0.16999999999999998
+        assert result.satisfied == UNDECIDED
+        assert Fraction(result.lower) <= Fraction(17, 100) <= Fraction(result.upper)
+
+    def test_no_step_is_exact(self, chain3):
+        result = check(chain3, parse_property('P=? [F<=0 "goal"]'))
+        assert result.lower == result.value == result.upper == 0.0
 
 
 # ===== Unbounded operators against exact rationals =====

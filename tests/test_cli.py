@@ -29,6 +29,7 @@ from prunecheck.cli import main
 
 from .conftest import (
     FIXTURES,
+    FRACTION3,
     NO_COLLISION_6,
     chaser_policy,
     fixture_doc,
@@ -95,6 +96,16 @@ class TestCheck:
         model = tmp_path / "gambler.json"
         model.write_text(gambler_text(0.5))
         argv = ["check", "--model", str(model), "--policy", step_policy_path, "--prop", 'P>=0.25 [F "goal"]']
+        assert main([*argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["satisfied"] == "undecided"
+
+    def test_bounded_sum_at_its_threshold_is_undecided(self, capsys, tmp_path, step_policy_path):
+        """17/100 exactly, summed in floats to 0.16999999999999998: the allowance holds the threshold."""
+        model = tmp_path / "fraction3.json"
+        model.write_text(FRACTION3)
+        argv = ["check", "--model", str(model), "--policy", step_policy_path, "--prop", 'P>=0.17 [F<=2 "goal"]']
+        assert main(argv) == 0
+        assert "m: 0.16999999999999998\nsatisfied: undecided\n" in capsys.readouterr().out
         assert main([*argv, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["satisfied"] == "undecided"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prunecheck import (
+    Layer,
+    PolicyFormatError,
     PruneMask,
     PruneSpec,
     PruneSpecError,
@@ -459,6 +462,36 @@ class TestApplyMask:
         mask = PruneMask(spec=PruneSpec(method="feature", feature="f0"), zeroed=((1, 3, 1),))
         with pytest.raises(PruneSpecError, match=r"mask coordinate \(1,3,1\) out of range"):
             apply_mask(single_layer([[1.0, 2.0]]), mask)
+
+
+    def test_untouched_layers_are_shared(self):
+        policy = random_policy(35, ("a", "b"), ("x", "y"), hidden=(3, 4))
+        pruned, _ = l1_prune(policy, 2, 0.5)
+        assert [after is before for before, after in zip(policy.layers, pruned.layers)] == [True, False, True]
+        assert pruned.layers[1].bias is policy.layers[1].bias
+        assert not pruned.layers[1].weights.flags.writeable
+
+    def test_every_layer_must_stay_finite(self):
+        """A policy built without ``make_policy`` can carry a NaN; a mask elsewhere does not let it through."""
+        policy = random_policy(36, ("a", "b"), ("x", "y"), hidden=(3,))
+        weights = np.array(policy.layers[1].weights)
+        weights[0, 0] = np.nan
+        broken = replace(policy, layers=(policy.layers[0], Layer(weights, policy.layers[1].bias)))
+        mask = PruneMask(spec=PruneSpec(method="feature", feature="a"), zeroed=((1, 1, 1),))
+        with pytest.raises(PolicyFormatError, match=r"^layer 2: weights and biases must be finite"):
+            apply_mask(broken, mask)
+        # Zeroing the NaN itself leaves a finite policy, as a copy through make_policy would.
+        mended = apply_mask(broken, PruneMask(spec=mask.spec, zeroed=((2, 1, 1),)))
+        assert mended.layers[1].weights[0, 0] == 0.0
+
+    def test_range_errors_come_before_name_errors(self):
+        policy = random_policy(37, ("a", "b"), ("x", "y"), hidden=(3,))
+        twice = replace(policy, feature_names=("a", "a"))
+        mask = PruneMask(spec=PruneSpec(method="feature", feature="a"), zeroed=((3, 1, 1),))
+        with pytest.raises(PruneSpecError, match="mask layer 3 out of range"):
+            apply_mask(twice, mask)
+        with pytest.raises(PolicyFormatError, match="'features' contains duplicates"):
+            apply_mask(twice, PruneMask(spec=mask.spec, zeroed=()))
 
 
 class TestDispatcher:

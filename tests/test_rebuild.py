@@ -52,7 +52,7 @@ def changed_actions(original, policy, extra=()):
     ``extra`` original state indices are given their pick as well, which
     must not change the result: a kept action is fetched again.
     """
-    decisions = _Decisions.of(original, range(original.stats.states), policy.action_index)
+    decisions = _Decisions.of(original, range(original.stats.states), policy)
     picks = decisions.picks(policy)
     changed = picks != decisions.chosen
     changed[list(extra)] = True

@@ -29,7 +29,9 @@ from prunecheck import (
     BuildResult,
     MiniTaxiConfig,
     NeuralPolicy,
+    PruneMask,
     PruneSpec,
+    apply_mask,
     avoidance,
     build_induced_dtmc,
     feature_importance,
@@ -396,6 +398,113 @@ def test_nan_logits_are_decided_by_pick(monkeypatch):
     assert picked[:nan_states] == picked[nan_states:]
     assert (counter.original, counter.pruned) == (1, 0)
     assert report.m_hat == report.m == measure(env, policy, NO_COLLISION_6).m
+
+
+# ===== A prune restarts the forward pass at its first pruned layer =====
+
+# Finite weights whose products can overflow to infinity, and infinities
+# that meet to give NaN in the next layer.
+weights_entries = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, 1e308, -1e308]))
+
+
+@st.composite
+def restart_cases(draw):
+    """A 2- or 3-layer policy, rows of inputs with offered actions, and masks on any layers."""
+    sizes = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(3, 4)))]
+    features = tuple(f"f{j}" for j in range(sizes[0]))
+    actions = tuple(f"a{j}" for j in range(sizes[-1]))
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(weights_entries, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+
+    policy = make_policy(features, actions, [(matrix(n_out, n_in), matrix(n_out, 1)[:, 0]) for n_in, n_out in zip(sizes, sizes[1:])])
+    rows = draw(st.integers(0, 6))
+    inputs = np.array(draw(st.lists(st.integers(0, 3), min_size=rows * sizes[0], max_size=rows * sizes[0])), dtype=np.float64)
+    offered = tuple(tuple(draw(st.permutations(sorted(draw(st.sets(st.sampled_from(actions), min_size=1)))))) for _ in range(rows))
+    coords = [(k, r + 1, c + 1) for k, layer in enumerate(policy.layers, 1) for r, c in np.ndindex(layer.weights.shape)]
+    # Each mask starts at some layer, so that every layer is the first pruned one in some cases.
+    starts = draw(st.lists(st.integers(1, len(policy.layers)), min_size=1, max_size=3))
+    masks = [draw(st.sets(st.sampled_from([c for c in coords if c[0] >= start]))) for start in starts]
+    spec = PruneSpec("l1", layer=1, fraction=0.0)
+    return policy, inputs.reshape(rows, sizes[0]), offered, [PruneMask(spec, tuple(sorted(m))) for m in masks]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(restart_cases())
+def test_restarted_decisions_equal_a_pass_from_scratch(case):
+    """``apply_mask`` shares exactly the untouched layers, and picks restarted there are ``pick``'s.
+
+    The masks go through one table in turn, so a later prune reads the
+    activations that earlier ones left in its cache.
+    """
+    policy, inputs, offered, masks = case
+    available = np.array([[name in names for name in policy.action_names] for names in offered], dtype=bool)
+    available = available.reshape(len(offered), len(policy.action_names))
+    table = workflow._Decisions(policy, available, offered, np.zeros(len(offered), dtype=np.intp), [inputs])
+    for mask in masks:
+        pruned = apply_mask(policy, mask)
+        named = {layer for layer, _, _ in mask.zeroed}
+        copied = [np.array(layer.weights) for layer in policy.layers]
+        for layer, row, col in mask.zeroed:
+            copied[layer - 1][row - 1, col - 1] = 0.0
+        for k, (before, after) in enumerate(zip(policy.layers, pruned.layers), start=1):
+            assert (after is before) == (k not in named)
+            assert after.weights.tobytes() == copied[k - 1].tobytes()
+            assert after.bias.tobytes() == before.bias.tobytes()
+            assert not after.weights.flags.writeable
+        assert pruned._restart(policy, table.entering).tobytes() == pruned.forward(inputs).tobytes()
+        picks = table.picks(pruned)
+        assert picks.tolist() == pruned.pick_rows(inputs, available, offered).tolist()
+        by_pick = [pruned.action_index[pruned.pick(pruned.forward(x).tolist(), names)] for x, names in zip(inputs, offered)]
+        assert picks.tolist() == by_pick
+
+
+# ===== The original policy's activations are kept only for later layers =====
+
+
+class CacheSpy:
+    """Lists every ``_Decisions`` table the workflow makes, to read what its cache holds afterwards."""
+
+    def __init__(self, monkeypatch):
+        self.tables = []
+        make = workflow._Decisions.of.__func__
+
+        def of(cls, *args):
+            table = make(cls, *args)
+            self.tables.append(table)
+            return table
+
+        monkeypatch.setattr(workflow._Decisions, "of", classmethod(of))
+
+    def filled(self) -> list[int]:
+        """How many layers' activations past the inputs each table holds."""
+        return [len(table.entering) - 1 for table in self.tables]
+
+
+class TestActivationCache:
+    def test_measure_fills_nothing(self, monkeypatch):
+        cache = CacheSpy(monkeypatch)
+        measure(drift_avoidance_env(), two_layer_policy(), NO_COLLISION_6)
+        assert cache.filled() == []
+
+    def test_feature_rows_restart_at_the_inputs(self, monkeypatch):
+        """Feature masks change layer 1, so the original's table and every rebuilt one start from their inputs."""
+        policy = random_policy(3, AVOIDANCE_FEATURES, AVOIDANCE_ACTIONS, hidden=(6,))
+        counter, cache = BuildCounter(monkeypatch, policy), CacheSpy(monkeypatch)
+        feature_importance(avoidance(AvoidanceConfig(width=4, height=4)), policy, NO_COLLISION_6)
+        assert counter.pruned > 0
+        assert len(cache.tables) == 2 + counter.pruned
+        assert set(cache.filled()) == {0}
+
+    def test_a_layer_2_sweep_keeps_the_hidden_activations(self, monkeypatch):
+        policy = two_layer_policy()
+        cache = CacheSpy(monkeypatch)
+        sweep(drift_avoidance_env(), policy, NO_COLLISION_6, "random", 2, "0:1:1/4", seeds=(1, 2, 3))
+        inputs, hidden = cache.tables[0].entering
+        assert len(inputs) == measure(drift_avoidance_env(), policy, NO_COLLISION_6).original.states
+        expected = np.maximum(np.matmul(policy.layers[0].weights, inputs[..., None])[..., 0] + policy.layers[0].bias, 0.0)
+        assert hidden.tobytes() == expected.tobytes()
 
 
 # ===== One rebuild per distinct set of changed decisions =====

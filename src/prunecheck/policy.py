@@ -32,7 +32,13 @@ def _apply(layer: Layer, x: np.ndarray, hidden: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    """One dense layer; row i of ``weights`` feeds output neuron i."""
+    """One dense layer; row i of ``weights`` feeds output neuron i.
+
+    Weights that are read-only, as ``make_policy`` leaves them, must keep
+    their values for as long as the ``Layer`` lives, also if their flag is
+    set writable again: ``pruning`` derives a read-only layer's nonzero
+    coordinates and ranking once and reuses them.
+    """
 
     weights: np.ndarray  # shape (d_out, d_in)
     bias: np.ndarray  # shape (d_out,)
@@ -46,7 +52,8 @@ class NeuralPolicy:
         feature_names: input schema; must match the environment's features.
         action_names: output schema; logit i scores action_names[i].
         layers: at least one Layer; every layer but the last is followed by
-            a rectifier, the last is affine.
+            a rectifier, the last is affine. Read-only weights must never
+            change (see ``Layer``).
     """
 
     feature_names: tuple[str, ...]
@@ -136,20 +143,26 @@ class NeuralPolicy:
         logits, ``pick`` takes the largest, an equal one going to the smaller
         schema index whatever that order, and one ``argmax`` does the same. NaN
         orders nothing, so ``pick``'s choice then depends on the order of the
-        set, and such a row is left to ``pick`` itself. ``max`` passes a NaN
-        on, so a row's maximum over its available logits is NaN exactly when
-        one of them is.
+        set, and such a row is left to ``pick`` itself.
         """
         if not len(inputs):
             return np.zeros(0, dtype=np.intp)
         return self._pick_logits(self.forward(inputs), available, offered)
 
     def _pick_logits(self, logits: np.ndarray, available: np.ndarray, offered: Sequence[tuple[str, ...]]) -> np.ndarray:
-        """``pick_rows``'s choices from the rows' logits, however the pass that gave them was run."""
-        best = np.where(available, logits, -np.inf).max(axis=1, keepdims=True)
-        picks = np.argmax(available & (logits == best), axis=1)
-        for row in np.flatnonzero(np.isnan(best[:, 0])).tolist():
-            picks[row] = self.action_index[self.pick(logits[row].tolist(), offered[row])]
+        """``pick_rows``'s choices from the rows' logits, however the pass that gave them was run.
+
+        ``argmax`` takes the first largest entry, and the first NaN before
+        any number, so a row whose pick is not NaN or -inf holds no NaN among
+        its available logits and the pick is ``pick``'s. A -inf pick, every
+        available logit -inf, is left to ``pick`` as well.
+        """
+        masked = np.where(available, logits, -np.inf)
+        picks = masked.argmax(axis=1)
+        settled = masked[np.arange(len(picks)), picks] > -np.inf
+        if not settled.all():
+            for row in np.flatnonzero(~settled).tolist():
+                picks[row] = self.action_index[self.pick(logits[row].tolist(), offered[row])]
         return picks
 
     def check_schemas(self, env: EnvironmentModel) -> None:

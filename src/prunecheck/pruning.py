@@ -12,20 +12,32 @@ coordinates it forced to zero (for feature pruning, the whole column, even
 entries that were zero already); applying a mask to the original policy
 reproduces the pruned one. Mask coordinates are 1-based (layer, row, col)
 triples, matching the interchange format.
+
+What an operator reads off a layer (its nonzero coordinates, their
+magnitude ranking and the count for each fraction) is derived once per
+read-only ``Layer`` object, as ``make_policy`` and the operators build
+them, and kept until that object is freed; so a sweep of many prunes of
+one layer pays only for each one's draw and copy. Weights that are
+writable, or a view of another array, are read afresh on every call. So
+read-only weights must never change: a caller that makes them writable
+again, changes them and freezes them gets masks of the old weights.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PruneSpecError
 from .model import read_json_object
-from .policy import NeuralPolicy, _with_weights
+from .policy import Layer, NeuralPolicy, _with_weights
 
 # ===== Specs and masks =====
 
@@ -106,7 +118,7 @@ class PruneMask:
     zeroed: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.zeroed, self.zeroed[1:])):
+        if any(map(operator.ge, self.zeroed, self.zeroed[1:])):
             raise PruneSpecError("mask coordinates must be sorted ascending, each once")
 
     @property
@@ -156,18 +168,58 @@ def prune_count(fraction, nonzeros: int) -> int:
     return int(_exact_fraction(fraction) * nonzeros + Fraction(1, 2))
 
 
-def _layer_weights(policy: NeuralPolicy, layer: int) -> np.ndarray:
+class _LayerFacts:
+    """What the operators read off one layer's weights.
+
+    ``rows`` and ``cols`` are the 0-based coordinates of its nonzero
+    entries in row-major order, ``ranking`` orders those by magnitude, ties
+    by position, and ``count(fraction)`` is ``prune_count`` over them.
+    """
+
+    def __init__(self, weights: np.ndarray) -> None:
+        self.weights = weights
+        self.rows, self.cols = np.nonzero(weights)
+        self.counts: dict = {}
+
+    @cached_property
+    def ranking(self) -> list[int]:
+        # Row-major order is (row, col) order, so a stable sort by magnitude breaks ties by position.
+        # Python's sort, as NumPy's maps a few hundred KB of sorting code into memory on first use.
+        magnitudes = np.abs(self.weights[self.rows, self.cols]).tolist()
+        return sorted(range(len(magnitudes)), key=magnitudes.__getitem__)
+
+    def count(self, fraction) -> int:
+        # A spec's fraction is an int or a float, and two that compare equal count alike.
+        m = self.counts.get(fraction)
+        if m is None:
+            m = self.counts[fraction] = prune_count(fraction, len(self.rows))
+        return m
+
+
+# The facts of each read-only layer an operator has read, freed with the layer.
+_FACTS: weakref.WeakKeyDictionary[Layer, _LayerFacts] = weakref.WeakKeyDictionary()
+
+
+def _facts(policy: NeuralPolicy, layer: int) -> _LayerFacts:
+    """The facts of ``policy``'s layer ``layer`` (1-based).
+
+    They are derived once per ``Layer`` whose weights are a read-only array
+    of their own, as ``make_policy`` and every operator leave them, and
+    afresh on every call for weights that could still change. The flag is
+    read at each call, so weights unfrozen, changed and frozen again keep
+    the facts of their first values.
+    """
     if not (1 <= layer <= len(policy.layers)):
         raise PruneSpecError(
             f"layer {layer} out of range; policy has layers 1..{len(policy.layers)}"
         )
-    return policy.layers[layer - 1].weights
-
-
-def _nonzero_coords(weights: np.ndarray) -> list[tuple[int, int]]:
-    """0-based (row, col) coordinates of nonzero entries, row-major order."""
-    rows, cols = np.nonzero(weights)
-    return list(zip(rows.tolist(), cols.tolist()))
+    key = policy.layers[layer - 1]
+    if key.weights.flags.writeable or key.weights.base is not None:
+        return _LayerFacts(key.weights)
+    facts = _FACTS.get(key)
+    if facts is None:
+        facts = _FACTS[key] = _LayerFacts(key.weights)
+    return facts
 
 
 def apply_mask(policy: NeuralPolicy, mask: PruneMask) -> NeuralPolicy:
@@ -192,10 +244,17 @@ def apply_mask(policy: NeuralPolicy, mask: PruneMask) -> NeuralPolicy:
     return _with_weights(policy, weights)
 
 
-def _finish(policy: NeuralPolicy, spec: PruneSpec, layer: int, chosen) -> tuple[NeuralPolicy, PruneMask]:
-    coords = tuple(sorted((layer, r + 1, c + 1) for r, c in chosen))
-    mask = PruneMask(spec=spec, zeroed=coords)
-    return apply_mask(policy, mask), mask
+def _finish(
+    policy: NeuralPolicy, spec: PruneSpec, layer: int, rows: np.ndarray, cols: np.ndarray
+) -> tuple[NeuralPolicy, PruneMask]:
+    """Zero layer ``layer``'s (1-based) entries at the 0-based ``rows``, ``cols``, in row-major order, each once."""
+    # A tuple of a list, since one grown from an iterator leaves tuples of every size behind.
+    mask = PruneMask(spec=spec, zeroed=tuple([(layer, r + 1, c + 1) for r, c in zip(rows.tolist(), cols.tolist())]))
+    if not len(rows):
+        return _with_weights(policy, {}), mask
+    weights = np.array(policy.layers[layer - 1].weights, dtype=np.float64)
+    weights[rows, cols] = 0.0
+    return _with_weights(policy, {layer - 1: weights}), mask
 
 
 # ===== Operators =====
@@ -210,11 +269,9 @@ def l1_prune(policy: NeuralPolicy, layer: int, fraction: float) -> tuple[NeuralP
     function of (policy, layer, fraction).
     """
     spec = PruneSpec(method="l1", layer=layer, fraction=fraction)
-    weights = _layer_weights(policy, layer)
-    coords = _nonzero_coords(weights)
-    m = prune_count(fraction, len(coords))
-    ranked = sorted(coords, key=lambda rc: (abs(weights[rc[0], rc[1]]), rc[0], rc[1]))
-    return _finish(policy, spec, layer, ranked[:m])
+    facts = _facts(policy, layer)
+    chosen = sorted(facts.ranking[: facts.count(fraction)])
+    return _finish(policy, spec, layer, facts.rows[chosen], facts.cols[chosen])
 
 
 def random_prune(
@@ -223,14 +280,16 @@ def random_prune(
     """Zero a uniform sample (without replacement) of one layer's nonzeros.
 
     The sample size matches l1_prune's count for the same fraction and the
-    draw is fully determined by ``seed``.
+    draw is fully determined by ``seed``: it is
+    ``random.Random(seed).sample`` over the nonzero coordinates in row-major
+    order.
     """
     spec = PruneSpec(method="random", layer=layer, fraction=fraction, seed=seed)
-    weights = _layer_weights(policy, layer)
-    coords = _nonzero_coords(weights)
-    m = prune_count(fraction, len(coords))
-    chosen = random.Random(seed).sample(coords, m)
-    return _finish(policy, spec, layer, chosen)
+    facts = _facts(policy, layer)
+    # ``sample`` reads only its population's length, so sampling the
+    # positions draws the positions of the coordinates it would sample.
+    chosen = sorted(random.Random(seed).sample(range(len(facts.rows)), facts.count(fraction)))
+    return _finish(policy, spec, layer, facts.rows[chosen], facts.cols[chosen])
 
 
 def feature_prune(policy: NeuralPolicy, feature: str) -> tuple[NeuralPolicy, PruneMask]:
@@ -243,10 +302,8 @@ def feature_prune(policy: NeuralPolicy, feature: str) -> tuple[NeuralPolicy, Pru
     spec = PruneSpec(method="feature", feature=feature)
     if feature not in policy.feature_names:
         raise PruneSpecError(f"feature {feature!r} is not in the policy's feature schema")
-    col = policy.feature_names.index(feature)
-    weights = policy.layers[0].weights
-    chosen = [(r, col) for r in range(weights.shape[0])]
-    return _finish(policy, spec, 1, chosen)
+    rows = np.arange(policy.layers[0].weights.shape[0])
+    return _finish(policy, spec, 1, rows, np.full_like(rows, policy.feature_names.index(feature)))
 
 
 def prune(policy: NeuralPolicy, spec: PruneSpec) -> tuple[NeuralPolicy, PruneMask]:

@@ -398,12 +398,17 @@ def sweep(
 ) -> str:
     """Prune and re-measure over a fraction grid and emit CSV.
 
-    The original is measured once for the whole grid, and rows whose prune
-    keeps every action of the original chain reuse its measurement.
+    The original is measured once for the whole grid. A row whose prune
+    keeps every action of the original chain reuses its measurement, and a
+    row whose prune changes the same actions as an earlier row's reuses that
+    row's measurement when it also picks the same actions on the states only
+    the pruned chain reaches; ``_reports`` says how.
 
     l1 yields one row per fraction; random yields one row per (fraction,
-    seed) plus a per-fraction mean row (seed column "mean"); a seed given
-    twice raises PruneSpecError. Rows are ordered by (fraction, seed).
+    seed) plus a per-fraction mean row (seed column "mean"). A seed given
+    twice raises PruneSpecError, and so does a negative seed given with its
+    absolute value, which draws the same sample. Rows are ordered by
+    (fraction, seed).
     """
     if method not in SWEEP_METHODS:
         raise PruneSpecError(f"sweep method must be one of {list(SWEEP_METHODS)}")
@@ -416,6 +421,10 @@ def sweep(
     for seed, following in zip(ordered_seeds, ordered_seeds[1:]):
         if seed == following:
             raise PruneSpecError(f"seed {seed} is given more than once")
+    given = set(seeds)
+    for seed in ordered_seeds:
+        if seed < 0 and -seed in given:  # random.Random seeds an integer by its absolute value
+            raise PruneSpecError(f"seed {seed} draws the same sample as seed {-seed}")
 
     row_seeds = ordered_seeds or (None,)
     specs = (PruneSpec(method, layer, float(f), seed) for f in fractions for seed in row_seeds)

@@ -22,17 +22,22 @@ these oracles and the package is evidence, not circularity.
   checker once ran, which its array form must match set for set
 * state formulas as frozensets over the labels' alphabet, which the
   checker's boolean masks must match state for state and warning for warning
+* pruning: the operators as first written, over plain weight arrays, with a
+  fresh coordinate list, an exact count, a seeded sample of the coordinates
+  and a mask applied one coordinate at a time, whose masks, weights and
+  errors the package's operators must match
 """
 
 from __future__ import annotations
 
 import json
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from prunecheck.errors import ModelSemanticError, ModelSyntaxError, UnknownLabelWarning
+from prunecheck.errors import ModelSemanticError, ModelSyntaxError, PruneSpecError, UnknownLabelWarning
 from prunecheck.properties import And, FalseFormula, Label, Not, Or, TrueFormula
 
 # ===== Bounded path enumeration =====
@@ -638,3 +643,53 @@ def avoid_globally_no_collision(weights, bias, width, height, obstacle, move_pro
     ]
     safe = {i for i, state in enumerate(states) if (state[0], state[1]) != (state[2], state[3])}
     return globally_paths(indexed_rows, safe, horizon, index[(0, 0, obstacle[0], obstacle[1])])
+
+
+# ===== Pruning as first written =====
+
+
+def prune_reference(weights: list, feature_names: tuple, method: str, layer=None, fraction=None, seed=None, feature=None):
+    """The zeroed 1-based (layer, row, col) triples and every layer's weights after one prune.
+
+    ``weights`` lists each layer's matrix; ``fraction`` is a spec's int or
+    float. Raises PruneSpecError for a layer or feature the policy lacks.
+    """
+    if method == "feature":
+        if feature not in feature_names:
+            raise PruneSpecError(f"feature {feature!r} is not in the policy's feature schema")
+        layer = 1
+        col = feature_names.index(feature)
+        chosen = [(r, col) for r in range(weights[0].shape[0])]
+    else:
+        if not (1 <= layer <= len(weights)):
+            raise PruneSpecError(f"layer {layer} out of range; policy has layers 1..{len(weights)}")
+        w = weights[layer - 1]
+        rows, cols = np.nonzero(w)
+        coords = list(zip(rows.tolist(), cols.tolist()))
+        exact = Fraction(repr(fraction)) if isinstance(fraction, float) else Fraction(fraction)
+        m = int(exact * len(coords) + Fraction(1, 2))
+        if method == "l1":
+            chosen = sorted(coords, key=lambda rc: (abs(w[rc[0], rc[1]]), rc[0], rc[1]))[:m]
+        else:
+            chosen = random.Random(seed).sample(coords, m)
+    zeroed = tuple(sorted((layer, r + 1, c + 1) for r, c in chosen))
+    return zeroed, apply_mask_reference(weights, zeroed)
+
+
+def apply_mask_reference(weights: list, zeroed) -> list:
+    """Every layer's weights with the triples ``zeroed`` set to 0, one at a time, in mask order.
+
+    A layer the mask names is copied when its first coordinate is met; the
+    first coordinate whose layer or position is out of range raises.
+    """
+    copies: dict = {}
+    for layer, row, col in zeroed:
+        if not (1 <= layer <= len(weights)):
+            raise PruneSpecError(f"mask layer {layer} out of range")
+        w = copies.get(layer - 1)
+        if w is None:
+            w = copies[layer - 1] = np.array(weights[layer - 1], dtype=np.float64)
+        if not (1 <= row <= w.shape[0] and 1 <= col <= w.shape[1]):
+            raise PruneSpecError(f"mask coordinate ({layer},{row},{col}) out of range")
+        w[row - 1, col - 1] = 0.0
+    return [copies.get(k, w) for k, w in enumerate(weights)]

@@ -387,6 +387,19 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == "error: seed 1 is given more than once\n"
 
+    def test_seed_with_its_negative(self, capsys, lazy_policy_path):
+        code = main(
+            [
+                "sweep", "--model", AVOID_URI, "--policy", lazy_policy_path,
+                "--prop", NO_COLLISION_6, "--method", "random", "--layer", "1",
+                "--fractions", "0:1:0.5", "--seeds=-3,3",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed -3 draws the same sample as seed 3\n"
+
     def test_random_without_seeds(self, capsys, lazy_policy_path):
         code = main(
             [

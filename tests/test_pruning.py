@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from prunecheck import (
     random_prune,
 )
 
+from . import oracles
 from .conftest import random_policy
 
 
@@ -41,6 +43,36 @@ def single_layer(weights):
 
 def layer_bytes(policy, layer: int) -> bytes:
     return policy.layers[layer - 1].weights.tobytes()
+
+
+def outcome(call):
+    """A prune's mask coordinates, mask spec and every layer's weight bytes, or its error's type and message."""
+    try:
+        pruned, mask = call()
+    except PruneSpecError as error:
+        return type(error), str(error)
+    return mask.zeroed, mask.spec, [layer.weights.tobytes() for layer in pruned.layers]
+
+
+def reference_outcome(policy, spec: PruneSpec):
+    """``outcome`` of the reference operator in ``oracles`` on ``policy``'s weights as they are now."""
+    try:
+        zeroed, weights = oracles.prune_reference(
+            [layer.weights for layer in policy.layers], policy.feature_names,
+            spec.method, spec.layer, spec.fraction, spec.seed, spec.feature,
+        )
+    except PruneSpecError as error:
+        return type(error), str(error)
+    return zeroed, spec, [w.tobytes() for w in weights]
+
+
+def operator_call(policy, spec: PruneSpec):
+    """The public operator's own call for ``spec``."""
+    if spec.method == "l1":
+        return lambda: l1_prune(policy, spec.layer, spec.fraction)
+    if spec.method == "random":
+        return lambda: random_prune(policy, spec.layer, spec.fraction, spec.seed)
+    return lambda: feature_prune(policy, spec.feature)
 
 
 # ===== Counting =====
@@ -493,6 +525,40 @@ class TestApplyMask:
         with pytest.raises(PolicyFormatError, match="'features' contains duplicates"):
             apply_mask(twice, PruneMask(spec=mask.spec, zeroed=()))
 
+    @pytest.mark.parametrize(
+        "zeroed, message",
+        [
+            (((1, 3, 1), (2, 1, 1)), "mask coordinate (1,3,1) out of range"),
+            (((1, 1, 3), (1, 2, 1)), "mask coordinate (1,1,3) out of range"),
+            (((1, 0, 1), (1, 1, 1)), "mask coordinate (1,0,1) out of range"),
+            (((1, 1, 1), (1, 2, 2), (3, 1, 1)), "mask layer 3 out of range"),
+            (((0, 1, 1), (1, 9, 9)), "mask layer 0 out of range"),
+            (((1, 1, 1), (2, 1, 2**70)), f"mask coordinate (2,1,{2**70}) out of range"),
+            (((1, 1, 1), (2**70, 1, 1)), f"mask layer {2**70} out of range"),
+        ],
+    )
+    def test_first_bad_coordinate_is_the_error(self, zeroed, message):
+        """The first coordinate out of range, in mask order, words the error, as one zeroed at a time would."""
+        policy = random_policy(38, ("a", "b"), ("x", "y"), hidden=(2,))
+        mask = PruneMask(spec=PruneSpec(method="feature", feature="a"), zeroed=zeroed)
+        with pytest.raises(PruneSpecError) as raised:
+            oracles.apply_mask_reference([layer.weights for layer in policy.layers], zeroed)
+        assert str(raised.value) == message
+        with pytest.raises(PruneSpecError, match=f"^{re.escape(message)}$"):
+            apply_mask(policy, mask)
+
+    def test_empty_mask_copies_nothing(self):
+        policy = random_policy(39, ("a", "b"), ("x", "y"), hidden=(2,))
+        kept = apply_mask(policy, PruneMask(spec=PruneSpec(method="feature", feature="a"), zeroed=()))
+        assert all(after is before for before, after in zip(policy.layers, kept.layers))
+
+    def test_two_layers_zeroed_as_one_at_a_time(self):
+        policy = random_policy(40, ("a", "b", "c"), ("x", "y"), hidden=(3,))
+        zeroed = ((1, 1, 2), (1, 3, 3), (2, 2, 1), (2, 2, 3))
+        replayed = apply_mask(policy, PruneMask(spec=PruneSpec(method="feature", feature="a"), zeroed=zeroed))
+        expected = oracles.apply_mask_reference([layer.weights for layer in policy.layers], zeroed)
+        assert [layer.weights.tobytes() for layer in replayed.layers] == [w.tobytes() for w in expected]
+
 
 class TestDispatcher:
     def test_matches_direct_calls(self):
@@ -504,6 +570,10 @@ class TestDispatcher:
                 random_prune(policy, 1, 0.25, seed=6),
             ),
             (PruneSpec(method="feature", feature="a"), feature_prune(policy, "a")),
+            # A field the method does not read is not recorded in the mask.
+            (PruneSpec(method="l1", layer=2, fraction=0.5, seed=3), l1_prune(policy, 2, 0.5)),
+            (PruneSpec("random", 1, 0.25, 6, feature="a"), random_prune(policy, 1, 0.25, seed=6)),
+            (PruneSpec(method="feature", layer=2, fraction=1.0, feature="a"), feature_prune(policy, "a")),
         ]
         for spec, (direct_policy, direct_mask) in cases:
             via_spec_policy, via_spec_mask = prune(policy, spec)
@@ -582,3 +652,60 @@ class TestInvariants:
         bumped = list(base)
         bumped[index] = float(probe)
         assert pruned.forward(tuple(base)).tobytes() == pruned.forward(tuple(bumped)).tobytes()
+
+
+# ===== Equivalence with the operators as first written =====
+
+halves = st.integers(-3, 3).map(lambda v: v / 2)  # exact zeros and tied magnitudes
+
+
+@st.composite
+def tied_policies(draw):
+    """Policies of 1-3 layers of small matrices, entries in halves from -3/2 to 3/2."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    layers = [
+        (np.array(draw(st.lists(st.lists(halves, min_size=d_in, max_size=d_in), min_size=d_out, max_size=d_out))), np.zeros(d_out))
+        for d_in, d_out in zip(sizes, sizes[1:])
+    ]
+    return make_policy(tuple(f"f{j}" for j in range(sizes[0])), tuple(f"a{j}" for j in range(sizes[-1])), layers)
+
+
+spec_fractions = st.one_of(st.integers(0, 1), st.integers(0, 20).map(lambda k: k / 20), st.sampled_from([0.15, 1 / 3, 0.35]))
+specs = st.one_of(
+    st.builds(PruneSpec, st.just("l1"), st.integers(1, 4), spec_fractions),
+    st.builds(PruneSpec, st.just("random"), st.integers(1, 4), spec_fractions, st.integers(-(2**40), 2**40)),
+    st.builds(lambda feature: PruneSpec(method="feature", feature=feature), st.sampled_from(["f0", "f1", "f3", "g"])),
+)
+
+
+class TestAgainstReference:
+    @given(policy=tied_policies(), stream=st.lists(specs, min_size=1, max_size=5))
+    def test_operators_match_the_reference(self, policy, stream):
+        """Every spec of a stream on one policy, through ``prune`` and the operator itself, twice."""
+        for spec in stream:
+            expected = reference_outcome(policy, spec)
+            assert outcome(lambda: prune(policy, spec)) == expected
+            assert outcome(operator_call(policy, spec)) == expected
+            assert outcome(lambda: prune(policy, spec)) == expected
+
+    @pytest.mark.parametrize("spec", [PruneSpec("l1", 1, 0.5), PruneSpec("random", 1, 0.5, 2), PruneSpec("random", 1, 1.0, 7)])
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_weights_that_can_change_are_read_again(self, spec, read_only_view):
+        """A layer whose weights are writable, or a read-only view of writable ones, is pruned as it is now."""
+        weights = np.array([[1.0, 2.0, 0.0], [0.0, 4.0, 3.0]])
+        held = weights.view() if read_only_view else weights
+        held.flags.writeable = not read_only_view
+        policy = make_policy(("f0", "f1", "f2"), ("a0", "a1"), [(weights, np.zeros(2))])
+        live = replace(policy, layers=(Layer(held, policy.layers[0].bias),))
+        assert outcome(lambda: prune(live, spec)) == reference_outcome(live, spec)
+        weights[0, 0], weights[0, 2], weights[1, 0] = 0.0, 5.0, 0.5
+        assert outcome(lambda: prune(live, spec)) == reference_outcome(live, spec)
+        assert prune(live, spec)[1].size == prune_count(spec.fraction, 5)
+
+    def test_a_pruned_layer_is_not_kept_alive(self):
+        policy = random_policy(53, ("a", "b"), ("x", "y"), hidden=(3,))
+        layer = weakref.ref(policy.layers[1])
+        pruned = [prune(policy, PruneSpec(method, 2, 0.5, 1))[0] for method in ("l1", "random")]
+        assert layer() is policy.layers[1]
+        del policy, pruned
+        assert layer() is None

@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -452,6 +453,16 @@ class TestSweep:
     @pytest.mark.parametrize("seeds", [(1, 1, 2), (2, 1, 2)])
     def test_repeated_seed_rejected(self, seeds):
         with pytest.raises(PruneSpecError, match=r"^seed \d is given more than once$"):
+            sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "random", 1, "0:1:0.5", seeds=seeds)
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [((3, -3), "seed -3 draws the same sample as seed 3"), ((-5, 2, -2, 5), "seed -5 draws the same sample as seed 5")],
+    )
+    def test_seed_and_its_negative_rejected(self, seeds, message):
+        """``random.Random`` draws one sample for a seed and its negative, so the ``mean`` row would count it twice."""
+        assert random.Random(-seeds[0]).sample(range(100), 10) == random.Random(seeds[0]).sample(range(100), 10)
+        with pytest.raises(PruneSpecError, match=f"^{message}$"):
             sweep(drift_avoidance_env(), lazy_walker_policy(), NO_COLLISION_6, "random", 1, "0:1:0.5", seeds=seeds)
 
     @pytest.mark.parametrize(

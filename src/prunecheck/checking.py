@@ -31,7 +31,9 @@ exactly, is ``UNDECIDED``. SEQ goes through a three-state monitor product
 and the unbounded-until machinery.
 
 Every routine reads the chain's compressed sparse row arrays. State sets
-are boolean masks from the label lookup to the solver; a label that no
+are boolean masks from the label lookup to the solver. A label's mask is
+read off the chain's ``label_table``: the label is looked up once per
+distinct label set, and each state takes its set's answer. A label that no
 state carries is the empty mask and emits UnknownLabelWarning. ``check`` is
 the way in; ``prob01`` and ``evaluate_states`` stay public for the
 benchmark's tracer.
@@ -181,14 +183,20 @@ def _backward_set(rev_ptr: np.ndarray, rev_src: np.ndarray, seeds: np.ndarray, a
     """Least fixpoint: seeds plus allowed states with an edge into the set.
 
     State t's predecessors are ``rev_src[rev_ptr[t]:rev_ptr[t + 1]]``; the
-    search gathers those of a whole frontier at once.
+    search gathers those of a whole frontier at once. A state that several
+    of them reach enters the next frontier once: each candidate writes its
+    position into ``stamp`` and only the one whose write was kept stays.
     """
     reached = seeds.copy()
+    stamp = np.empty(len(seeds), dtype=np.intp)
     frontier = np.flatnonzero(seeds)
     while frontier.size:
         starts = rev_ptr[frontier]
         preds = rev_src[_spans(starts, rev_ptr[frontier + 1] - starts)]
-        frontier = np.unique(preds[allowed[preds] & ~reached[preds]])
+        candidates = preds[allowed[preds] & ~reached[preds]]
+        positions = np.arange(len(candidates))
+        stamp[candidates] = positions
+        frontier = candidates[stamp[candidates] == positions]
         reached[frontier] = True
     return reached
 
@@ -518,7 +526,8 @@ def _evaluate(dtmc: Dtmc, sf: StateFormula) -> np.ndarray:
     if isinstance(sf, FalseFormula):
         return np.zeros(n, dtype=bool)
     if isinstance(sf, Label):
-        mask = np.fromiter((sf.name in labels for labels in dtmc.state_labels), dtype=bool, count=n)
+        distinct, codes = dtmc.label_table
+        mask = np.array([sf.name in labels for labels in distinct], dtype=bool)[codes]
         if not mask.any():
             warnings.warn(
                 f"label {sf.name!r} does not occur in the checked chain; treating it as the empty set",

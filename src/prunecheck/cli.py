@@ -8,6 +8,7 @@ exceeded; 5 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,7 +239,9 @@ def _state_cap(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="prunecheck",
         description="Prune neural control policies and measure exactly how safety probabilities change.",

@@ -54,6 +54,10 @@ TAXI_ACTIONS = ("north", "south", "east", "west", "pickup", "dropoff", "refuel")
 AVOIDANCE_FEATURES = ("ax", "ay", "ox", "oy")
 AVOIDANCE_ACTIONS = ("north", "south", "east", "west", "stay")
 
+# The label sets of avoidance states, shared by every state that carries them.
+_COLLISION = frozenset({"collision"})
+_NO_LABELS = frozenset()
+
 # Grid displacement per move action, as (dx, dy) with north increasing y.
 _MOVES = {"north": (0, 1), "south": (0, -1), "east": (1, 0), "west": (-1, 0)}
 
@@ -232,7 +236,7 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
 
     def successors(state: StateVector, action: str) -> Distribution:
         ax, ay, ox, oy = state
-        if action not in available_actions(state):
+        if action not in action_set(ax, ay):
             raise ValueError(f"action {action!r} unavailable in state {list(state)}")
         mx, my = _MOVES.get(action, (0, 0))
         ax, ay = ax + mx, ay + my
@@ -250,9 +254,7 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
 
     def labels(state: StateVector) -> frozenset[str]:
         ax, ay, ox, oy = state
-        if (ax, ay) == (ox, oy):
-            return frozenset({"collision"})
-        return frozenset()
+        return _COLLISION if (ax, ay) == (ox, oy) else _NO_LABELS
 
     # Each action's change to (ax, ay, ox, oy) before the obstacle moves.
     shifts = np.array([(*_MOVES.get(action, (0, 0)), 0, 0) for action in AVOIDANCE_ACTIONS])

@@ -8,11 +8,11 @@ states are then visited in the order they were discovered. That is the order
 a FIFO frontier gives, and new states are indexed in the order their
 distributions mention them, which makes state numbering a deterministic
 function of (environment, policy). The batched forward pass gives each state
-bit for bit the logits of a one-state pass, so the chosen actions are those
-``NeuralPolicy.select_action`` would choose. Each visited state's row is
-appended straight onto the chain's compressed sparse row arrays, and its
-``Distribution.exact`` rationals are kept per state; they make the chain's
-``exact_probs`` when every row has them.
+bit for bit the logits of a one-state pass, and ``NeuralPolicy.pick`` chooses
+the state's action from them. Each visited state's row is appended straight
+onto the chain's compressed sparse row arrays, and its ``Distribution.exact``
+rationals are kept per state; they make the chain's ``exact_probs`` when
+every row has them.
 
 ``rebuild_induced_dtmc`` runs the same loop from an original ``BuildResult``
 and the new action on each state where the new policy chooses another. The
@@ -147,11 +147,14 @@ def _explore(
 ) -> BuildResult:
     """The BFS level loop of both builds: ``known`` rows are reused unless ``changed``."""
     limits = limits or BuildLimits()
+    max_states, max_transitions = limits.max_states, limits.max_transitions
     policy.check_schemas(env)
+    available_actions, successors, labels_of, pick = env.available_actions, env.successors, env.labels, policy.pick
 
     index: dict[StateVector, int] = {env.initial: 0}
+    # The states in index order; each BFS level is the run of them found
+    # while the level before it was visited.
     order: list[StateVector] = [env.initial]
-    level: list[StateVector] = [env.initial]
     indptr: list[int] = [0]
     indices: list[int] = []
     probs: list[float] = []
@@ -160,52 +163,53 @@ def _explore(
     exact_rows: list[tuple[Fraction, ...] | None] = []
     labels: list[frozenset[str]] = []
     transitions = 0
+    start = 0
 
-    while level:
-        next_level: list[StateVector] = []
+    while start < len(order):
+        level = order[start:]
+        start = len(order)
         fresh = [state for state in level if state not in known] if known else level
         fresh_logits = iter(policy.forward(fresh).tolist() if fresh else ())
         for state in level:
             row = known.get(state)
             if row is None:
-                available = env.available_actions(state)
+                available = available_actions(state)
                 if not available:
                     raise ModelSemanticError(f"deadlock at state {list(state)}: empty action set")
-                action = policy.pick(next(fresh_logits), available)
-                dist = env.successors(state, action)
+                action = pick(next(fresh_logits), available)
+                dist = successors(state, action)
                 support, exact = dist.support, dist.exact
             else:
                 action, available, support, exact, tags = row
                 if state in changed:
                     action = changed[state]
-                    dist = env.successors(state, action)
+                    dist = successors(state, action)
                     support, exact = dist.support, dist.exact
             transitions += len(support)
-            if transitions > limits.max_transitions:
+            if transitions > max_transitions:
                 raise LimitExceededError(
-                    f"transition count exceeds max_transitions={limits.max_transitions}",
+                    f"transition count exceeds max_transitions={max_transitions}",
                     states_seen=len(index),
                     transitions_seen=transitions,
                 )
             for target, prob in support:
-                if target not in index:
-                    if len(index) >= limits.max_states:
+                code = index.get(target)
+                if code is None:
+                    if len(index) >= max_states:
                         raise LimitExceededError(
-                            f"state count exceeds max_states={limits.max_states}",
+                            f"state count exceeds max_states={max_states}",
                             states_seen=len(index),
                             transitions_seen=transitions,
                         )
-                    index[target] = len(index)
+                    code = index[target] = len(index)
                     order.append(target)
-                    next_level.append(target)
-                indices.append(index[target])
+                indices.append(code)
                 probs.append(prob)
             indptr.append(transitions)
             chosen.append(action)
             offered.append(available)
             exact_rows.append(exact)
-            labels.append(env.labels(state) if row is None else tags)
-        level = next_level
+            labels.append(labels_of(state) if row is None else tags)
 
     rationals = None if None in exact_rows else tuple(chain.from_iterable(exact_rows))
     dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs, rationals)

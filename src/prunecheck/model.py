@@ -165,7 +165,9 @@ class Dtmc:
     arrays are the chain's only transition storage; they are copied on
     construction and read-only. ``exact_probs``, when given, holds the
     rational behind every entry of ``probs``, in the same order. Chains
-    compare by identity.
+    compare by identity. ``label_table`` reads ``state_labels`` once, on
+    first use, into the distinct label sets and one index per state, so a
+    check reads a label off the few distinct sets rather than every state's.
     """
 
     state_vectors: tuple[StateVector, ...]
@@ -180,6 +182,13 @@ class Dtmc:
             array = np.array(getattr(self, name), dtype=dtype)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    @functools.cached_property
+    def label_table(self) -> tuple[tuple[frozenset[str], ...], np.ndarray]:
+        """The distinct label sets, in order of first occurrence, and each state's index into them."""
+        table: dict[frozenset[str], int] = {}
+        codes = [table.setdefault(labels, len(table)) for labels in self.state_labels]
+        return tuple(table), np.array(codes, dtype=np.intp)
 
     @property
     def num_states(self) -> int:

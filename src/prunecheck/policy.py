@@ -121,19 +121,37 @@ class NeuralPolicy:
         arrives in. Unavailable actions are masked out entirely, never
         renormalized. A NaN logit compares false both ways: it never
         displaces the choice so far, and a NaN choice is never displaced.
+        Each distinct action set is checked against the schema once, and its
+        schema indices kept; an empty set, or one naming an action the
+        schema lacks, is never kept and raises on every call.
         """
+        try:
+            positions = self._positions[available]
+        except (KeyError, TypeError):  # a set not checked yet, or one that is no dict key, such as a list
+            positions = self._schema_positions(available)
+        best = None
+        for i in positions:
+            if best is None or logits[i] > logits[best] or (logits[i] == logits[best] and i < best):
+                best = i
+        return self.action_names[best]
+
+    @cached_property
+    def _positions(self) -> dict[tuple[str, ...], tuple[int, ...]]:
+        """The schema indices of each action set ``pick`` has checked, in the set's order."""
+        return {}
+
+    def _schema_positions(self, available) -> tuple[int, ...]:
+        """The schema indices of ``available`` once it is checked, kept when it is a tuple."""
         if not available:
             raise ValueError("no available actions to select from")
         index = self.action_index
         for name in available:
             if name not in index:
                 raise SchemaMismatchError(f"available action {name!r} is not in the policy's schema")
-        best = None
-        for name in available:
-            i = index[name]
-            if best is None or logits[i] > logits[best] or (logits[i] == logits[best] and i < best):
-                best = i
-        return self.action_names[best]
+        positions = tuple(index[name] for name in available)
+        if type(available) is tuple:  # a list could change once kept
+            self._positions[available] = positions
+        return positions
 
     def pick_rows(self, inputs: np.ndarray, available: np.ndarray, offered: Sequence[tuple[str, ...]]) -> np.ndarray:
         """The schema index ``pick`` chooses on each row of ``inputs``; an empty ``inputs`` skips ``forward``.

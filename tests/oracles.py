@@ -21,7 +21,10 @@ these oracles and the package is evidence, not circularity.
 * the probability-0 and probability-1 sets as the row-based searches the
   checker once ran, which its array form must match set for set
 * state formulas as frozensets over the labels' alphabet, which the
-  checker's boolean masks must match state for state and warning for warning
+  checker's boolean masks must match state for state and warning for warning,
+  and as the per-state masks the checker once built
+* action choice: ``pick``'s rule over an action set in its own order, with
+  no schema check
 * pruning: the operators as first written, over plain weight arrays, with a
   fresh coordinate list, an exact count, a seeded sample of the coordinates
   and a mask applied one coordinate at a time, whose masks, weights and
@@ -259,6 +262,32 @@ def _evaluate_sets(state_labels, sf, alphabet: frozenset) -> frozenset:
         return _evaluate_sets(state_labels, sf.left, alphabet) & _evaluate_sets(state_labels, sf.right, alphabet)
     if isinstance(sf, Or):
         return _evaluate_sets(state_labels, sf.left, alphabet) | _evaluate_sets(state_labels, sf.right, alphabet)
+    raise TypeError(f"not a state formula: {sf!r}")
+
+
+def label_mask_reference(dtmc, sf) -> np.ndarray:
+    """The checker's state mask as first written: a label is looked up in
+    every state's set, one ``np.fromiter`` pass, and warns when no state
+    carries it."""
+    n = dtmc.num_states
+    if isinstance(sf, TrueFormula):
+        return np.ones(n, dtype=bool)
+    if isinstance(sf, FalseFormula):
+        return np.zeros(n, dtype=bool)
+    if isinstance(sf, Label):
+        mask = np.fromiter((sf.name in labels for labels in dtmc.state_labels), dtype=bool, count=n)
+        if not mask.any():
+            warnings.warn(
+                f"label {sf.name!r} does not occur in the checked chain; treating it as the empty set",
+                UnknownLabelWarning,
+            )
+        return mask
+    if isinstance(sf, Not):
+        return ~label_mask_reference(dtmc, sf.operand)
+    if isinstance(sf, And):
+        return label_mask_reference(dtmc, sf.left) & label_mask_reference(dtmc, sf.right)
+    if isinstance(sf, Or):
+        return label_mask_reference(dtmc, sf.left) | label_mask_reference(dtmc, sf.right)
     raise TypeError(f"not a state formula: {sf!r}")
 
 
@@ -607,6 +636,18 @@ def argmax_in_schema(logits, schema, available):
         if name not in available:
             continue
         if best is None or logits[i] > logits[best]:
+            best = i
+    return schema[best]
+
+
+def pick_in_order(schema, logits, available):
+    """``NeuralPolicy.pick``'s rule with no schema check: ``available`` in its
+    own order, a larger logit or an equal one at a smaller schema index wins,
+    and a NaN neither displaces nor is displaced."""
+    best = None
+    for name in available:
+        i = schema.index(name)
+        if best is None or logits[i] > logits[best] or (logits[i] == logits[best] and i < best):
             best = i
     return schema[best]
 

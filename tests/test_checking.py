@@ -45,6 +45,7 @@ from .oracles import (
     bounded_until_fraction,
     bounded_until_loop,
     evaluate_sets,
+    label_mask_reference,
     next_loop,
     next_paths,
     row_prob01_sets,
@@ -369,6 +370,25 @@ def drifting_walk(top: int = 30) -> Dtmc:
     return dtmc_from_rows(tuple((c,) for c in range(top + 1)), labels, rows)
 
 
+def slowly_leaving_chain() -> Dtmc:
+    """Nine states, "b" on state 0 only; 1 and 3 hand each other little
+    mass and keep most of it: 64/135 of 1's stays on 1, 64/135 goes to 3,
+    and 64/65 of 3's stays on 3."""
+    rows = [
+        tuple((t, Fraction(1, 7)) for t in range(7)),
+        ((3, Fraction(64, 135)), (0, Fraction(1, 135)), (1, Fraction(64, 135)), (5, Fraction(4, 135)), (2, Fraction(2, 135))),
+        ((0, Fraction(1)),),
+        ((1, Fraction(1, 65)), (3, Fraction(64, 65))),
+        ((0, Fraction(1)),),
+        ((5, Fraction(1)),),
+        ((0, Fraction(1)),),
+        ((0, Fraction(1)),),
+        tuple((t, Fraction(1, 4)) for t in range(4)),
+    ]
+    labels = (frozenset({"b"}), *[frozenset()] * 8)
+    return dtmc_from_rows(tuple((s,) for s in range(9)), labels, [[(t, float(p)) for t, p in row] for row in rows])
+
+
 def assert_certified_against_exact(dtmc: Dtmc) -> None:
     """prob01 equals the row-based sets with ==. Each unbounded U, F, G and
     SEQ value is certified: without rationals the exact value lies in
@@ -421,6 +441,18 @@ class TestUnboundedBitIdentity:
     def test_wide_rows(self):
         assert_certified_against_exact(drifting_walk())
         assert_certified_against_exact(with_rationals(drifting_walk()))
+
+    def test_slowly_leaving_block(self):
+        """A chain the random property once drew, which leaves {1, 3} with
+        probability 7/135 per step from 1 and keeps 64/65 on 3: forced onto
+        the interval path, each of F "b", G !"b" and SEQ("a", "b") takes
+        thousands of Jacobi steps, too slow for a Hypothesis deadline."""
+        dtmc = slowly_leaving_chain()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checking, "DENSE_MAX_STATES", 0)
+            assert check(dtmc, parse_property('P=? [F "b"]')).iterations > 10_000
+        assert_certified_against_exact(dtmc)
+        assert_certified_against_exact(with_rationals(dtmc))
 
 
 # ===== Next =====
@@ -629,6 +661,27 @@ class TestMaskSemantics:
         want, want_warnings = recorded(evaluate_sets, dtmc.state_labels, sf)
         assert got == want
         assert got_warnings == want_warnings
+
+    @given(dtmc=pooled_chains(), sf=state_formulas)
+    def test_masks_equal_the_per_state_masks(self, dtmc, sf):
+        # Twice on one chain: the first read builds its label table, the second reuses it.
+        for _ in range(2):
+            got, got_warnings = recorded(checking._evaluate, dtmc, sf)
+            want, want_warnings = recorded(label_mask_reference, dtmc, sf)
+            assert got.dtype == want.dtype == np.bool_
+            assert got.tolist() == want.tolist()
+            assert got_warnings == want_warnings
+
+    def test_label_table_holds_each_distinct_set_once(self):
+        a, b, none = frozenset({"a"}), frozenset({"a", "b"}), frozenset()
+        dtmc = labeled_chain("a", "a b", "", "a", "b a")
+        distinct, codes = dtmc.label_table
+        assert distinct == (a, b, none)
+        assert codes.tolist() == [0, 1, 2, 0, 1]
+        assert dtmc.label_table is dtmc.label_table
+        mask = checking._evaluate(dtmc, Label("b"))
+        mask[:] = True  # a caller's mask is its own
+        assert checking._evaluate(dtmc, Label("b")).tolist() == [False, True, False, False, True]
 
     @given(dtmc=pooled_chains(), path=path_formulas)
     def test_check_equals_the_reference_route(self, dtmc, path):

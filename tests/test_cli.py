@@ -60,6 +60,17 @@ def lazy_policy_path(tmp_path) -> str:
 
 
 class TestCheck:
+    def test_two_calls_build_the_parser_once(self, capsys, step_policy_path):
+        cli._build_parser.cache_clear()
+        argv = ["check", "--model", CHAIN3, "--policy", step_policy_path, "--prop", 'P=? [F "goal"]', "--json"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert cli._build_parser.cache_info().misses == 1
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0].out)["m"] == 0.5
+
     def test_text_output(self, capsys, step_policy_path):
         code = main(["check", "--model", CHAIN3, "--policy", step_policy_path, "--prop", 'P=? [F "goal"]'])
         out = capsys.readouterr().out

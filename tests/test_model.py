@@ -52,6 +52,31 @@ def _supports(draw):
     return tuple(zip(targets, probs))
 
 
+# One- to three-branch rows, as wide as builtin rows: each probability is a
+# share of the mass or an edge value, the last may sit just inside or just
+# outside SUM_TOLERANCE, targets repeat or cannot be hashed, and an item may
+# be no (target, probability) pair at all.
+_ROW_EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.0)
+_ROW_NUDGES = (0.0, 1e-9, -1e-9, 2e-9, -2e-9, 5e-10)
+_ROW_TARGETS = ((0, 0), (0, 1), (1, 0), [0, 0], ((0,), [1]))
+_NOT_PAIRS = ((0,), ((0, 0), 0.5, 0.5), 7, "ab", [(0, 2), 1.0], None)
+
+
+@st.composite
+def _short_rows(draw):
+    weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    probs = [w / sum(weights) for w in weights]
+    probs[-1] += draw(st.sampled_from(_ROW_NUDGES))
+    for i in range(len(probs)):
+        if draw(st.integers(0, 3)) == 0:
+            probs[i] = draw(st.sampled_from(_ROW_EDGES))
+    items = [(draw(st.sampled_from(_ROW_TARGETS)), prob) for prob in probs]
+    for i in range(len(items)):
+        if draw(st.integers(0, 5)) == 0:
+            items[i] = draw(st.sampled_from(_NOT_PAIRS))
+    return tuple(items) if draw(st.integers(0, 4)) else list(items)
+
+
 def _outcome(make, support):
     """None if ``make(support)`` accepts it, else the error's type and message."""
     try:
@@ -152,6 +177,16 @@ class TestDistribution:
     @given(_supports())
     def test_decides_as_the_ordered_check(self, support):
         assert _outcome(Distribution, support) == _outcome(oracles.distribution_check_in_order, support)
+
+    @settings(max_examples=600)
+    @given(_short_rows())
+    def test_short_rows_as_the_ordered_check(self, support):
+        outcome = _outcome(Distribution, support)
+        assert outcome == _outcome(oracles.distribution_check_in_order, support)
+        if outcome is None:
+            dist = Distribution(support)
+            assert dist.support is support and dist.exact is None
+            assert dist == Distribution(support)
 
 
 # ===== Chains =====

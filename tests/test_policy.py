@@ -20,7 +20,7 @@ from prunecheck import (
 )
 
 from .conftest import random_policy
-from .oracles import linear_logits
+from .oracles import linear_logits, pick_in_order
 
 # ===== Forward passes =====
 
@@ -179,6 +179,40 @@ def decision_rows(draw) -> list[tuple[list[float], tuple[str, ...]]]:
         offered = draw(st.sets(st.sampled_from(ACTIONS), min_size=1))
         rows.append((logits, tuple(draw(st.permutations(sorted(offered))))))
     return rows
+
+
+class TestPick:
+    """``pick`` checks each distinct action set once and keeps its schema indices."""
+
+    @given(decision_rows())
+    def test_pick_follows_the_unchecked_rule(self, rows):
+        # Twice per row: the first call checks the set, the second reads what
+        # it kept. A list is checked on every call.
+        policy = LogitsAsInputs(ACTIONS, ACTIONS, ())
+        for logits, offered in rows:
+            want = pick_in_order(ACTIONS, logits, offered)
+            assert [policy.pick(logits, names) for names in (offered, offered, list(offered))] == [want] * 3
+
+    @pytest.mark.parametrize(
+        "available, error, message",
+        [((), ValueError, "no available actions"), (("a", "zigzag"), SchemaMismatchError, "'zigzag' is not in")],
+    )
+    def test_a_bad_set_raises_on_every_call(self, available, error, message):
+        policy = LogitsAsInputs(ACTIONS, ACTIONS, ())
+        assert policy.pick([0.0, 1.0, 0.0, 0.0], ("a", "b")) == "b"
+        for container in (tuple, list, tuple):
+            with pytest.raises(error, match=message):
+                policy.pick([0.0, 1.0, 0.0, 0.0], container(available))
+
+    def test_a_list_is_read_as_it_is_on_each_call(self):
+        policy = LogitsAsInputs(ACTIONS, ACTIONS, ())
+        offered = ["a", "b"]
+        assert policy.pick([0.0, 1.0, 0.0, 0.0], offered) == "b"
+        offered[1] = "c"
+        assert policy.pick([0.0, 1.0, 0.0, 0.0], offered) == "a"
+        offered.append("zigzag")
+        with pytest.raises(SchemaMismatchError, match="'zigzag' is not in"):
+            policy.pick([0.0, 1.0, 0.0, 0.0], offered)
 
 
 class TestPickRows:

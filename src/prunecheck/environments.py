@@ -25,6 +25,13 @@ is asked for and kept for the environment's lifetime, so ``successors``
 rejects an unavailable action by a cache lookup instead of re-deriving the
 set.
 
+``successors`` writes each row well formed by construction, so it builds
+the row with ``Distribution._trusted``, without the constructor's checks:
+``AvoidanceConfig`` keeps the move probability p in [0, 1], a two-branch
+row has p in (0, 1), 1 - p in (0, 1] and two distinct targets, and every
+other row is one new target with probability 1.0. The taxi's empty-tank
+row holds the caller's own state, so it still goes through the checks.
+
 Each environment also sets ``expansion``, the same rules as array arithmetic
 over a level of states, which ``validate_model`` walks. The factory builds
 only tables whose size does not depend on the grid: one row per action. A
@@ -45,6 +52,9 @@ import numpy as np
 
 from .errors import ConfigError, ModelSyntaxError
 from .model import Distribution, EnvironmentModel, Expansion, StateVector
+
+# The builtins' rows, built unchecked (see the module docstring).
+_trusted = Distribution._trusted
 
 # ===== Schemas =====
 
@@ -161,10 +171,11 @@ def mini_taxi(config: MiniTaxiConfig | None = None) -> EnvironmentModel:
         if action not in available_actions(state):
             raise ValueError(f"action {action!r} unavailable in state {list(state)}")
         if state[2] == 0:  # no fuel
+            # The caller's own state is the target, and only the check proves it hashable.
             return Distribution(((state, 1.0),))
         x, y, fuel, on_board, jobs = (value + step for value, step in zip(state, _TAXI_STEPS[action]))
         fuel = cfg.max_fuel if action == "refuel" else fuel
-        return Distribution((((x, y, fuel, on_board, min(jobs, cfg.jobs_target)), 1.0),))
+        return _trusted((((x, y, fuel, on_board, min(jobs, cfg.jobs_target)), 1.0),))
 
     def labels(state: StateVector) -> frozenset[str]:
         x, y, fuel, on_board, jobs = state
@@ -247,10 +258,11 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
         stayed = (ax, ay, ox, oy)
         p = cfg.obstacle_move_prob
         if moved == stayed or p == 1.0:
-            return Distribution(((moved, 1.0),))
+            return _trusted(((moved, 1.0),))
         if p == 0.0:
-            return Distribution(((stayed, 1.0),))
-        return Distribution(((moved, p), (stayed, 1.0 - p)))
+            return _trusted(((stayed, 1.0),))
+        # p lies in (0, 1) here, so 1 - p lies in (0, 1], and the targets differ.
+        return _trusted(((moved, p), (stayed, 1.0 - p)))
 
     def labels(state: StateVector) -> frozenset[str]:
         ax, ay, ox, oy = state

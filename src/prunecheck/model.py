@@ -36,7 +36,9 @@ SUM_TOLERANCE = 1e-9
 DEFAULT_MAX_STATES = 1_000_000
 
 # Largest state box validate_model walks level by level, keeping one visited
-# flag (a byte) per state of the box; a larger box is walked state by state.
+# flag (a byte) and a first-mention stamp (four bytes, written only where a
+# level mentions a state) per state of the box; a larger box is walked state
+# by state.
 LEVEL_WALK_MAX_CELLS = 1 << 24
 
 # A state vector: one integer per feature, in schema order.
@@ -62,6 +64,14 @@ class Distribution:
             target in support order; else for an empty support, a mass off
             by more than ``SUM_TOLERANCE``, an ``exact`` of another length or
             the first rational in support order that is not its float.
+
+    ``_trusted`` builds a row with none of these checks. Only code that
+    writes its rows well formed by construction may call it (the builtin
+    environments); it vouches that the constructor would accept the row:
+    hashable, distinct targets, probabilities in (0, 1] whose mass is
+    within the tolerance, and, if any, one rational per branch that rounds
+    to its float.
+    Explicit models and every other caller go through the constructor.
     """
 
     support: tuple[tuple[StateVector, float], ...]
@@ -93,6 +103,15 @@ class Distribution:
                 if rational.numerator / rational.denominator != prob:
                     raise ValueError(f"exact probability {rational} is not {prob!r} for target {target}")
             object.__setattr__(self, "exact", exact)
+
+    @classmethod
+    def _trusted(cls, support: tuple[tuple[StateVector, float], ...], exact: tuple[Fraction, ...] | None = None):
+        """The row the constructor would build from a well-formed ``support``, unchecked."""
+        row = object.__new__(cls)
+        row.__dict__["support"] = support
+        if exact is not None:
+            row.__dict__["exact"] = exact
+        return row
 
 
 # ===== Environment models =====
@@ -590,6 +609,8 @@ def _walk_levels(env: EnvironmentModel, max_states: int) -> _Walk:
     """
     expansion, shape = env.expansion, env.expansion.shape
     visited = np.zeros(math.prod(shape), dtype=bool)
+    # First mentions by cell; only the cells a level mentions are written.
+    stamp = np.empty(len(visited), dtype=np.int32)
     level = np.array([env.initial])
     visited[np.ravel_multi_index(level.T, shape)] = True
     seen = 1
@@ -630,8 +651,7 @@ def _walk_levels(env: EnvironmentModel, max_states: int) -> _Walk:
 
         # Each new state at its first mention, in walk order.
         candidates = np.flatnonzero(np.repeat(~bad, counts) & ~visited[codes])
-        _, first = np.unique(codes[candidates], return_index=True)
-        fresh = candidates[np.sort(first)]
+        fresh = candidates[_first_mentions(codes[candidates], stamp)]
         room = max_states - seen
         if len(fresh) > room:
             row = np.searchsorted(start, fresh[room], side="right") - 1
@@ -642,6 +662,20 @@ def _walk_levels(env: EnvironmentModel, max_states: int) -> _Walk:
         level = targets[fresh]
 
     return transitions, violations, seen, functools.partial(_box_states, np.flatnonzero(visited), shape)
+
+
+def _first_mentions(codes: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """The positions in ``codes`` where each code occurs first, in order.
+
+    ``stamp`` has a slot per code; the slots of ``codes`` are overwritten.
+    Each keeps the least position its code occurs at, and a position is a
+    first mention when its code's slot holds it. An int32 stamp takes
+    fewer than 2^31 codes, which as int64 would fill 16 GiB.
+    """
+    positions = np.arange(len(codes), dtype=stamp.dtype)
+    stamp[codes] = len(codes)
+    np.minimum.at(stamp, codes, positions)
+    return np.flatnonzero(stamp[codes] == positions)
 
 
 def _box_states(codes: np.ndarray, shape: tuple[int, ...]) -> frozenset[StateVector]:

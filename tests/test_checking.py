@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunecheck import (
@@ -455,6 +455,215 @@ class TestUnboundedBitIdentity:
         assert_certified_against_exact(with_rationals(dtmc))
 
 
+# ===== Row sums by columns and by np.bincount =====
+
+# Settings of checking's two cutoffs that force each way of summing rows.
+ROW_SUMS = {"by_columns": (0, 1e9), "by_bincount": (10**9, 0.0)}
+
+
+def summing_by(patch: pytest.MonkeyPatch, kind: str) -> None:
+    patch.setattr(checking, "COLUMN_MIN_ROWS", ROW_SUMS[kind][0])
+    patch.setattr(checking, "COLUMN_MAX_PADDING", ROW_SUMS[kind][1])
+
+
+@st.composite
+def row_layouts(draw):
+    """Rows of 0 to 5 transitions in row order, targets with repeats, and an x >= 0."""
+    m = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    row = np.repeat(np.arange(m), lengths)
+    column = np.array(draw(st.lists(st.integers(0, m - 1), min_size=len(row), max_size=len(row))), dtype=np.intp)
+    prob = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(row), max_size=len(row))))
+    x = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m)))
+    return row, column, prob, x
+
+
+def row_sums_loop(row, column, prob, x, m) -> list[float]:
+    """Each row summed from 0.0 pair by pair, in row order."""
+    totals = [0.0] * m
+    for r, t, p in zip(row.tolist(), column.tolist(), prob.tolist()):
+        totals[r] += p * x[t]
+    return totals
+
+
+def bounded_sums_seen(dtmc: Dtmc, text: str) -> tuple[tuple, set]:
+    """``per_state`` of a check, and the names of the row sums it built."""
+    seen = set()
+    row_sums = checking._row_sums
+
+    def spy(*args):
+        sums = row_sums(*args)
+        seen.add(sums.__name__)
+        return sums
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checking, "_row_sums", spy)
+        return check(dtmc, parse_property(text)).per_state, seen
+
+
+def walk_with_wide_row(n: int, wide: int) -> Dtmc:
+    """A walk on 0..n - 1 drifting up, whose ends absorb: "goal" on the
+    last state, "b" on it and every 50th, and "a" on every state but
+    multiples of 5. With ``wide`` > 0, state 301 jumps instead to one of
+    the ``wide`` states around it alike (half each side)."""
+    rows = [((0, 1.0),)]
+    for s in range(1, n - 1):
+        if s == 301 and wide:
+            rows.append(tuple((t, 1.0 / wide) for t in range(s - wide // 2, s + wide // 2 + 1) if t != s))
+        else:
+            rows.append(((s + 1, 0.8), (s - 1, 0.1), (s, 0.1)))
+    rows.append(((n - 1, 1.0),))
+    labels = [frozenset({"a"} if s % 5 else ()) | frozenset({"b"} if s % 50 == 49 else ()) for s in range(n - 1)]
+    return dtmc_from_rows(tuple((s,) for s in range(n)), (*labels, frozenset({"b", "goal"})), rows)
+
+
+class TestRowSums:
+    """``_row_sums`` sums each row's terms in row order, laid out as
+    columns or by one np.bincount, and the two agree bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(ROW_SUMS))
+    @given(layout=row_layouts())
+    def test_each_row_in_its_own_order(self, kind, layout):
+        row, column, prob, x = layout
+        m = len(x)
+        with pytest.MonkeyPatch.context() as patch:
+            summing_by(patch, kind)
+            sums = checking._row_sums(row, column, prob, m)
+        # Rows without a single transition are summed by np.bincount alike.
+        assert sums.__name__ == (kind if len(row) else "by_bincount")
+        got = sums(x)
+        # Equal bits, the sign of a zero included.
+        assert got.tobytes() == np.bincount(row, weights=prob * x[column], minlength=m).tobytes()
+        assert got.tolist() == row_sums_loop(row, column, prob, x.tolist(), m)
+
+    def test_cutoffs(self):
+        many = 2 * checking.COLUMN_MIN_ROWS
+        two = np.repeat(np.arange(many), 2)
+        sums = checking._row_sums(two, two, np.full(len(two), 0.5), many)
+        assert sums.__name__ == "by_columns"
+        few = checking.COLUMN_MIN_ROWS - 1
+        two = np.repeat(np.arange(few), 2)
+        assert checking._row_sums(two, two, np.full(len(two), 0.5), few).__name__ == "by_bincount"
+        # One row of 100 among many of 2 pads the table far past the cutoff.
+        lengths = np.full(many, 2)
+        lengths[7] = 100
+        wide = np.repeat(np.arange(many), lengths)
+        assert checking._row_sums(wide, wide, np.full(len(wide), 0.01), many).__name__ == "by_bincount"
+
+    @pytest.mark.parametrize("wide, kind", [(0, "by_columns"), (20, "by_bincount")])
+    def test_large_chains_take_their_branch(self, wide, kind):
+        dtmc = walk_with_wide_row(checking.COLUMN_MIN_ROWS + 200, wide)
+        rows = rows_of(dtmc)
+        a, b = label_sets(dtmc)
+        everything = set(range(dtmc.num_states))
+        for text, expected in (
+            ('P=? ["a" U<=40 "b"]', bounded_until_loop(rows, a, b, 40)),
+            ('P=? [F<=25 "b"]', bounded_until_loop(rows, everything, b, 25)),
+            ('P=? [X "b"]', next_loop(rows, b)),
+        ):
+            values, seen = bounded_sums_seen(dtmc, text)
+            assert seen == {kind}, text
+            assert values == tuple(expected), text
+        # The unbounded solver's block, every state but the two ends, goes
+        # through the same row sums, and the other branch gives the same bits.
+        values, seen = bounded_sums_seen(dtmc, 'P=? [F "goal"]')
+        assert seen == {kind}
+        with pytest.MonkeyPatch.context() as patch:
+            summing_by(patch, ({*ROW_SUMS} - {kind}).pop())
+            assert check(dtmc, parse_property('P=? [F "goal"]')).per_state == values
+
+    @pytest.mark.parametrize("kind", sorted(ROW_SUMS))
+    @given(data=st.data())
+    def test_bounded_operators_equal_the_loops(self, kind, data):
+        dtmc = data.draw(labeled_chains("any"))
+        k = data.draw(st.integers(0, 12))
+        rows = rows_of(dtmc)
+        a, b = label_sets(dtmc)
+        n = dtmc.num_states
+        everything = set(range(n))
+        with pytest.MonkeyPatch.context() as patch:
+            summing_by(patch, kind)
+            assert check(dtmc, parse_property('P=? [X "b"]')).per_state == tuple(next_loop(rows, b))
+            until = check(dtmc, parse_property(f'P=? ["a" U<={k} "b"]'))
+            assert until.per_state == tuple(bounded_until_loop(rows, a, b, k))
+            # No state passes through: every row is left empty.
+            for start in (b, everything, set()):
+                got = checking._bounded_until(dtmc, np.zeros(n, dtype=bool), state_mask(dtmc, start), k)
+                assert got == bounded_until_loop(rows, set(), start, k)
+
+    @pytest.mark.parametrize("kind", sorted(ROW_SUMS))
+    def test_row_order_decides_the_last_bit(self, kind):
+        forward = ((1, 0.1), (2, 0.2), (3, 0.7))
+        dtmc = dtmc_from_rows(
+            state_vectors=tuple((s,) for s in range(6)),
+            state_labels=(frozenset(),) + (frozenset({"b"}),) * 3 + (frozenset(),) * 2,
+            rows=(forward, ((1, 1.0),), ((2, 1.0),), ((3, 1.0),), forward[::-1], ((5, 1.0),)),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            summing_by(patch, kind)
+            values = check(dtmc, parse_property('P=? [X "b"]')).per_state
+        assert values[0] == 0.1 + 0.2 + 0.7
+        assert values[4] == 0.7 + 0.2 + 0.1
+
+    # Forced onto columns, a small block pays a numpy call per column and
+    # step, and a slowly mixing draw (see test_slowly_leaving_block) takes
+    # thousands of interval steps: no per-example deadline.
+    @pytest.mark.parametrize("kind", sorted(ROW_SUMS))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_unbounded_values_are_certified(self, kind, data):
+        dtmc = data.draw(labeled_chains("any"))
+        with pytest.MonkeyPatch.context() as patch:
+            summing_by(patch, kind)
+            assert_certified_against_exact(dtmc)
+
+    @pytest.mark.parametrize(
+        "chain, texts",
+        [
+            (drifting_walk, [text for text, _ in UNBOUNDED]),
+            (lambda: wide_walk(40, 20), ['P=? [F "goal"]', 'P=? [!"bad" U "goal"]', 'P=? [G !"bad"]']),
+            (lambda: wide_walk(200, 100), ['P=? [F "goal"]']),
+        ],
+    )
+    def test_unbounded_results_do_not_depend_on_the_branch(self, chain, texts):
+        dtmc = chain()
+        outcomes = {}
+        for kind in ROW_SUMS:
+            for dense_max in (checking.DENSE_MAX_STATES, 0):
+                with pytest.MonkeyPatch.context() as patch:
+                    summing_by(patch, kind)
+                    patch.setattr(checking, "DENSE_MAX_STATES", dense_max)
+                    for text in texts:
+                        try:
+                            outcome = check(dtmc, parse_property(text))
+                        except SolverError as err:  # wide_walk(200, 100) on the interval path
+                            outcome = (str(err), err.iterations, err.residual)
+                        outcomes.setdefault((dense_max, text), []).append(outcome)
+        for (dense_max, text), (by_bincount, by_columns) in outcomes.items():
+            assert by_bincount == by_columns, (dense_max, text)
+
+    def test_dense_bounds_give_up_on_a_non_finite_t(self):
+        dtmc = drifting_walk()
+        a, b = label_sets(dtmc)
+        prob0, prob1 = checking._prob01_sets(dtmc.indptr, dtmc.indices, state_mask(dtmc, a), state_mask(dtmc, b))
+        uncertain = np.flatnonzero(~(prob0 | prob1))
+        real_solve = np.linalg.solve
+
+        def solve_with_infinite_t(matrix, rhs):
+            solved = real_solve(matrix, rhs)
+            solved[0, 1] = np.inf
+            return solved
+
+        for kind in ROW_SUMS:
+            with pytest.MonkeyPatch.context() as patch:
+                summing_by(patch, kind)
+                block = checking._Block.of(dtmc.indptr, dtmc.indices, dtmc.probs, prob1, uncertain, False)
+                assert block.times.__name__ == kind
+                assert checking._dense_bounds(block) is not None
+                patch.setattr(np.linalg, "solve", solve_with_infinite_t)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert checking._dense_bounds(block) is None
 # ===== Next =====
 
 

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunecheck import (
     AvoidanceConfig,
     ConfigError,
+    Distribution,
     MiniTaxiConfig,
     ModelSyntaxError,
     avoidance,
@@ -304,6 +311,98 @@ class TestMemoisedActionSets:
         small, large = avoidance(AvoidanceConfig(width=2, height=2)), avoidance(AvoidanceConfig(width=3, height=3))
         assert small.available_actions((1, 1, 0, 0)) == ("south", "west", "stay")
         assert large.available_actions((1, 1, 0, 0)) == ("north", "south", "east", "west", "stay")
+
+
+# ===== Rows built without the constructor's checks =====
+
+# Move probabilities at the edges of what the two-branch row can hold.
+_MOVE_PROBS = (0.0, 1.0, 1 / 3, 0.5, 5e-324, 1 - 2**-53)
+
+
+@st.composite
+def any_avoidance(draw) -> AvoidanceConfig:
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    obstacle = (draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
+    return AvoidanceConfig(width, height, obstacle, draw(st.sampled_from(_MOVE_PROBS)))
+
+
+@st.composite
+def any_taxi(draw) -> MiniTaxiConfig:
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    return MiniTaxiConfig(
+        width, height, draw(st.integers(1, 4)), draw(cell), draw(cell), draw(cell), draw(st.integers(1, 3))
+    )
+
+
+def assert_rows_as_checked(env, states, actions, branches) -> None:
+    """Every schema action in every state: an offered one gives the rules'
+    branches, a row equal to, and hashing as, the one the checking
+    constructor builds from them; any other, the unavailable-action error."""
+    for state in states:
+        offered = actions(state)
+        for action in env.action_schema:
+            if action not in offered:
+                with pytest.raises(ValueError) as caught:
+                    env.successors(state, action)
+                assert str(caught.value) == f"action {action!r} unavailable in state {list(state)}"
+                continue
+            row = env.successors(state, action)
+            checked = Distribution(row.support, row.exact)
+            assert checked == row and hash(checked) == hash(row)
+            assert row.exact is None
+            assert list(row.support) == branches(state, action)
+
+
+def assert_state_walk_agrees(env) -> None:
+    """The walk over the callables, whose rows skip the checks, reports what the level walk does."""
+    levels, states = validate_model(env), validate_model(replace(env, expansion=None))
+    for field in ("states", "transitions", "violations", "reachable"):
+        assert getattr(states, field) == getattr(levels, field), field
+
+
+class TestUncheckedRows:
+    @settings(max_examples=40, deadline=None)
+    @given(any_avoidance())
+    def test_avoidance_rows_pass_the_checks(self, cfg):
+        env = avoidance(cfg)
+        assert_rows_as_checked(
+            env,
+            itertools.product(range(cfg.width), range(cfg.height), repeat=2),
+            lambda state: oracles.avoid_actions(state, cfg.width, cfg.height),
+            lambda state, action: oracles.avoid_branches(state, action, cfg.obstacle_move_prob),
+        )
+        assert_state_walk_agrees(env)
+
+    @settings(max_examples=40, deadline=None)
+    @given(any_taxi())
+    def test_taxi_rows_pass_the_checks(self, cfg):
+        env = mini_taxi(cfg)
+        assert_rows_as_checked(
+            env,
+            itertools.product(
+                range(cfg.width), range(cfg.height), range(cfg.max_fuel + 1), (0, 1), range(cfg.jobs_target + 1)
+            ),
+            lambda state: oracles.taxi_actions(
+                state, cfg.width, cfg.height, cfg.passenger_spawn, cfg.destination, cfg.station
+            ),
+            lambda state, action: [(oracles.taxi_step(state, action, cfg.max_fuel, cfg.jobs_target, cfg.station), 1.0)],
+        )
+        assert_state_walk_agrees(env)
+
+    def test_an_empty_tank_row_still_checks_the_callers_state(self):
+        # The absorbing row holds the state it was given, so an unhashable one is still refused.
+        with pytest.raises(TypeError, match="unhashable"):
+            mini_taxi().successors([1, 1, 0, 0, 0], "north")
+
+    def test_the_unchecked_constructor_keeps_its_rationals_and_checks_nothing(self):
+        support, exact = (((0,), 0.25), ((1,), 0.75)), (Fraction(1, 4), Fraction(3, 4))
+        for rationals in (None, exact):
+            row, checked = Distribution._trusted(support, rationals), Distribution(support, rationals)
+            assert row == checked and hash(row) == hash(checked) and row.exact == rationals
+        with pytest.raises(ValueError, match="duplicate target"):
+            Distribution((((0,), 0.5), ((0,), 0.5)))
+        assert Distribution._trusted((((0,), 0.5), ((0,), 0.5))).support == (((0,), 0.5), ((0,), 0.5))
 
 
 # ===== URIs =====

@@ -32,7 +32,7 @@ from prunecheck import (
     validate_model,
 )
 from prunecheck.environments import _BUILTINS
-from prunecheck.model import LEVEL_WALK_MAX_CELLS
+from prunecheck.model import LEVEL_WALK_MAX_CELLS, _first_mentions
 
 
 def outcome(env: EnvironmentModel, cap: int) -> tuple:
@@ -178,6 +178,15 @@ def box_levels(env: EnvironmentModel):
 def test_expansion_rows_are_the_callables_rows(data, env):
     for level in data.draw(box_levels(env)):
         assert_rows_match(env, level)
+
+
+@given(st.lists(st.lists(st.integers(0, 40), max_size=120), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_first_mentions_are_the_sorted_unique_first_indices(levels, seed):
+    # One stamp serves every level, as in a walk, and starts out as garbage.
+    stamp = np.random.default_rng(seed).integers(-(2**31), 2**31, 41, dtype=np.int32)
+    for codes in map(np.array, levels):
+        _, first = np.unique(codes, return_index=True)
+        assert _first_mentions(codes.astype(np.intp), stamp).tolist() == np.sort(first).tolist()
 
 
 @pytest.mark.parametrize(

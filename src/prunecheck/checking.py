@@ -38,9 +38,10 @@ Every routine reads the chain's compressed sparse row arrays. State sets
 are boolean masks from the label lookup to the solver. A label's mask is
 read off the chain's ``label_table``: the label is looked up once per
 distinct label set, and each state takes its set's answer. A label that no
-state carries is the empty mask and emits UnknownLabelWarning. ``check`` is
-the way in; ``prob01`` and ``evaluate_states`` stay public for the
-benchmark's tracer.
+state carries is the empty mask and emits UnknownLabelWarning. Per-state
+values stay one float64 array on every path until ``check`` makes the
+Python floats of its ``CheckResult``. ``check`` is the way in; ``prob01``
+and ``evaluate_states`` stay public for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -149,12 +150,13 @@ class CheckResult:
 class _Solution:
     """Per-state values of one path formula, and what certifies state 0's.
 
-    ``bounds`` is state 0's certified interval, or None when ``values[0]``
-    stands as exact: graph analysis, the exact path and a bound of 0 steps.
-    ``exact`` is state 0's rational when the exact path found it.
+    ``values`` is a float64 array. ``bounds`` is state 0's certified
+    interval, or None when ``values[0]`` stands as exact: graph analysis,
+    the exact path and a bound of 0 steps. ``exact`` is state 0's rational
+    when the exact path found it.
     """
 
-    values: list[float]
+    values: np.ndarray
     bounds: tuple[float, float] | None = None
     exact: Fraction | None = None
     iterations: int = 0
@@ -175,7 +177,7 @@ class _Solution:
                 high = math.nextafter(high, 1.0)
             bounds = (low, high)
         exact = None if self.exact is None else 1 - self.exact
-        return replace(self, values=[1.0 - v for v in self.values], bounds=bounds, exact=exact)
+        return replace(self, values=1.0 - self.values, bounds=bounds, exact=exact)
 
 
 # ===== Core routines over compressed sparse rows =====
@@ -444,11 +446,11 @@ def _solve_until(indptr, indices, probs, rationals, a: np.ndarray, b: np.ndarray
     values = prob1.astype(np.float64)
     uncertain = np.flatnonzero(~(prob0 | prob1))
     if not uncertain.size:
-        return _Solution(values.tolist())
+        return _Solution(values)
     exact = None if rationals is None else _eliminate(indptr, indices, rationals, prob1, uncertain)
     if exact is not None:
         values[uncertain] = [float(r) for r in exact]
-        return _Solution(values.tolist(), exact=exact[0] if uncertain[0] == 0 else None)
+        return _Solution(values, exact=exact[0] if uncertain[0] == 0 else None)
     block = _Block.of(indptr, indices, probs, prob1, uncertain, rationals is not None)
     # A block with no transition inside it closes in one interval step.
     dense = _dense_bounds(block) if 0 < len(block.row) and len(uncertain) <= DENSE_MAX_STATES else None
@@ -458,10 +460,10 @@ def _solve_until(indptr, indices, probs, rationals, a: np.ndarray, b: np.ndarray
         lower, upper, steps, gap = _interval_iteration(block)
     values[uncertain] = np.clip((lower + upper) / 2, 0.0, 1.0)
     bounds = (max(0.0, float(lower[0])), min(1.0, float(upper[0]))) if uncertain[0] == 0 else None
-    return _Solution(values.tolist(), bounds, iterations=steps, gap=gap)
+    return _Solution(values, bounds, iterations=steps, gap=gap)
 
 
-def _bounded_until(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: int) -> list[float]:
+def _bounded(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: int, iterations: int) -> _Solution:
     """``k`` synchronous steps x_s = sum_t p_st * x_t on ``passthrough``, from the ``start`` mask.
 
     Only the ``passthrough`` rows keep their transitions, and ``_row_sums``
@@ -469,6 +471,16 @@ def _bounded_until(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: in
     over the row would, since x >= 0. The other rows sum to 0.0, and adding
     ``fixed`` keeps those states at their ``start`` value. A transition into
     a state at 0 adds ``p * 0.0 = +0.0``, which leaves the sum as it was.
+
+    State 0's interval comes from the summation bound. Each step sums a row
+    of at most r transitions from 0.0: r products, r - 1 additions, and the
+    float that stands for each probability. Every path's term thus carries
+    at most k (r + 1) roundings, so the computed value lies within
+    gamma(k (r + 1)) of the exact one, itself at most 1, where gamma(n) =
+    n u / (1 - n u) and u = eps / 2 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 3 and 4). That is k gamma(r + 1) to
+    first order. The interval is rounded outward and clipped to [0, 1]; no
+    step (k = 0) is exact.
     """
     source = _sources(dtmc.indptr)
     keep = passthrough[source]
@@ -477,22 +489,7 @@ def _bounded_until(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: in
     fixed = np.where(passthrough, 0.0, x)
     for _ in range(k):
         x = fixed + sums(x)
-    return np.clip(x, 0.0, 1.0).tolist()
-
-
-def _bounded(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: int, iterations: int) -> _Solution:
-    """``_bounded_until``'s values, with state 0's interval from the summation bound.
-
-    Each of the ``k`` steps sums a row of at most r transitions from 0.0: r
-    products, r - 1 additions, and the float that stands for each
-    probability. Every path's term thus carries at most k (r + 1) roundings,
-    so the computed value lies within gamma(k (r + 1)) of the exact one,
-    itself at most 1, where gamma(n) = n u / (1 - n u) and u = eps / 2
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3
-    and 4). That is k gamma(r + 1) to first order. The interval is rounded
-    outward and clipped to [0, 1]; no step (k = 0) is exact.
-    """
-    values = _bounded_until(dtmc, passthrough, start, k)
+    values = np.clip(x, 0.0, 1.0)
     if k == 0:
         return _Solution(values, iterations=iterations)
     r = int(np.diff(dtmc.indptr)[passthrough].max(initial=0))
@@ -642,7 +639,7 @@ def _decide(comparator: str, threshold: float, solved: _Solution) -> bool | str:
     if solved.exact is not None:
         return compare(solved.exact, Fraction(repr(threshold)))
     if solved.bounds is None:
-        return compare(solved.values[0], threshold)
+        return compare(float(solved.values[0]), threshold)
     # Every comparator is monotone in the value, so the ends decide.
     at_lower, at_upper = (compare(end, threshold) for end in solved.bounds)
     return at_lower if at_lower == at_upper else UNDECIDED
@@ -657,7 +654,7 @@ def check(dtmc: Dtmc, prop: Prob) -> CheckResult:
     ``satisfied`` as well.
     """
     solved = _path_vector(dtmc, prop.path)
-    value = solved.values[0]
+    value = float(solved.values[0])
     lower, upper = solved.bounds or (value, value)
     satisfied = None
     if prop.comparator is not None:
@@ -665,7 +662,7 @@ def check(dtmc: Dtmc, prop: Prob) -> CheckResult:
     return CheckResult(
         value=value,
         satisfied=satisfied,
-        per_state=tuple(solved.values),
+        per_state=tuple(solved.values.tolist()),
         iterations=solved.iterations,
         residual=solved.gap,
         lower=lower,

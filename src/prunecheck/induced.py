@@ -20,9 +20,11 @@ other states take their original rows, rationals, action sets and labels
 with no environment call; only changed and newly reached states call the
 environment, and only the latter take the forward pass. The original's rows
 are gathered from its arrays by the first rebuild that reads them and kept
-with the build, so a build nothing rebuilds from never gathers them. Rows
-are appended in a full build's order, so the result, errors and their counts
-included, is the full build's.
+with the build, so a build nothing rebuilds from never gathers them; no
+other module reads them. Rows are appended in a full build's order, so the
+result, errors and their counts included, is the full build's. The rebuild
+also returns what its loop saw: which states are new, and whether the chain
+is the original's.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def build_induced_dtmc(
         ModelSemanticError: a reachable state has no available action.
         LimitExceededError: the reachable space outgrew the caps.
     """
-    return _explore(env, policy, limits, {}, {})
+    return _explore(env, policy, limits, {}, {})[0]
 
 
 def rebuild_induced_dtmc(
@@ -123,7 +125,7 @@ def rebuild_induced_dtmc(
     policy: NeuralPolicy,
     changed: dict[StateVector, str],
     limits: BuildLimits | None = None,
-) -> BuildResult:
+) -> tuple[BuildResult, list[int], bool]:
     """``build_induced_dtmc(env, policy, limits)``, reusing ``original``'s rows.
 
     ``original`` is the build of another policy on the same ``env``, and
@@ -132,10 +134,16 @@ def rebuild_induced_dtmc(
     ``original`` takes its row from ``original.rows`` with no environment
     call: the environment's callables are pure, so they would give that row
     again. Only changed states and states the original never reached are
-    asked, and only the latter are decided here. The result, errors
+    asked, and only the latter are decided here. The build, errors
     included, is that of the full build.
+
+    Returns the build, the ascending indices of its states that ``original``
+    lacks, and whether its chain is ``original``'s. It is exactly when no
+    state is new, every changed state reached kept its support and the
+    ``exact_probs`` agree: BFS over the original's rows retraces its build.
     """
-    return _explore(env, policy, limits, original.rows, changed)
+    rebuilt, new, moved = _explore(env, policy, limits, original.rows, changed)
+    return rebuilt, new, not new and not moved and rebuilt.dtmc.exact_probs == original.dtmc.exact_probs
 
 
 def _explore(
@@ -144,8 +152,12 @@ def _explore(
     limits: BuildLimits | None,
     known: dict[StateVector, _Row],
     changed: dict[StateVector, str],
-) -> BuildResult:
-    """The BFS level loop of both builds: ``known`` rows are reused unless ``changed``."""
+) -> tuple[BuildResult, list[int], bool]:
+    """The BFS level loop of both builds: ``known`` rows are reused unless ``changed``.
+
+    Also returns the indices of states not ``known`` (if any are known) and
+    whether a reached ``changed`` state's support differs from its known one.
+    """
     limits = limits or BuildLimits()
     max_states, max_transitions = limits.max_states, limits.max_transitions
     policy.check_schemas(env)
@@ -162,6 +174,8 @@ def _explore(
     offered: list[tuple[str, ...]] = []
     exact_rows: list[tuple[Fraction, ...] | None] = []
     labels: list[frozenset[str]] = []
+    new: list[int] = []
+    moved = False
     transitions = 0
     start = 0
 
@@ -169,6 +183,8 @@ def _explore(
         level = order[start:]
         start = len(order)
         fresh = [state for state in level if state not in known] if known else level
+        if known:
+            new += [index[state] for state in fresh]
         fresh_logits = iter(policy.forward(fresh).tolist() if fresh else ())
         for state in level:
             row = known.get(state)
@@ -184,6 +200,7 @@ def _explore(
                 if state in changed:
                     action = changed[state]
                     dist = successors(state, action)
+                    moved = moved or dist.support != support
                     support, exact = dist.support, dist.exact
             transitions += len(support)
             if transitions > max_transitions:
@@ -213,7 +230,7 @@ def _explore(
 
     rationals = None if None in exact_rows else tuple(chain.from_iterable(exact_rows))
     dtmc = Dtmc(tuple(order), tuple(labels), indptr, indices, probs, rationals)
-    return BuildResult(dtmc, tuple(chosen), tuple(offered), tuple(exact_rows))
+    return BuildResult(dtmc, tuple(chosen), tuple(offered), tuple(exact_rows)), new, moved
 
 
 # ===== Export =====

@@ -7,10 +7,11 @@ the rows of ``sweep`` differ only in the specs they stream. A pruned chain
 depends only on the pruned policy's decisions, so each prune is described
 by the (state, new action) pairs it changes on the original chain. One that
 changes none reuses the original's measurement. The first with a given set
-of changes is rebuilt from the original chain's rows with those actions,
-calling the environment only for the changed and the newly reached states,
-and re-checked; a later one with the same changes reuses that measurement
-if it also picks the same actions on the newly reached states.
+of changes is rebuilt from the original chain with those actions, calling
+the environment only for the changed and the newly reached states, and
+re-checked unless the rebuild reports the original's chain; a later one
+with the same changes reuses that measurement if it also picks the same
+actions on the newly reached states.
 
 Everything here returns SafetyReports or CSV text built only from the
 inputs and declared seeds, so repeated runs are byte-identical. Wall-clock
@@ -33,7 +34,7 @@ import numpy as np
 from .checking import UNDECIDED, CheckResult, check
 from .errors import PruneSpecError
 from .induced import BuildLimits, BuildResult, BuildStats, build_induced_dtmc, rebuild_induced_dtmc
-from .model import Dtmc, EnvironmentModel
+from .model import EnvironmentModel
 from .policy import NeuralPolicy
 from .properties import Prob, parse_property
 from .pruning import PruneSpec, prune
@@ -163,18 +164,6 @@ def measure(
     return next(_reports(env, policy, property_text, (), limits))
 
 
-def _same_chain(a: Dtmc, b: Dtmc) -> bool:
-    """Whether two chains have the same states and transitions, so the same values."""
-    return (
-        a.state_vectors == b.state_vectors
-        and a.state_labels == b.state_labels
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.probs, b.probs)
-        and a.exact_probs == b.exact_probs
-    )
-
-
 @dataclass(frozen=True)
 class _Decisions:
     """Some states of a chain as a policy decides on them, one row each.
@@ -245,19 +234,21 @@ def _reports(
     prune is described by the decisions it changes on the original chain:
     the (state index, new action) pairs where ``pick`` differs from the
     original's choice, read off a ``_Decisions`` table of its states. The
-    first prune with those changes rebuilds the chain from the original's
-    rows with those actions, asking the environment only on the changed
-    states and those the original never reached, and re-checks it, unless it
-    came out the same (a changed action with the same distribution) and the
-    original's measurement stands again. A later prune with the same changes
-    reuses that measurement if it also picks the same action on each of the
-    newly reached states, as the measurement's own table holds them: BFS
-    then visits the same states with the same rows, because the
-    environment's callables are pure. Otherwise it rebuilds, and its
-    measurement replaces the kept one. No change is the original's
-    measurement. Only what a report reads is kept, never a chain or a
-    ``per_state`` vector. ``time_ms`` of the pruned chain is the time this
-    decision and any re-measurement took.
+    first prune with those changes rebuilds the chain from the original
+    with those actions, asking the environment only on the changed states
+    and those the original never reached; only ``induced`` reads the
+    original's rows. The rebuild also says which states are new and whether
+    the chain came out the original's (a changed action with the same
+    distribution), when the original's measurement stands again; any other
+    chain is re-checked. A later prune with the same changes reuses that
+    measurement if it also picks the same action on each of the newly
+    reached states, as the measurement's own table holds them: BFS then
+    visits the same states with the same rows, because the environment's
+    callables are pure. Otherwise it rebuilds, and its measurement replaces
+    the kept one. No change is the original's measurement. Only what a
+    report reads is kept, never a chain or a ``per_state`` vector.
+    ``time_ms`` of the pruned chain is the time this decision and any
+    re-measurement took.
     """
     prop = parse_property(property_text)
     started = time.perf_counter()
@@ -277,7 +268,6 @@ def _reports(
     yield original
 
     # The original chain's states as each pruned policy decides on them.
-    # A rebuild reuses the original's rows, which it gathers on first use.
     states = build.dtmc.state_vectors
     decisions = _Decisions.of(build, range(len(states)), policy)
 
@@ -293,11 +283,9 @@ def _reports(
         entry = measured.get(key)
         if entry is None or not (entry.new.picks(pruned_policy) == entry.new.chosen).all():
             actions = {states[s]: policy.action_names[a] for s, a in zip(changed.tolist(), picks[changed].tolist())}
-            rebuilt = rebuild_induced_dtmc(build, env, pruned_policy, actions, limits)
-            dtmc = rebuilt.dtmc
-            new = [i for i, state in enumerate(dtmc.state_vectors) if state not in build.rows]
+            rebuilt, new, same = rebuild_induced_dtmc(build, env, pruned_policy, actions, limits)
             entry = measured[key] = _Remeasured(
-                result if _same_chain(dtmc, build.dtmc) else replace(check(dtmc, prop), per_state=()),
+                result if same else replace(check(rebuilt.dtmc, prop), per_state=()),
                 rebuilt.stats,
                 _Decisions.of(rebuilt, new, policy),
             )
@@ -377,12 +365,6 @@ def parse_fraction_grid(text: str) -> list[Fraction]:
     return [start + i * step for i in range(count)]
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def sweep(
     env: EnvironmentModel,
     policy: NeuralPolicy,
@@ -443,7 +425,7 @@ def sweep(
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -18,6 +18,8 @@ these oracles and the package is evidence, not circularity.
 * the explicit model format: the loader as first written, branch by
   branch, whose first error the package's loader must raise word for word
 * reachability: set-fixpoint closure, no queues or indices
+* chain identity: two chains compared field by field, which a rebuild's
+  own "same chain" answer must match
 * the probability-0 and probability-1 sets as the row-based searches the
   checker once ran, which its array form must match set for set
 * state formulas as frozensets over the labels' alphabet, which the
@@ -531,6 +533,18 @@ def closure(initial, expand) -> set:
         if not fresh:
             return seen
         seen |= fresh
+
+
+def same_chain(a, b) -> bool:
+    """Whether two chains have the same states, labels, transitions and rationals, so the same values."""
+    return (
+        a.state_vectors == b.state_vectors
+        and a.state_labels == b.state_labels
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.probs, b.probs)
+        and a.exact_probs == b.exact_probs
+    )
 
 
 # ===== Taxi rules, rewritten =====

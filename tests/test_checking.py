@@ -272,8 +272,8 @@ class TestBoundedBitIdentity:
         assert values[0] == 0.1 + 0.2 + 0.7
         assert values[4] == 0.7 + 0.2 + 0.1
         assert values[0] != values[4]
-        once = checking._bounded_until(dtmc, state_mask(dtmc, {0, 4}), state_mask(dtmc, {1, 2, 3}), 1)
-        assert once == next_loop(rows_of(dtmc), {1, 2, 3})
+        once = checking._bounded(dtmc, state_mask(dtmc, {0, 4}), state_mask(dtmc, {1, 2, 3}), 1, 0).values
+        assert once.tolist() == next_loop(rows_of(dtmc), {1, 2, 3})
 
 
 # ===== Bounded operators hold the exact value in their interval =====
@@ -425,7 +425,10 @@ class TestUnboundedBitIdentity:
     SEQ values are certified against exact rationals, on the dense and the
     interval path and, given the chain's rationals, on the exact path."""
 
+    # A slowly mixing draw (see test_slowly_leaving_block) takes the interval
+    # path thousands of steps a check: no per-example deadline.
     @pytest.mark.parametrize("shape", ["any", "empty_b", "a_in_b"])
+    @settings(deadline=None)
     @given(data=st.data())
     def test_random_chains(self, shape, data):
         dtmc = data.draw(labeled_chains(shape))
@@ -453,6 +456,46 @@ class TestUnboundedBitIdentity:
             assert check(dtmc, parse_property('P=? [F "b"]')).iterations > 10_000
         assert_certified_against_exact(dtmc)
         assert_certified_against_exact(with_rationals(dtmc))
+
+
+# ===== A CheckResult holds Python numbers on every path =====
+
+# (chain, DENSE_MAX_STATES, text, what shows the path was taken). The
+# gambler's ruin settles G "b" by graph analysis alone.
+SOLVE_PATHS = {
+    "graph": (gamblers_ruin, None, 'G "b"', lambda r: r.lower == r.upper and r.iterations == 0),
+    "exact": (lambda p: with_rationals(gamblers_ruin(p)), None, 'F "b"', lambda r: r.lower == r.upper),
+    "dense": (gamblers_ruin, None, 'F "b"', lambda r: r.iterations == 0 and r.residual > 0),
+    "interval": (gamblers_ruin, 0, 'F "b"', lambda r: r.iterations > 0),
+    "bounded": (gamblers_ruin, None, '"a" U<=30 "b"', lambda r: r.iterations == 30 and r.lower < r.upper),
+    "bounded G": (gamblers_ruin, None, 'G<=30 "a"', lambda r: r.iterations == 30 and r.lower < r.upper),
+    "next": (gamblers_ruin, None, 'X "b"', lambda r: r.iterations == 0),
+    "no step": (gamblers_ruin, None, 'F<=0 "b"', lambda r: r.lower == r.upper),
+    "seq dense": (gamblers_ruin, None, 'SEQ("a", "b")', lambda r: r.iterations == 0 and r.residual > 0),
+    "seq interval": (gamblers_ruin, 0, 'SEQ("a", "b")', lambda r: r.iterations > 0),
+    "seq exact": (lambda p: with_rationals(gamblers_ruin(p)), None, 'SEQ("a", "b")', lambda r: r.lower == r.upper),
+}
+
+
+class TestPythonNumbers:
+    """The checker keeps per-state values in arrays; ``check`` hands out
+    Python floats. A leaked ``np.float64`` would print as
+    ``np.float64(0.5)`` under NumPy 2 and change every golden."""
+
+    @pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
+    @pytest.mark.parametrize("query", ["P=?", "P>=0.25", "P<0.5"])
+    def test_every_field_is_a_python_number(self, path, query):
+        chain, dense_max, formula, took_path = SOLVE_PATHS[path]
+        with pytest.MonkeyPatch.context() as patch:
+            if dense_max is not None:
+                patch.setattr(checking, "DENSE_MAX_STATES", dense_max)
+            result = check(chain(0.49), parse_property(f"{query} [{formula}]"))
+        assert took_path(result)
+        assert type(result.value) is type(result.lower) is type(result.upper) is type(result.residual) is float
+        assert {type(v) for v in result.per_state} == {float}
+        assert type(result.iterations) is int
+        assert type(result.satisfied) in ((type(None),) if query == "P=?" else (bool, str))
+        assert "np." not in repr(result)
 
 
 # ===== Row sums by columns and by np.bincount =====
@@ -588,8 +631,8 @@ class TestRowSums:
             assert until.per_state == tuple(bounded_until_loop(rows, a, b, k))
             # No state passes through: every row is left empty.
             for start in (b, everything, set()):
-                got = checking._bounded_until(dtmc, np.zeros(n, dtype=bool), state_mask(dtmc, start), k)
-                assert got == bounded_until_loop(rows, set(), start, k)
+                got = checking._bounded(dtmc, np.zeros(n, dtype=bool), state_mask(dtmc, start), k, k).values
+                assert got.tolist() == bounded_until_loop(rows, set(), start, k)
 
     @pytest.mark.parametrize("kind", sorted(ROW_SUMS))
     def test_row_order_decides_the_last_bit(self, kind):
@@ -834,9 +877,9 @@ def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int | None, fl
         return state_mask(dtmc, evaluate_sets(dtmc.state_labels, sf))
 
     if isinstance(path, Next):
-        return checking._bounded_until(dtmc, everything, states(path.target), 1), 0, 0.0
+        return checking._bounded(dtmc, everything, states(path.target), 1, 0).values.tolist(), 0, 0.0
     if isinstance(path, Seq):
-        return checking._seq_solve(dtmc, states(path.first), states(path.then)).values, None, None
+        return checking._seq_solve(dtmc, states(path.first), states(path.then)).values.tolist(), None, None
     if isinstance(path, Until):
         a, b = states(path.left), states(path.right)
     elif isinstance(path, Eventually):
@@ -844,10 +887,11 @@ def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int | None, fl
     else:
         a, b = everything, ~states(path.target)
     if path.bound is None:
-        vec = checking._solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, dtmc.exact_probs, a, b).values
+        vec = checking._solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, dtmc.exact_probs, a, b).values.tolist()
         iterations, residual = None, None
     else:
-        vec, iterations, residual = checking._bounded_until(dtmc, a & ~b, b, path.bound), path.bound, 0.0
+        vec = checking._bounded(dtmc, a & ~b, b, path.bound, path.bound).values.tolist()
+        iterations, residual = path.bound, 0.0
     if isinstance(path, Globally):
         vec = [1.0 - v for v in vec]
     return vec, iterations, residual

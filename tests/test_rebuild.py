@@ -4,7 +4,10 @@
 action the new policy keeps, and calls the environment only for flipped
 states and states the original never reached. Whatever it reuses, its
 result must be that of ``build_induced_dtmc`` of the new policy: the same
-chain field by field, or the same error with the same counts.
+chain field by field, or the same error with the same counts. What it says
+along with the chain must be what a comparison of the full build with the
+original finds: the indices of the states the original lacks, and whether
+the chain is the original's, as ``oracles.same_chain`` decides it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from prunecheck.induced import rebuild_induced_dtmc
 from prunecheck.workflow import _Decisions
 
 from .conftest import random_policy
+from .oracles import same_chain
 
 # ===== Comparing a rebuild with a full build =====
 
@@ -85,11 +89,31 @@ def outcome(make) -> tuple:
         return (type(err), str(err))
 
 
+def full_comparison(original, full) -> list:
+    """The indices of ``full``'s states that ``original`` lacks, and whether the two chains are the same."""
+    known = set(original.dtmc.state_vectors)
+    return [[i for i, state in enumerate(full.dtmc.state_vectors) if state not in known], same_chain(full.dtmc, original.dtmc)]
+
+
 def assert_rebuild_is_full_build(env, original_policy, policy, limits=None, extra=()):
+    """The rebuild's chain or error is the full build's, and so is what it says about the original."""
     original = build_induced_dtmc(env, original_policy)
     changed = changed_actions(original, policy, extra)
-    rebuilt = outcome(lambda: rebuild_induced_dtmc(original, env, policy, changed, limits))
-    assert rebuilt == outcome(lambda: build_induced_dtmc(env, policy, limits))
+    answers, full = [], []
+
+    def rebuild():
+        rebuilt, *answer = rebuild_induced_dtmc(original, env, policy, changed, limits)
+        answers.append(answer)
+        return rebuilt
+
+    def build():
+        full.append(build_induced_dtmc(env, policy, limits))
+        return full[0]
+
+    rebuilt = outcome(rebuild)
+    assert rebuilt == outcome(build)
+    if answers:
+        assert answers == [full_comparison(original, full[0])]
     return rebuilt
 
 
@@ -183,6 +207,95 @@ linear_policies = st.builds(
 def test_explicit_models_with_exact_and_float_rows(env, policy, other, max_states, max_transitions):
     assert_rebuild_is_full_build(env, policy, other)
     assert_rebuild_is_full_build(env, policy, other, BuildLimits(max_states, max_transitions))
+
+
+# A shift no float of a small-denominator rational can see: w / total and
+# w / total + TINY_SHIFT round to the same float for total <= 12.
+TINY_SHIFT = Fraction(1, 10**30)
+
+
+@st.composite
+def twin_models(draw):
+    """``explicit_models``' documents whose "b" row often has "a"'s floats.
+
+    "a" is written in fraction strings or, one time in four, in JSON floats.
+    "b" goes to the same targets with the same floats, written as "a" is, in
+    other rationals (the first two shifted by ``TINY_SHIFT`` each way), or
+    in JSON floats; or it is a row of its own. So a changed action often
+    leaves the chain as it was, or changes only its rationals.
+    """
+    n = draw(st.integers(2, 6))
+
+    def row():
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(targets), max_size=len(targets)))
+        return targets, [Fraction(w, sum(weights)) for w in weights]
+
+    def written(targets, rationals, exact=True):
+        return [{"to": [t], "p": str(r) if exact else float(r)} for t, r in zip(targets, rationals)]
+
+    states = []
+    for s in range(n):
+        targets, rationals = row()
+        exact = draw(st.sampled_from([True, True, True, False]))
+        shifted = list(rationals)
+        if len(shifted) > 1:
+            shifted[0] += TINY_SHIFT
+            shifted[1] -= TINY_SHIFT
+        twin = draw(st.sampled_from(["as a", "shifted", "floats", "own"]))
+        if twin == "own":
+            b = written(*row())
+        else:
+            b = written(targets, shifted if twin == "shifted" else rationals, exact and twin != "floats")
+        act = {"a": written(targets, rationals, exact), "b": b}
+        offered = draw(st.sampled_from([["a", "b"], ["a", "b"], ["a", "b"], ["a"], ["b"]]))
+        states.append({"s": [s], "labels": ["goal"] if s == n - 1 else [], "act": {a: act[a] for a in offered}})
+    return load_explicit_model(json.dumps({"features": ["pos"], "actions": ["a", "b"], "initial": [0], "states": states}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_models(), linear_policies, linear_policies)
+def test_same_chain_answer_is_the_full_comparison(env, policy, other):
+    assert_rebuild_is_full_build(env, policy, other)
+
+
+def twin_rows_model(b_row, float_row: bool) -> EnvironmentModel:
+    """(0,) goes by "a" to (1,) or (2,), 1/3 and 2/3, or by "b" on ``b_row``; both absorb.
+
+    (2,)'s row is written as the float 1.0 when ``float_row``, so the chain
+    then carries no rationals.
+    """
+    a_row = [{"to": [1], "p": "1/3"}, {"to": [2], "p": "2/3"}]
+    states = [
+        {"s": [0], "act": {"a": a_row, "b": b_row}},
+        {"s": [1], "act": {"a": [{"to": [1], "p": "1"}]}},
+        {"s": [2], "act": {"a": [{"to": [2], "p": 1.0 if float_row else "1"}]}},
+    ]
+    return load_explicit_model(json.dumps({"features": ["pos"], "actions": ["a", "b"], "initial": [0], "states": states}))
+
+
+@pytest.mark.parametrize(
+    "b_row, float_row, same",
+    [
+        # The same row: the chain is the original's.
+        ([{"to": [1], "p": "1/3"}, {"to": [2], "p": "2/3"}], False, True),
+        # The same floats in other rationals: another chain, unless it has no rationals.
+        ([{"to": [1], "p": str(Fraction(1, 3) + TINY_SHIFT)}, {"to": [2], "p": str(Fraction(2, 3) - TINY_SHIFT)}], False, False),
+        ([{"to": [1], "p": str(Fraction(1, 3) + TINY_SHIFT)}, {"to": [2], "p": str(Fraction(2, 3) - TINY_SHIFT)}], True, True),
+        # The same floats without rationals: the chain loses its own.
+        ([{"to": [1], "p": 1 / 3}, {"to": [2], "p": 2 / 3}], False, False),
+        # The same targets in another order.
+        ([{"to": [2], "p": "2/3"}, {"to": [1], "p": "1/3"}], False, False),
+    ],
+)
+def test_a_changed_row_with_the_same_floats(b_row, float_row, same):
+    env = twin_rows_model(b_row, float_row)
+    policy, pruned = linear_policy([0, 0], [1, 0]), linear_policy([0, 0], [0, 1])
+    original = build_induced_dtmc(env, policy)
+    rebuilt, new, answer = rebuild_induced_dtmc(original, env, pruned, {(0,): "b"})
+    assert (new, answer) == ([], same)
+    assert [new, answer] == full_comparison(original, build_induced_dtmc(env, pruned))
+    assert (rebuilt.dtmc.probs.tolist() == original.dtmc.probs.tolist()) == (b_row[0]["to"] == [1])
 
 
 def trap_model() -> EnvironmentModel:
@@ -294,12 +407,14 @@ def test_only_flipped_and_new_states_call_the_environment(exact):
     original = build_induced_dtmc(env, policy)
     changed = changed_actions(original, pruned)
     env, calls = counted(env)
-    rebuilt = rebuild_induced_dtmc(original, env, pruned, changed)
+    rebuilt, new_indices, same = rebuild_induced_dtmc(original, env, pruned, changed)
     assert (rebuilt.dtmc.exact_probs is not None) == exact
 
     states = set(rebuilt.dtmc.state_vectors)
     new = states - set(original.dtmc.state_vectors)
     assert changed and new and env.initial not in changed
+    assert {rebuilt.dtmc.state_vectors[i] for i in new_indices} == new and not same
+    assert new_indices == sorted(new_indices)
     assert calls["successors"] == Counter((states & set(changed)) | new)
     assert calls["available_actions"] == calls["labels"] == Counter(new)
 

@@ -8,16 +8,17 @@ and 1.0 instead of something a tolerance away, and it removes the end
 components that would stall an upper bound.
 
 The linear system takes one of three paths. When every transition carries
-its rational and the uncertain block is small, sparse elimination in
-``Fraction`` solves it exactly; past a fill cap the elimination is abandoned.
-Otherwise a block of at most ``DENSE_MAX_STATES`` states is solved densely
-in floats and certified a posteriori from its residual. Everywhere else,
-and when that bound is too wide, Jacobi interval iteration (Haddad &
-Monmege, TCS 2018) raises a lower and lowers an upper sequence until they
-are within ``CERTIFIED_GAP`` of each other, rounding slack included. The
-float paths report the midpoint of their bounds. ``CheckResult.lower``/
-``upper`` carry the certified interval; exact and graph-settled values have
-``lower == upper``.
+its rational and the uncertain block is small, fraction-free sparse
+elimination on Python integers solves it exactly; past a fill cap the
+elimination is abandoned, and a block past it from the start reads no
+rational. Otherwise a block of at most ``DENSE_MAX_STATES`` states is
+solved densely in floats and certified a posteriori from its residual.
+Everywhere else, and when that bound is too wide, Jacobi interval
+iteration (Haddad & Monmege, TCS 2018) raises a lower and lowers an upper
+sequence until they are within ``CERTIFIED_GAP`` of each other, rounding
+slack included. The float paths report the midpoint of their bounds.
+``CheckResult.lower``/``upper`` carry the certified interval; exact and
+graph-settled values have ``lower == upper``.
 
 Bounded operators (``X``, ``U<=k``, ``F<=k``, ``G<=k``) are evaluated by
 synchronous float iteration with no stopping tolerance. Every row is summed
@@ -34,14 +35,18 @@ step is taken, and a threshold inside it, even one equal to a value the
 floats hold exactly, is ``UNDECIDED``. SEQ goes through a three-state
 monitor product and the unbounded-until machinery.
 
-Every routine reads the chain's compressed sparse row arrays. State sets
-are boolean masks from the label lookup to the solver. A label's mask is
-read off the chain's ``label_table``: the label is looked up once per
-distinct label set, and each state takes its set's answer. A label that no
-state carries is the empty mask and emits UnknownLabelWarning. Per-state
-values stay one float64 array on every path until ``check`` makes the
-Python floats of its ``CheckResult``. ``check`` is the way in; ``prob01``
-and ``evaluate_states`` stay public for the benchmark's tracer.
+Every routine reads the chain's compressed sparse row arrays. What a check
+derives from them alone is kept with the chain for its next check: the
+reverse graph the graph fixpoints search (``Dtmc.predecessors``) and each
+bounded operator's row sums, by the states it steps
+(``Dtmc.bounded_kernels``). State sets are boolean masks from the label
+lookup to the solver. A label's mask is read off the chain's
+``label_table``: the label is looked up once per distinct label set, and
+each state takes its set's answer. A label that no state carries is the
+empty mask and emits UnknownLabelWarning. Per-state values stay one
+float64 array on every path until ``check`` makes the Python floats of its
+``CheckResult``. ``check`` is the way in; ``prob01`` and
+``evaluate_states`` stay public for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolverError, UnknownLabelWarning
-from .model import Dtmc
+from .model import Dtmc, reverse_graph
 from .properties import (
     And,
     Eventually,
@@ -94,12 +99,15 @@ MAX_SWEEPS = 1_000_000
 DENSE_MAX_STATES = 400
 
 # Fill cap of the exact path: the uncertain block's nonzeros plus every
-# entry the elimination writes. Measured with CPython 3.11 on a 2-core Xeon:
-# the fair gambler's ruin on 0..40 needs 226 (1 ms) and on 0..400 2,386
-# (16 ms); a 40-state chain with three random 13/60 edges a row needs 2,982
-# (21 ms), and each entry costs more as the fractions grow (a 60-state one,
-# 9,579 in 90 ms). Interval iteration takes about 10 ms on a 3,000-state
-# block, so the cap keeps an abandoned elimination about as cheap.
+# entry the elimination writes. Measured with CPython 3.11 on a 2-core Xeon,
+# the elimination on integers, and in brackets the same in ``Fraction``: the
+# fair gambler's ruin on 0..40 needs 226 (0.3 ms [1.1 ms]) and on 0..400
+# 2,386 (2.8 ms [10.8 ms]); a 40-state chain with three random 13/60 edges a
+# row needs 2,866 (3.7 ms [17 ms]), and each entry costs more as the numbers
+# grow (a 60-state one, 9,617 in 13 ms [66 ms]). Interval iteration takes
+# about 2.5 ms on a 3,000-state block of that kind, so the cap keeps an
+# abandoned elimination about as cheap. Another cap would move blocks
+# between the exact and the float paths, and so change printed values.
 EXACT_MAX_FILL = 2_500
 
 # ``_row_sums`` lays rows out as columns from COLUMN_MIN_ROWS rows on, while
@@ -197,14 +205,16 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
-def _backward_set(rev_ptr: np.ndarray, rev_src: np.ndarray, seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+def _backward_set(predecessors, seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Least fixpoint: seeds plus allowed states with an edge into the set.
 
-    State t's predecessors are ``rev_src[rev_ptr[t]:rev_ptr[t + 1]]``; the
-    search gathers those of a whole frontier at once. A state that several
-    of them reach enters the next frontier once: each candidate writes its
-    position into ``stamp`` and only the one whose write was kept stays.
+    ``predecessors`` is a reverse graph as ``reverse_graph`` gives it; the
+    search gathers the predecessors of a whole frontier at once. A state
+    that several of them reach enters the next frontier once: each candidate
+    writes its position into ``stamp`` and only the one whose write was
+    kept stays.
     """
+    rev_ptr, rev_src = predecessors
     reached = seeds.copy()
     stamp = np.empty(len(seeds), dtype=np.intp)
     frontier = np.flatnonzero(seeds)
@@ -219,43 +229,59 @@ def _backward_set(rev_ptr: np.ndarray, rev_src: np.ndarray, seeds: np.ndarray, a
     return reached
 
 
-def _prob01_sets(indptr, indices, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = len(indptr) - 1
-    rev_src = _sources(indptr)[np.argsort(indices, kind="stable")]
-    rev_ptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n))))
+def _prob01_sets(indptr, indices, a: np.ndarray, b: np.ndarray, predecessors=None) -> tuple[np.ndarray, np.ndarray]:
+    """(probability-0, probability-1) masks of ``a U b``; ``predecessors`` is the
+    arrays' reverse graph, derived here if not given."""
+    if predecessors is None:
+        predecessors = reverse_graph(indptr, indices)
     # States with a chance of satisfying the until: can reach b through a.
-    prob0 = ~_backward_set(rev_ptr, rev_src, b, a & ~b)
+    prob0 = ~_backward_set(predecessors, b, a & ~b)
     # States with a chance of failing it: can reach a prob0 state before b.
-    prob1 = ~_backward_set(rev_ptr, rev_src, prob0, ~b)
+    prob1 = ~_backward_set(predecessors, prob0, ~b)
     return prob0, prob1
 
 
 def _eliminate(indptr, indices, rationals, prob1: np.ndarray, uncertain: np.ndarray) -> list[Fraction] | None:
     """Solve (I - P_UU) x = P_U,prob1 exactly; None past ``EXACT_MAX_FILL``.
 
-    Gaussian elimination in state order over one dict row per uncertain
-    state. I - P_UU is a nonsingular M-matrix, so no pivot is zero and none
-    needs choosing. ``below[j]`` lists the rows still holding an entry
-    left of the diagonal in column j.
+    ``rationals`` maps an array of transition positions to their rationals.
+    Fraction-free Gaussian elimination (Bareiss, *Math. Comp.* 1968) in
+    state order over one dict row of Python integers per uncertain state:
+    each row is scaled to integers over its own common denominator, taking
+    a multiple of the pivot row away from a row scales the row by the pivot
+    instead of dividing, and each row is kept divided by the gcd of its
+    entries and its right-hand side. I - P_UU is a nonsingular M-matrix, so
+    no pivot is zero and none needs choosing; every row keeps a positive
+    scale, so every pivot is positive. ``below[j]`` lists the rows still
+    holding an entry left of the diagonal in column j. The fill counts every
+    entry the elimination writes, a zero included. Back-substitution keeps
+    each unknown as its own reduced numerator and denominator: over one
+    common denominator the numbers would grow with every row.
     """
-    budget = EXACT_MAX_FILL - int((indptr[uncertain + 1] - indptr[uncertain]).sum())
+    counts = indptr[uncertain + 1] - indptr[uncertain]
+    budget = EXACT_MAX_FILL - int(counts.sum())
     if budget < 0:
         return None
+    spans = _spans(indptr[uncertain], counts)
+    targets, exact = indices[spans].tolist(), rationals(spans)
     position = {s: i for i, s in enumerate(uncertain.tolist())}
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
     below: list[set[int]] = [set() for _ in position]
-    for i, s in enumerate(position):
-        row, known = {i: Fraction(1)}, Fraction(0)
-        for k in range(indptr[s], indptr[s + 1]):
-            t = int(indices[k])
-            if t in position:
-                j = position[t]
-                row[j] = row.get(j, 0) - rationals[k]
+    end = 0
+    for i, count in enumerate(counts.tolist()):
+        start, end = end, end + count
+        scale = math.lcm(*[r.denominator for r in exact[start:end]])
+        row, known = {i: scale}, 0
+        for t, r in zip(targets[start:end], exact[start:end]):
+            j = position.get(t)
+            if j is not None:
+                row[j] = row.get(j, 0) - r.numerator * (scale // r.denominator)
                 if j < i:
                     below[j].add(i)
             elif prob1[t]:
-                known += rationals[k]
+                known += r.numerator * (scale // r.denominator)
+        row, known = _reduced(row, known)
         rows.append(row)
         rhs.append(known)
 
@@ -267,18 +293,52 @@ def _eliminate(indptr, indices, rationals, prob1: np.ndarray, uncertain: np.ndar
             if budget < 0:
                 return None
             row = rows[k]
-            factor = row.pop(i) / pivot
+            entry = row.pop(i)
+            common = math.gcd(pivot, entry)
+            times, factor = pivot // common, entry // common
+            if times != 1:
+                row = {j: times * v for j, v in row.items()}
             for j, v in right:
                 if j not in row and j < k:
                     below[j].add(k)
                 row[j] = row.get(j, 0) - factor * v
-            rhs[k] -= factor * rhs[i]
+            rows[k], rhs[k] = _reduced(row, times * rhs[k] - factor * rhs[i])
 
-    x: list[Fraction] = [Fraction(0)] * len(rows)
+    x: list[tuple[int, int]] = [(0, 1)] * len(rows)
     for i in reversed(range(len(rows))):
         row = rows[i]
-        x[i] = (rhs[i] - sum(v * x[j] for j, v in row.items() if j > i)) / row[i]
-    return x
+        numerator, denominator = rhs[i], 1
+        for j, v in row.items():
+            if j > i:
+                p, q = x[j]
+                if q != denominator:
+                    common = math.gcd(denominator, q)
+                    numerator, p = numerator * (q // common), p * (denominator // common)
+                    denominator = denominator // common * q
+                numerator -= v * p
+        denominator *= row[i]
+        common = math.gcd(numerator, denominator)
+        x[i] = (numerator // common, denominator // common)
+    return [Fraction(p, q) for p, q in x]
+
+
+def _reduced(row: dict[int, int], known: int) -> tuple[dict[int, int], int]:
+    """An integer row and its right-hand side, divided by the gcd of their entries."""
+    common = math.gcd(known, *row.values())
+    if common == 1:
+        return row, known
+    return {j: v // common for j, v in row.items()}, known // common
+
+
+def _rationals(exact: tuple[Fraction, ...] | None, origin: np.ndarray | None = None):
+    """What ``_solve_until`` reads the rationals through: None without ``exact``, else a
+    map from transition positions to ``exact``'s entries there, or at ``origin``'s
+    entries for them."""
+    if exact is None:
+        return None
+    if origin is None:
+        return lambda positions: [exact[k] for k in positions.tolist()]
+    return lambda positions: [exact[k] for k in origin[positions].tolist()]
 
 
 def _row_sums(row: np.ndarray, column: np.ndarray, prob: np.ndarray, m: int):
@@ -433,16 +493,18 @@ def _interval_iteration(block: _Block):
     )
 
 
-def _solve_until(indptr, indices, probs, rationals, a: np.ndarray, b: np.ndarray) -> _Solution:
+def _solve_until(indptr, indices, probs, rationals, a: np.ndarray, b: np.ndarray, predecessors=None) -> _Solution:
     """Certified per-state probability of ``a U b``.
 
-    ``rationals`` gives every transition's exact probability, or is None;
-    with it, a block within the fill cap is solved exactly. Otherwise a
+    ``rationals`` maps an array of transition positions to their exact
+    probabilities, or is None; with it, a block within the fill cap is
+    solved exactly. ``predecessors``, if given, is the chain's reverse
+    graph. Otherwise a
     block of at most ``DENSE_MAX_STATES`` states tries a dense float solve
     with an a-posteriori bound, and anything else, or a dense bound wider
     than ``CERTIFIED_GAP``, goes to interval iteration.
     """
-    prob0, prob1 = _prob01_sets(indptr, indices, a, b)
+    prob0, prob1 = _prob01_sets(indptr, indices, a, b, predecessors)
     values = prob1.astype(np.float64)
     uncertain = np.flatnonzero(~(prob0 | prob1))
     if not uncertain.size:
@@ -472,6 +534,10 @@ def _bounded(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: int, ite
     ``fixed`` keeps those states at their ``start`` value. A transition into
     a state at 0 adds ``p * 0.0 = +0.0``, which leaves the sum as it was.
 
+    The kept transitions' ``_row_sums`` and their widest row are derived once
+    per chain and ``passthrough`` mask and kept in the chain's
+    ``bounded_kernels``.
+
     State 0's interval comes from the summation bound. Each step sums a row
     of at most r transitions from 0.0: r products, r - 1 additions, and the
     float that stands for each probability. Every path's term thus carries
@@ -482,9 +548,14 @@ def _bounded(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: int, ite
     first order. The interval is rounded outward and clipped to [0, 1]; no
     step (k = 0) is exact.
     """
-    source = _sources(dtmc.indptr)
-    keep = passthrough[source]
-    sums = _row_sums(source[keep], dtmc.indices[keep], dtmc.probs[keep], dtmc.num_states)
+    key = passthrough.tobytes()
+    kernel = dtmc.bounded_kernels.get(key)
+    if kernel is None:
+        source = _sources(dtmc.indptr)
+        keep = passthrough[source]
+        sums = _row_sums(source[keep], dtmc.indices[keep], dtmc.probs[keep], dtmc.num_states)
+        kernel = dtmc.bounded_kernels[key] = sums, int(np.diff(dtmc.indptr)[passthrough].max(initial=0))
+    sums, r = kernel
     x = start.astype(np.float64)
     fixed = np.where(passthrough, 0.0, x)
     for _ in range(k):
@@ -492,7 +563,6 @@ def _bounded(dtmc: Dtmc, passthrough: np.ndarray, start: np.ndarray, k: int, ite
     values = np.clip(x, 0.0, 1.0)
     if k == 0:
         return _Solution(values, iterations=iterations)
-    r = int(np.diff(dtmc.indptr)[passthrough].max(initial=0))
     nu = k * (r + 1) * (_EPS / 2)
     # The factor covers the roundings of computing the allowance itself.
     allowance = nu / (1.0 - nu) * (1 + 4 * _EPS) if nu < 0.5 else 1.0
@@ -509,7 +579,7 @@ def prob01(dtmc: Dtmc, a: frozenset[int] | set[int], b: frozenset[int] | set[int
     masks = np.zeros((2, dtmc.num_states), dtype=bool)
     for mask, states in zip(masks, (a, b)):
         mask[np.fromiter(states, dtype=np.intp)] = True
-    zero, one = _prob01_sets(dtmc.indptr, dtmc.indices, *masks)
+    zero, one = _prob01_sets(dtmc.indptr, dtmc.indices, *masks, dtmc.predecessors)
     return frozenset(np.flatnonzero(zero).tolist()), frozenset(np.flatnonzero(one).tolist())
 
 
@@ -530,6 +600,10 @@ def _seq_solve(dtmc: Dtmc, a: np.ndarray, b: np.ndarray) -> _Solution:
     A pair whose read accepts is an absorbing target; any other pair copies
     its state's row and rationals, each target t becoming the pair (t,
     monitor state after reading s). Pair (0, waiting for ``a``) is state 0.
+    The product's reverse graph is derived for this check alone, and its
+    rationals are read off the chain's only for the transitions an exact
+    solve asks for: those of copied rows, since an accepting pair is never
+    uncertain.
     """
     n = dtmc.num_states
     indptr, indices, probs = dtmc.indptr, dtmc.indices, dtmc.probs
@@ -550,10 +624,9 @@ def _seq_solve(dtmc: Dtmc, a: np.ndarray, b: np.ndarray) -> _Solution:
     product_indices[copied] = 2 * indices[position] + step[row[copied]]
     product_probs[copied] = probs[position]
 
-    rationals = None
-    if dtmc.exact_probs is not None:
-        rationals = np.ones(len(row), dtype=object)
-        rationals[copied] = np.array(dtmc.exact_probs, dtype=object)[position]
+    origin = np.zeros(len(row), dtype=np.intp)
+    origin[copied] = position
+    rationals = _rationals(dtmc.exact_probs, origin)
 
     everything = np.ones(2 * n, dtype=bool)
     solved = _solve_until(product_indptr, product_indices, product_probs, rationals, everything, accept)
@@ -614,7 +687,8 @@ def _path_vector(dtmc: Dtmc, path: PathFormula) -> _Solution:
     else:
         raise TypeError(f"not a path formula: {path!r}")
     if path.bound is None:
-        solved = _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, dtmc.exact_probs, a, b)
+        rationals = _rationals(dtmc.exact_probs)
+        solved = _solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, rationals, a, b, dtmc.predecessors)
     else:
         solved = _bounded(dtmc, a & ~b, b, path.bound, path.bound)
     return solved.complement() if isinstance(path, Globally) else solved

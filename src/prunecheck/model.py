@@ -66,12 +66,15 @@ class Distribution:
             the first rational in support order that is not its float.
 
     ``_trusted`` builds a row with none of these checks. Only code that
-    writes its rows well formed by construction may call it (the builtin
-    environments); it vouches that the constructor would accept the row:
-    hashable, distinct targets, probabilities in (0, 1] whose mass is
-    within the tolerance, and, if any, one rational per branch that rounds
-    to its float.
-    Explicit models and every other caller go through the constructor.
+    vouches that the constructor would accept the row may call it:
+    hashable, distinct targets, probabilities in (0, 1] whose mass is within
+    the tolerance, and, if any, one rational per branch that rounds to its
+    float. The builtin environments write their rows well formed by
+    construction. The explicit loader checks the first row of each pattern
+    of probabilities, as written, with the constructor's ``_support_fault``
+    and every later one for repeated targets; it hands a row that fails to
+    the constructor, which words the error. Every other caller goes through
+    the constructor.
     """
 
     support: tuple[tuple[StateVector, float], ...]
@@ -80,17 +83,9 @@ class Distribution:
     def __init__(self, support: tuple[tuple[StateVector, float], ...], exact: tuple[Fraction, ...] | None = None):
         if not support:
             raise ValueError("distribution has empty support")
-        seen: set[StateVector] = set()
-        total = 0.0
-        for target, prob in support:
-            if not 0.0 < prob <= 1.0:
-                raise ValueError(f"probability {prob!r} outside (0, 1] for target {target}")
-            if target in seen:
-                raise ValueError(f"duplicate target {target} in distribution")
-            seen.add(target)
-            total += prob
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"distribution mass {total!r} differs from 1 beyond tolerance")
+        fault = _support_fault(support)
+        if fault is not None:
+            raise ValueError(fault)
         object.__setattr__(self, "support", support)
         # A row without rationals reads the class default None; storing that
         # too, as a generated __init__ would, slows a builtin's row by a sixth.
@@ -112,6 +107,27 @@ class Distribution:
         if exact is not None:
             row.__dict__["exact"] = exact
         return row
+
+
+def _support_fault(support: tuple[tuple[StateVector, float], ...]) -> str | None:
+    """The first rule a non-empty ``support`` breaks, worded, or None.
+
+    In support order, each probability must lie in (0, 1] and each target
+    must not repeat an earlier one; then the probabilities, summed in that
+    order, must lie within ``SUM_TOLERANCE`` of 1.
+    """
+    seen: set[StateVector] = set()
+    total = 0.0
+    for target, prob in support:
+        if not 0.0 < prob <= 1.0:
+            return f"probability {prob!r} outside (0, 1] for target {target}"
+        if target in seen:
+            return f"duplicate target {target} in distribution"
+        seen.add(target)
+        total += prob
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        return f"distribution mass {total!r} differs from 1 beyond tolerance"
+    return None
 
 
 # ===== Environment models =====
@@ -187,6 +203,9 @@ class Dtmc:
     compare by identity. ``label_table`` reads ``state_labels`` once, on
     first use, into the distinct label sets and one index per state, so a
     check reads a label off the few distinct sets rather than every state's.
+    Beside it, each check of the chain reuses what an earlier one derived:
+    ``predecessors``, the reverse graph, and ``bounded_kernels``, where the
+    checker keeps the step of each bounded operator it has run.
     """
 
     state_vectors: tuple[StateVector, ...]
@@ -209,6 +228,16 @@ class Dtmc:
         codes = [table.setdefault(labels, len(table)) for labels in self.state_labels]
         return tuple(table), np.array(codes, dtype=np.intp)
 
+    @functools.cached_property
+    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reverse graph, by ``reverse_graph``."""
+        return reverse_graph(self.indptr, self.indices)
+
+    @functools.cached_property
+    def bounded_kernels(self) -> dict:
+        """Empty until the checker keeps a bounded step here, by the bytes of the mask of states it steps."""
+        return {}
+
     @property
     def num_states(self) -> int:
         return len(self.state_vectors)
@@ -216,6 +245,14 @@ class Dtmc:
     @property
     def num_transitions(self) -> int:
         return len(self.indices)
+
+
+def reverse_graph(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, sources) of a chain's compressed sparse rows: state t's predecessors are
+    ``sources[starts[t]:starts[t + 1]]``, one per transition into t, in row order."""
+    n = len(indptr) - 1
+    sources = np.repeat(np.arange(n), np.diff(indptr))[np.argsort(indices, kind="stable")]
+    return np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n)))), sources
 
 
 # ===== Explicit model format =====
@@ -281,12 +318,42 @@ def _parse_probability(
         raise ModelSyntaxError(f"{where}: probability is too large for a float")
 
 
+def _read_probabilities(
+    written: list[object], where: str, fractions: dict[str, tuple[float, Fraction]]
+) -> tuple[list[float], list[Fraction] | None]:
+    """The floats of probabilities as written, in order, and their rationals, None if any has none.
+
+    The first probability that cannot be read raises, as ``_parse_probability``
+    words it at ``where[b].p``.
+    """
+    probs: list[float] = []
+    exact: list[Fraction] | None = []
+    for b, p in enumerate(written):
+        if type(p) is float:
+            prob, rational = p, None
+        elif type(p) is str and p in fractions:
+            prob, rational = fractions[p]
+        else:
+            prob, rational = _parse_probability(p, f"{where}[{b}].p", fractions)
+        probs.append(prob)
+        if rational is None:
+            exact = None
+        elif exact is not None:
+            exact.append(rational)
+    return probs, exact
+
+
 def _parse_state_vector(raw: object, width: int, where: str) -> StateVector:
-    """A state vector as written; each feature must also convert to a float, as a policy reads it."""
-    if not isinstance(raw, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
-        raise ModelSyntaxError(f"{where}: state must be a list of integers")
-    if len(raw) != width:
-        raise ModelSyntaxError(f"{where}: state has {len(raw)} features, schema declares {width}")
+    """A state vector as written; each feature must also convert to a float, as a policy reads it.
+
+    JSON decodes to exact int, bool, float, str, list and dict, so a feature
+    whose type is int is an integer and not a boolean.
+    """
+    if type(raw) is not list or [*map(type, raw)] != [int] * width:
+        if not isinstance(raw, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
+            raise ModelSyntaxError(f"{where}: state must be a list of integers")
+        if len(raw) != width:
+            raise ModelSyntaxError(f"{where}: state has {len(raw)} features, schema declares {width}")
     try:
         list(map(float, raw))
     except OverflowError:
@@ -337,17 +404,21 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
     if not isinstance(doc["states"], list) or not doc["states"]:
         raise ModelSyntaxError("'states' must be a non-empty list")
 
-    # JSON decodes to exact int, bool, float, str, list and dict, so a feature
-    # whose type is int is an integer and not a boolean.
     int_types = [int] * width
     declared: list[StateVector] = []
     label_table: dict[StateVector, frozenset[str]] = {}
     action_table: dict[StateVector, tuple[str, ...]] = {}
-    raw_rows: dict[tuple[StateVector, str], tuple[list[StateVector], list[float], list[Fraction] | None]] = {}
+    # Every row in document order, None for a row the rules reject; those
+    # rows' parts wait in ``rejected`` for the constructor to word the error.
+    distributions: dict[tuple[StateVector, str], Distribution | None] = {}
+    rejected: dict[tuple[StateVector, str], tuple[tuple, tuple[Fraction, ...] | None]] = {}
+    mentioned: list[StateVector] = []
     fractions: dict[str, tuple[float, Fraction]] = {}
-    # Whether the rationals of a row, keyed by its probabilities as written,
-    # sum to exactly 1; documents repeat a few rows many times.
-    whole: dict[tuple[object, ...], bool] = {}
+    # Keyed by the probabilities of a row as written and their types, each
+    # pattern of a row that passed: its floats and the rationals a row of
+    # them keeps, if they sum to exactly 1. Documents repeat a few patterns
+    # many times, and a repeat is neither read nor checked again.
+    patterns: dict[tuple[tuple[object, ...], tuple[type, ...]], tuple[list[float], tuple[Fraction, ...] | None]] = {}
 
     for k, entry in enumerate(doc["states"]):
         where = f"states[{k}]"
@@ -379,56 +450,69 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
             if not isinstance(branches, list) or not branches:
                 raise ModelSyntaxError(f"{where}.act.{action}: must be a non-empty list of branches")
             targets: list[StateVector] = []
-            probs: list[float] = []
-            exact: list[Fraction] | None = []
+            written: list[object] = []
             # The common shapes are checked inline; a branch that fails one
-            # is handed to the helpers, which word the error.
+            # is handed to the helpers, which word the error, once the
+            # probabilities before it have been read. The probabilities are
+            # read only for a pattern not seen before.
             for b, branch in enumerate(branches):
                 if type(branch) is not dict or len(branch) != 2 or "to" not in branch or "p" not in branch:
+                    _read_probabilities(written, f"{where}.act.{action}", fractions)
                     raise ModelSyntaxError(f"{where}.act.{action}[{b}]: must be an object with keys 'to' and 'p'")
                 to = branch["to"]
                 if type(to) is not list or [*map(type, to)] != int_types:
+                    _read_probabilities(written, f"{where}.act.{action}", fractions)
                     _parse_state_vector(to, width, f"{where}.act.{action}[{b}].to")
-                p = branch["p"]
-                if type(p) is float:
-                    prob, rational = p, None
-                elif type(p) is str and p in fractions:
-                    prob, rational = fractions[p]
-                else:
-                    prob, rational = _parse_probability(p, f"{where}.act.{action}[{b}].p", fractions)
                 targets.append(tuple(to))
-                probs.append(prob)
-                if rational is None:
-                    exact = None
-                elif exact is not None:
-                    exact.append(rational)
-            if exact is not None:
-                written = tuple([branch["p"] for branch in branches])
-                if written not in whole:
-                    whole[written] = sum(exact) == 1
+                written.append(branch["p"])
+            # 1, 1.0 and True are equal, but give different rows.
+            key = (tuple(written), tuple(map(type, written)))
+            try:
+                pattern = patterns.get(key)
+            except TypeError:  # a list or an object as a probability, which reading rejects
+                pattern = None
+            if pattern is not None:
+                probs, rationals = pattern
+                support = tuple(zip(targets, probs))
+                passes = len(set(targets)) == len(targets)
+            else:
+                probs, exact = _read_probabilities(written, f"{where}.act.{action}", fractions)
                 # The float check forgives a mass off by a rounding; rationals
                 # that miss 1 would pass a defective row off as exact.
-                if not whole[written]:
-                    exact = None
-            raw_rows[(state, action)] = (targets, probs, exact)
+                rationals = tuple(exact) if exact is not None and sum(exact) == 1 else None
+                support = tuple(zip(targets, probs))
+                passes = _support_fault(support) is None
+                # A row that passes shows that its pattern does, and only those
+                # are kept: a repeat checks no rule but its targets'.
+                if passes:
+                    patterns[key] = (probs, rationals)
+            mentioned += targets
+            if passes:
+                distributions[(state, action)] = Distribution._trusted(support, rationals)
+            else:
+                distributions[(state, action)] = None
+                rejected[(state, action)] = (support, rationals)
         # Keep action order aligned with the schema, not document order.
-        action_table[state] = tuple(a for a in actions if a in act)
+        action_table[state] = tuple([a for a in actions if a in act])
 
     declared_set = set(declared)
     if initial not in declared_set:
         raise ModelSemanticError(f"initial state {list(initial)} is not declared")
-
-    distributions: dict[tuple[StateVector, str], Distribution] = {}
-    for (state, action), (targets, probs, exact) in raw_rows.items():
-        if not declared_set.issuperset(targets):
-            target = next(t for t in targets if t not in declared_set)
-            raise ModelSemanticError(
-                f"state {list(state)} action {action!r} references undeclared state {list(target)}"
-            )
-        try:
-            distributions[(state, action)] = Distribution(tuple(zip(targets, probs)), exact and tuple(exact))
-        except ValueError as err:
-            raise ModelSemanticError(f"state {list(state)} action {action!r}: {err}")
+    if rejected or not declared_set.issuperset(mentioned):
+        # The first row, in document order, with an undeclared target or
+        # rejected by the rules raises.
+        for (state, action), row in distributions.items():
+            support, rationals = rejected.get((state, action)) or (row.support, None)
+            target = next((t for t, _ in support if t not in declared_set), None)
+            if target is not None:
+                raise ModelSemanticError(
+                    f"state {list(state)} action {action!r} references undeclared state {list(target)}"
+                )
+            if row is None:
+                try:
+                    Distribution(support, rationals)
+                except ValueError as err:
+                    raise ModelSemanticError(f"state {list(state)} action {action!r}: {err}")
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         try:

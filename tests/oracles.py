@@ -194,6 +194,59 @@ def until_fraction(rows, a: set, b: set) -> list[Fraction]:
     return x
 
 
+def eliminate_fraction(indptr, indices, rationals, prob1, uncertain, max_fill) -> list[Fraction] | None:
+    """The checker's exact elimination as it was first written, in ``Fraction``.
+
+    Solves (I - P_UU) x = P_U,prob1 by sparse Gaussian elimination in state
+    order over one dict row per uncertain state, and gives up (None) once
+    the block's nonzeros plus every entry the elimination writes exceed
+    ``max_fill``. ``rationals`` holds every transition's rational, in CSR
+    order; ``below[j]`` lists the rows still holding an entry left of the
+    diagonal in column j.
+    """
+    budget = max_fill - int((indptr[uncertain + 1] - indptr[uncertain]).sum())
+    if budget < 0:
+        return None
+    position = {s: i for i, s in enumerate(uncertain.tolist())}
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    below: list[set[int]] = [set() for _ in position]
+    for i, s in enumerate(position):
+        row, known = {i: Fraction(1)}, Fraction(0)
+        for k in range(indptr[s], indptr[s + 1]):
+            t = int(indices[k])
+            if t in position:
+                j = position[t]
+                row[j] = row.get(j, 0) - rationals[k]
+                if j < i:
+                    below[j].add(i)
+            elif prob1[t]:
+                known += rationals[k]
+        rows.append(row)
+        rhs.append(known)
+
+    for i, pivot_row in enumerate(rows):
+        pivot = pivot_row[i]
+        right = [(j, v) for j, v in pivot_row.items() if j > i]
+        for k in below[i]:
+            budget -= len(right) + 1
+            if budget < 0:
+                return None
+            row = rows[k]
+            factor = row.pop(i) / pivot
+            for j, v in right:
+                if j not in row and j < k:
+                    below[j].add(k)
+                row[j] = row.get(j, 0) - factor * v
+            rhs[k] -= factor * rhs[i]
+
+    x: list[Fraction] = [Fraction(0)] * len(rows)
+    for i in reversed(range(len(rows))):
+        row = rows[i]
+        x[i] = (rhs[i] - sum(v * x[j] for j, v in row.items() if j > i)) / row[i]
+    return x
+
+
 # ===== The row-based qualitative sets =====
 #
 # The checker once found the probability-0 and probability-1 states with

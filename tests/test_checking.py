@@ -44,6 +44,7 @@ from .conftest import FRACTION3, dtmc_from_rows, gambler_text, label_sets, rando
 from .oracles import (
     bounded_until_fraction,
     bounded_until_loop,
+    eliminate_fraction,
     evaluate_sets,
     label_mask_reference,
     next_loop,
@@ -887,7 +888,8 @@ def reference_path_vector(dtmc: Dtmc, path) -> tuple[list[float], int | None, fl
     else:
         a, b = everything, ~states(path.target)
     if path.bound is None:
-        vec = checking._solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, dtmc.exact_probs, a, b).values.tolist()
+        rationals = checking._rationals(dtmc.exact_probs)
+        vec = checking._solve_until(dtmc.indptr, dtmc.indices, dtmc.probs, rationals, a, b).values.tolist()
         iterations, residual = None, None
     else:
         vec = checking._bounded(dtmc, a & ~b, b, path.bound, path.bound).values.tolist()
@@ -1212,3 +1214,155 @@ class TestCertifiedSolving:
         assert caught.value.iterations == 3
         assert caught.value.residual == pytest.approx(0.9**3)
         assert str(caught.value).startswith("interval iteration did not close to 1e-10 within 3 steps")
+
+
+# ===== Exact elimination on integers against the Fraction version =====
+
+
+@st.composite
+def exact_blocks(draw) -> tuple[Dtmc, np.ndarray, np.ndarray]:
+    """A chain of rationals with non-dyadic denominators and some self-loops,
+    with the probability-1 mask and the uncertain states of a random until."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for s in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 5), unique=True))
+        if draw(st.booleans()) and s not in targets:
+            targets.insert(draw(st.integers(0, len(targets))), s)
+        weights = draw(st.lists(st.integers(1, 30), min_size=len(targets), max_size=len(targets)))
+        rows.append([(t, Fraction(w, sum(weights))) for t, w in zip(targets, weights)])
+    a, b = (draw(st.sets(st.integers(0, n - 1))) for _ in range(2))
+    return exact_block(rows, a, b)
+
+
+def gambler_block(top: int) -> tuple[Dtmc, np.ndarray, np.ndarray]:
+    """The fair gambler's ruin on 0..``top`` with F "goal"'s block, 1..top - 1."""
+    rows = [((0, Fraction(1)),)]
+    rows += [((c - 1, Fraction(1, 2)), (c + 1, Fraction(1, 2))) for c in range(1, top)]
+    rows.append(((top, Fraction(1)),))
+    return exact_block(rows, set(range(top + 1)), {top})
+
+
+def sixtieths_block(n: int, seed: int) -> tuple[Dtmc, np.ndarray, np.ndarray]:
+    """``n`` states with three random 13/60 edges and a 7/20 exit a row, as
+    in the benchmark's random chain; the exits reach "goal" or "bad"."""
+    rng = random.Random(seed)
+    goal, bad = n, n + 1
+    rows = []
+    for _ in range(n):
+        branches: dict[int, Fraction] = {}
+        for t in (rng.randrange(n) for _ in range(3)):
+            branches[t] = branches.get(t, 0) + Fraction(13, 60)
+        exit_to = goal if rng.random() < 0.5 else bad
+        branches[exit_to] = Fraction(7, 20)
+        rows.append(tuple(branches.items()))
+    rows += [((goal, Fraction(1)),), ((bad, Fraction(1)),)]
+    return exact_block(rows, set(range(n + 2)), {goal})
+
+
+def exact_block(rows, a: set, b: set) -> tuple[Dtmc, np.ndarray, np.ndarray]:
+    """The chain of rows of (target, rational), and ``a U b``'s probability-1 mask and uncertain states."""
+    n = len(rows)
+    float_rows = [[(t, float(p)) for t, p in row] for row in rows]
+    floats = dtmc_from_rows(tuple((s,) for s in range(n)), (frozenset(),) * n, float_rows)
+    exact = tuple(p for row in rows for _, p in row)
+    dtmc = Dtmc(floats.state_vectors, floats.state_labels, floats.indptr, floats.indices, floats.probs, exact)
+    prob0, prob1 = checking._prob01_sets(dtmc.indptr, dtmc.indices, state_mask(dtmc, a), state_mask(dtmc, b))
+    return dtmc, prob1, np.flatnonzero(~(prob0 | prob1))
+
+
+def eliminate_both(dtmc: Dtmc, prob1: np.ndarray, uncertain: np.ndarray, cap: int, patch: pytest.MonkeyPatch):
+    """The integer elimination and the Fraction oracle, both at fill cap ``cap``."""
+    patch.setattr(checking, "EXACT_MAX_FILL", cap)
+    rationals = checking._rationals(dtmc.exact_probs)
+    got = checking._eliminate(dtmc.indptr, dtmc.indices, rationals, prob1, uncertain)
+    return got, eliminate_fraction(dtmc.indptr, dtmc.indices, dtmc.exact_probs, prob1, uncertain, cap)
+
+
+class TestExactElimination:
+    """``_eliminate`` on integers gives the Fraction elimination's values,
+    and gives up at the same fill."""
+
+    @given(block=exact_blocks(), cap=st.sampled_from([0, 5, 20, 60, 150, 2_500]))
+    def test_equals_the_fraction_elimination(self, block, cap):
+        dtmc, prob1, uncertain = block
+        with pytest.MonkeyPatch.context() as patch:
+            got, expected = eliminate_both(dtmc, prob1, uncertain, cap, patch)
+        assert got == expected
+        if got is not None:
+            assert all(type(x) is Fraction for x in got)
+
+    @pytest.mark.parametrize(
+        "block", [lambda: gambler_block(40), lambda: sixtieths_block(40, 0), lambda: sixtieths_block(12, 3)]
+    )
+    def test_gives_up_at_the_same_fill(self, block):
+        dtmc, prob1, uncertain = block()
+        # The least cap the Fraction elimination fits, by bisection.
+        low, high = 0, 100_000
+        with pytest.MonkeyPatch.context() as patch:
+            while low < high:
+                middle = (low + high) // 2
+                if eliminate_both(dtmc, prob1, uncertain, middle, patch)[1] is None:
+                    low = middle + 1
+                else:
+                    high = middle
+            assert eliminate_both(dtmc, prob1, uncertain, low - 1, patch) == (None, None)
+            got, expected = eliminate_both(dtmc, prob1, uncertain, low, patch)
+        assert got == expected is not None
+
+    def test_the_gambler_on_0_to_400_is_exact(self):
+        dtmc, prob1, uncertain = gambler_block(400)
+        got = checking._eliminate(dtmc.indptr, dtmc.indices, checking._rationals(dtmc.exact_probs), prob1, uncertain)
+        assert got == [Fraction(c, 400) for c in range(1, 400)]
+
+    def test_past_the_cap_no_rational_is_read(self, monkeypatch):
+        dtmc, prob1, uncertain = gambler_block(40)
+        monkeypatch.setattr(checking, "EXACT_MAX_FILL", 10)
+
+        def unread(positions):
+            raise AssertionError("rationals read past the fill cap")
+
+        assert checking._eliminate(dtmc.indptr, dtmc.indices, unread, prob1, uncertain) is None
+
+
+# ===== What a chain keeps for its next check =====
+
+
+class TestChainReuse:
+    def test_reverse_graph_is_derived_once_and_lists_each_transition(self):
+        dtmc = random_dtmc(random.Random(5), max_states=9)
+        assert dtmc.predecessors is dtmc.predecessors
+        starts, sources = dtmc.predecessors
+        for t in range(dtmc.num_states):
+            expected = [s for s, row in enumerate(rows_of(dtmc)) for target, _ in row if target == t]
+            assert sources[starts[t] : starts[t + 1]].tolist() == expected
+
+    def test_prob01_reads_the_chains_reverse_graph(self):
+        dtmc = random_dtmc(random.Random(11), max_states=9)
+        a, b = label_sets(dtmc)
+        before = dtmc.predecessors
+        assert prob01(dtmc, a, b) == tuple(map(frozenset, row_prob01_sets(rows_of(dtmc), a, b)))
+        assert dtmc.predecessors is before
+
+    def test_a_bounded_step_is_set_up_once_per_passthrough(self):
+        dtmc = walk_with_wide_row(checking.COLUMN_MIN_ROWS + 200, 0)
+        texts = ('P=? ["a" U<=40 "b"]', 'P=? ["a" U<=7 "b"]', 'P=? [G<=9 "a"]', 'P=? [X "b"]', 'P=? [X "a"]')
+        built = []
+        row_sums = checking._row_sums
+
+        def spy(*args):
+            built.append(args)
+            return row_sums(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checking, "_row_sums", spy)
+            first = [check(dtmc, parse_property(text)) for text in texts]
+            again = [check(dtmc, parse_property(text)) for text in texts]
+        # "a" U<=k "b" and G<=9 "a" (F<=9 !"a") step different states; X
+        # steps every state, whatever its target.
+        assert len(built) == 3
+        assert len(dtmc.bounded_kernels) == 3
+        assert again == first
+        fresh = walk_with_wide_row(checking.COLUMN_MIN_ROWS + 200, 0)
+        assert [check(fresh, parse_property(text)) for text in texts] == first
+

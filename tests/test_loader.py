@@ -423,6 +423,101 @@ def test_every_pair_of_fault_kinds_gives_the_reference_error(pair, data):
     _assert_same_outcome(data.draw(faulty_texts(st.just(order))))
 
 
+# ===== Rows that repeat a pattern of probabilities =====
+#
+# The loader reads and checks each pattern of probabilities, as written, once.
+# A JSON 1, 1.0 and "1" are equal or alike but give different rows, 0.0 and
+# -0.0 are equal but worded apart, and a pattern that passes still leaves
+# each row's targets to be checked.
+
+
+def _chain_text(rows: list, initial: int = 0) -> str:
+    """States 0..len(rows) - 1 under action "a", state i's row ``rows[i]`` as [(target, p), ...]."""
+    states = [{"s": [i], "act": {"a": [{"to": [t], "p": p} for t, p in row]}} for i, row in enumerate(rows)]
+    return json.dumps({"features": ["v"], "actions": ["a"], "initial": [initial], "states": states})
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations([1, 1.0, "1"])), ids=repr)
+def test_one_written_three_ways_keeps_its_own_rationals(order):
+    text = _chain_text([[(i, p)] for i, p in enumerate(order)])
+    _assert_same_outcome(text)
+    env = load_explicit_model(text)
+    for i, p in enumerate(order):
+        row = env.successors((i,), "a")
+        assert row.support == (((i,), 1.0),)
+        assert row.exact == (None if type(p) is float else (Fraction(1),))
+
+
+def test_halves_as_floats_and_fractions_in_one_document():
+    halves = [[(0, 0.5), (1, 0.5)], [(0, "1/2"), (1, "1/2")], [(0, 0.5), (1, 0.5)], [(0, "1/2"), (1, "1/2")]]
+    text = _chain_text(halves)
+    _assert_same_outcome(text)
+    env = load_explicit_model(text)
+    assert [env.successors((i,), "a").exact for i in range(4)] == [None, (Fraction(1, 2),) * 2] * 2
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "repeat"])
+def test_a_repeated_pattern_still_checks_its_targets(first):
+    rows = [[(0, "1/2"), (1, "1/2")], [(0, "1/2"), (0, "1/2")]]
+    text = _chain_text(rows if first else rows[::-1])
+    _assert_same_outcome(text)
+    duplicate = r"^state \[[01]\] action 'a': duplicate target \(0,\) in distribution$"
+    with pytest.raises(ModelSemanticError, match=duplicate):
+        load_explicit_model(text)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # The rejected row comes first, in state 1, then an undeclared target in state 2.
+        (
+            [[(0, 1)], [(0, "1/3"), (1, "1/3")], [(9, 1)]],
+            "state [1] action 'a': distribution mass 0.6666666666666666 differs from 1 beyond tolerance",
+        ),
+        # The undeclared target comes first, in state 1, then the rejected row in state 2.
+        ([[(0, 1)], [(9, 1)], [(0, "1/3"), (1, "1/3")]], "state [1] action 'a' references undeclared state [9]"),
+        # One row breaks both rules; its undeclared target is named first.
+        ([[(0, 1)], [(0, 0.25), (9, 0.25)]], "state [1] action 'a' references undeclared state [9]"),
+    ],
+)
+def test_row_errors_come_in_row_order(rows, message):
+    text = _chain_text(rows)
+    _assert_same_outcome(text)
+    with pytest.raises(ModelSemanticError) as caught:
+        load_explicit_model(text)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)], ids=repr)
+def test_zero_and_negative_zero_are_worded_apart(zeros):
+    # Equal as floats, both out of range: each document names its own first.
+    text = _chain_text([[(0, zeros[0]), (1, 1.0)], [(0, zeros[1]), (1, 1.0)]])
+    _assert_same_outcome(text)
+    with pytest.raises(ModelSemanticError) as caught:
+        load_explicit_model(text)
+    assert str(caught.value) == f"state [0] action 'a': probability {zeros[0]!r} outside (0, 1] for target (0,)"
+
+
+@pytest.mark.parametrize("bad", [True, [1], {"p": 1}, None], ids=repr)
+def test_a_value_equal_to_a_passing_pattern_is_still_read(bad):
+    # True equals 1 and hashes alike; a list or an object cannot be a key.
+    text = _chain_text([[(0, 1)], [(1, bad)]])
+    _assert_same_outcome(text)
+    with pytest.raises(ModelSyntaxError, match=r"^states\[1\]\.act\.a\[0\]\.p: probability must be a number"):
+        load_explicit_model(text)
+
+
+def test_a_bad_probability_is_named_before_a_later_bad_branch():
+    # Branch 0's probability is unreadable and branch 1 lacks "p": branch 0 is named.
+    doc = json.loads(_chain_text([[(0, "1/2"), (0, "1/2")]]))
+    doc["states"][0]["act"]["a"][0]["p"] = "abc"
+    del doc["states"][0]["act"]["a"][1]["p"]
+    text = json.dumps(doc)
+    _assert_same_outcome(text)
+    with pytest.raises(ModelSyntaxError, match=r"^states\[0\]\.act\.a\[0\]\.p: cannot read 'abc'"):
+        load_explicit_model(text)
+
+
 # ===== The garbage collector =====
 
 

@@ -62,8 +62,9 @@ class Distribution:
     Raises:
         ValueError: at the first probability outside (0, 1] or repeated
             target in support order; else for an empty support, a mass off
-            by more than ``SUM_TOLERANCE``, an ``exact`` of another length or
-            the first rational in support order that is not its float.
+            by more than ``SUM_TOLERANCE``, an ``exact`` that is not a tuple
+            of ``Fraction``s, one of another length or the first rational in
+            support order that is not its float.
 
     ``_trusted`` builds a row with none of these checks. Only code that
     vouches that the constructor would accept the row may call it:
@@ -72,9 +73,9 @@ class Distribution:
     float. The builtin environments write their rows well formed by
     construction. The explicit loader checks the first row of each pattern
     of probabilities, as written, with the constructor's ``_support_fault``
-    and every later one for repeated targets; it hands a row that fails to
-    the constructor, which words the error. Every other caller goes through
-    the constructor.
+    and every later one for repeated targets; a row that fails is worded by
+    ``_support_fault`` too, as the constructor would word it. Every other
+    caller goes through the constructor.
     """
 
     support: tuple[tuple[StateVector, float], ...]
@@ -90,6 +91,8 @@ class Distribution:
         # A row without rationals reads the class default None; storing that
         # too, as a generated __init__ would, slows a builtin's row by a sixth.
         if exact is not None:
+            if type(exact) is not tuple or not all(isinstance(rational, Fraction) for rational in exact):
+                raise ValueError(f"exact probabilities must be a tuple of Fractions, not {exact!r}")
             if len(exact) != len(support):
                 raise ValueError(f"{len(exact)} exact probabilities for {len(support)} targets")
             for (target, prob), rational in zip(support, exact):
@@ -291,56 +294,48 @@ def read_json_object(text: str, keys: tuple[str, ...], error: type[Exception], w
     return doc
 
 
-def _parse_probability(
-    raw: object, where: str, fractions: dict[str, tuple[float, Fraction]]
-) -> tuple[float, Fraction | None]:
-    """Accept a JSON number or an exact "num/den" fraction string.
-
-    Returns the float and, for a fraction string or a JSON integer, the
-    rational it denotes; a JSON float has none, its decimal text being gone.
-    ``fractions`` maps each fraction string already read to its pair, so a
-    string repeated across a document is parsed once; a string that fails
-    to parse is never stored, and raises again wherever it occurs.
-    """
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise ModelSyntaxError(f"{where}: probability must be a number or fraction string")
-    try:
-        if not isinstance(raw, str):
-            return float(raw), Fraction(raw) if isinstance(raw, int) else None
-        pair = fractions.get(raw)
-        if pair is None:
-            exact = Fraction(raw)
-            pair = fractions[raw] = (float(exact), exact)
-        return pair
-    except (ValueError, ZeroDivisionError):
-        raise ModelSyntaxError(f"{where}: cannot read {raw!r} as a fraction")
-    except OverflowError:
-        raise ModelSyntaxError(f"{where}: probability is too large for a float")
-
-
 def _read_probabilities(
     written: list[object], where: str, fractions: dict[str, tuple[float, Fraction]]
-) -> tuple[list[float], list[Fraction] | None]:
-    """The floats of probabilities as written, in order, and their rationals, None if any has none.
+) -> tuple[list[float], tuple[Fraction, ...] | None]:
+    """The floats of probabilities as written, in order, and the rationals a row of them keeps.
 
-    The first probability that cannot be read raises, as ``_parse_probability``
-    words it at ``where[b].p``.
+    Each is a JSON number or an exact "num/den" fraction string; a fraction
+    string or a JSON integer denotes a rational, a JSON float none, its
+    decimal text being gone. The row keeps the rationals only when every
+    probability has one and they sum to exactly 1: the float check forgives
+    a mass off by a rounding, and rationals that miss 1 would pass a
+    defective row off as exact. ``fractions`` maps each fraction string
+    already read to its pair, so a string repeated across a document is
+    parsed once; a string that fails to parse is never stored, and raises
+    again wherever it occurs. The first probability that cannot be read
+    raises ModelSyntaxError at ``where[b].p``.
     """
     probs: list[float] = []
     exact: list[Fraction] | None = []
     for b, p in enumerate(written):
         if type(p) is float:
-            prob, rational = p, None
-        elif type(p) is str and p in fractions:
-            prob, rational = fractions[p]
-        else:
-            prob, rational = _parse_probability(p, f"{where}[{b}].p", fractions)
-        probs.append(prob)
-        if rational is None:
+            probs.append(p)
             exact = None
-        elif exact is not None:
+            continue
+        try:
+            if type(p) is str:
+                pair = fractions.get(p)
+                if pair is None:
+                    rational = Fraction(p)
+                    pair = fractions[p] = (float(rational), rational)
+                prob, rational = pair
+            elif type(p) is int:
+                prob, rational = float(p), Fraction(p)
+            else:
+                raise ModelSyntaxError(f"{where}[{b}].p: probability must be a number or fraction string")
+        except (ValueError, ZeroDivisionError):
+            raise ModelSyntaxError(f"{where}[{b}].p: cannot read {p!r} as a fraction")
+        except OverflowError:
+            raise ModelSyntaxError(f"{where}[{b}].p: probability is too large for a float")
+        probs.append(prob)
+        if exact is not None:
             exact.append(rational)
-    return probs, exact
+    return probs, tuple(exact) if exact is not None and sum(exact) == 1 else None
 
 
 def _parse_state_vector(raw: object, width: int, where: str) -> StateVector:
@@ -405,13 +400,14 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
         raise ModelSyntaxError("'states' must be a non-empty list")
 
     int_types = [int] * width
-    declared: list[StateVector] = []
+    # The declared states, in document order, and their labels.
     label_table: dict[StateVector, frozenset[str]] = {}
     action_table: dict[StateVector, tuple[str, ...]] = {}
-    # Every row in document order, None for a row the rules reject; those
-    # rows' parts wait in ``rejected`` for the constructor to word the error.
+    # Every row in document order, None for a row the rules reject; such a
+    # row's support waits in ``rejected`` with the fault ``_support_fault``
+    # words, raised only if no earlier row names an undeclared target.
     distributions: dict[tuple[StateVector, str], Distribution | None] = {}
-    rejected: dict[tuple[StateVector, str], tuple[tuple, tuple[Fraction, ...] | None]] = {}
+    rejected: dict[tuple[StateVector, str], tuple[tuple, str]] = {}
     mentioned: list[StateVector] = []
     fractions: dict[str, tuple[float, Fraction]] = {}
     # Keyed by the probabilities of a row as written and their types, each
@@ -437,7 +433,6 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
         if not isinstance(raw_labels, list) or not all(isinstance(l, str) for l in raw_labels):
             raise ModelSyntaxError(f"{where}.labels: must be a list of strings")
         label_table[state] = frozenset(raw_labels)
-        declared.append(state)
 
         act = entry["act"]
         if not isinstance(act, dict):
@@ -474,45 +469,38 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
             if pattern is not None:
                 probs, rationals = pattern
                 support = tuple(zip(targets, probs))
-                passes = len(set(targets)) == len(targets)
+                fault = None if len(set(targets)) == len(targets) else _support_fault(support)
             else:
-                probs, exact = _read_probabilities(written, f"{where}.act.{action}", fractions)
-                # The float check forgives a mass off by a rounding; rationals
-                # that miss 1 would pass a defective row off as exact.
-                rationals = tuple(exact) if exact is not None and sum(exact) == 1 else None
+                probs, rationals = _read_probabilities(written, f"{where}.act.{action}", fractions)
                 support = tuple(zip(targets, probs))
-                passes = _support_fault(support) is None
+                fault = _support_fault(support)
                 # A row that passes shows that its pattern does, and only those
                 # are kept: a repeat checks no rule but its targets'.
-                if passes:
+                if fault is None:
                     patterns[key] = (probs, rationals)
             mentioned += targets
-            if passes:
+            if fault is None:
                 distributions[(state, action)] = Distribution._trusted(support, rationals)
             else:
                 distributions[(state, action)] = None
-                rejected[(state, action)] = (support, rationals)
+                rejected[(state, action)] = (support, fault)
         # Keep action order aligned with the schema, not document order.
         action_table[state] = tuple([a for a in actions if a in act])
 
-    declared_set = set(declared)
-    if initial not in declared_set:
+    if initial not in label_table:
         raise ModelSemanticError(f"initial state {list(initial)} is not declared")
-    if rejected or not declared_set.issuperset(mentioned):
+    if rejected or not set(label_table).issuperset(mentioned):
         # The first row, in document order, with an undeclared target or
         # rejected by the rules raises.
         for (state, action), row in distributions.items():
-            support, rationals = rejected.get((state, action)) or (row.support, None)
-            target = next((t for t, _ in support if t not in declared_set), None)
+            support, fault = rejected.get((state, action)) or (row.support, None)
+            target = next((t for t, _ in support if t not in label_table), None)
             if target is not None:
                 raise ModelSemanticError(
                     f"state {list(state)} action {action!r} references undeclared state {list(target)}"
                 )
-            if row is None:
-                try:
-                    Distribution(support, rationals)
-                except ValueError as err:
-                    raise ModelSemanticError(f"state {list(state)} action {action!r}: {err}")
+            if fault is not None:
+                raise ModelSemanticError(f"state {list(state)} action {action!r}: {fault}")
 
     def available_actions(state: StateVector) -> tuple[str, ...]:
         try:
@@ -541,7 +529,7 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
         available_actions=available_actions,
         successors=successors,
         labels=labels,
-        declared_states=tuple(declared),
+        declared_states=tuple(label_table),
     )
 
 

@@ -206,10 +206,7 @@ def make_policy(
     if not layers:
         raise PolicyFormatError("policy needs at least one layer")
     for k, (w, b) in enumerate(layers, start=1):
-        try:
-            w, b = np.array(w, dtype=np.float64), np.array(b, dtype=np.float64)
-        except OverflowError:  # an integer too large for a float
-            raise _not_finite(k) from None
+        w, b = _float_array(k, "w", w), _float_array(k, "b", b)
         if w.ndim != 2:
             raise PolicyFormatError(f"layer {k}: weight matrix must be 2-dimensional")
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
@@ -248,6 +245,16 @@ def _require_distinct(feature_names: tuple[str, ...], action_names: tuple[str, .
     for name, names in (("features", feature_names), ("actions", action_names)):
         if len(set(names)) != len(names):
             raise PolicyFormatError(f"'{name}' contains duplicates")
+
+
+def _float_array(k: int, name: str, value: object) -> np.ndarray:
+    """Layer ``k``'s array ``name`` ("w" or "b") as float64, or the error that names them."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer too large for a float
+        raise _not_finite(k) from None
+    except (ValueError, TypeError):  # ragged, or an entry that is not a number
+        raise PolicyFormatError(f"layer {k}: {name!r} must be an array of numbers") from None
 
 
 def _not_finite(k: int) -> PolicyFormatError:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunecheck import ModelSemanticError, ModelSyntaxError, load_explicit_model
+from prunecheck.model import _read_probabilities
 
 from . import oracles
 
@@ -516,6 +517,41 @@ def test_a_bad_probability_is_named_before_a_later_bad_branch():
     _assert_same_outcome(text)
     with pytest.raises(ModelSyntaxError, match=r"^states\[0\]\.act\.a\[0\]\.p: cannot read 'abc'"):
         load_explicit_model(text)
+
+
+# ===== Fraction strings shared across patterns =====
+#
+# Each fraction string is parsed once per document, whichever pattern of
+# probabilities it appears in; no perfbench document reads a string again
+# from a new pattern.
+
+
+def test_rows_of_distinct_patterns_share_their_fraction_strings():
+    thirds = [[(0, "1/3"), (1, "2/3")], [(0, "2/3"), (1, "1/3")], [(0, "1/3"), (1, "1/3"), (2, "1/3")]]
+    text = _chain_text(thirds + [[(0, "2/3"), (2, "1/3"), (1, 1e-300)]])
+    _assert_same_outcome(text)
+    env = load_explicit_model(text)
+    assert env.successors((2,), "a").exact == (Fraction(1, 3),) * 3
+    # The rationals of the last row sum to 1, but a JSON float holds none.
+    assert env.successors((3,), "a").exact is None
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("1/0", "cannot read '1/0' as a fraction"), ("abc", "cannot read 'abc' as a fraction"), ("1e400", "probability is too large for a float")],
+)
+def test_a_fraction_string_that_fails_is_never_remembered(bad, message):
+    text = _chain_text([[(0, bad)]])
+    _assert_same_outcome(text)
+    # The loader raises at the first failure, so only a memo shared between
+    # reads shows what a failure leaves behind: nothing, and a second read
+    # raises as the first did.
+    fractions = {"1/2": (0.5, Fraction(1, 2))}
+    for _ in range(2):
+        with pytest.raises(ModelSyntaxError) as caught:
+            _read_probabilities(["1/2", bad], "row", fractions)
+        assert str(caught.value) == f"row[1].p: {message}"
+        assert fractions == {"1/2": (0.5, Fraction(1, 2))}
 
 
 # ===== The garbage collector =====

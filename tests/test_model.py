@@ -124,6 +124,18 @@ class TestDistribution:
         with pytest.raises(ValueError, match="^1 exact probabilities for 2 targets$"):
             Distribution((((0,), 0.5), ((1,), 0.5)), exact=(Fraction(1, 2),))
 
+    @pytest.mark.parametrize(
+        "exact",
+        [(0.5, 0.5), ("1/2", "1/2"), (Fraction(1, 2), 0.5), [Fraction(1, 2), Fraction(1, 2)], Fraction(1, 2)],
+        ids=["floats", "strings", "one-float", "list", "bare-fraction"],
+    )
+    def test_exact_that_is_not_a_tuple_of_fractions_rejected(self, exact):
+        # A float or a string would reach ``.numerator``, and a list would
+        # make the row unhashable.
+        with pytest.raises(ValueError) as caught:
+            Distribution((((0,), 0.5), ((1,), 0.5)), exact=exact)
+        assert str(caught.value) == f"exact probabilities must be a tuple of Fractions, not {exact!r}"
+
     def test_exact_takes_part_in_equality(self):
         # A row with its rationals and the same row without them build
         # different chains, so they are different values.

@@ -297,6 +297,20 @@ class TestMakePolicy:
         with pytest.raises(PolicyFormatError, match="^layer 2: weights and biases must be finite"):
             make_policy(("f1", "f2"), ("a", "b"), [(np.eye(2), np.zeros(2)), (w, b)])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [[1.0, 2.0, 3.0], [1.0, [2.0]], "x", {"w": 1.0}],
+        ids=["ragged", "nested", "string", "object"],
+    )
+    @pytest.mark.parametrize("where", ["w", "b"])
+    def test_an_array_numpy_cannot_convert_is_named_by_layer_and_name(self, entry, where):
+        # NumPy's own ValueError or TypeError must not escape.
+        w, b = [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]
+        (w if where == "w" else b)[1] = entry
+        with pytest.raises(PolicyFormatError) as caught:
+            make_policy(("f1", "f2"), ("a", "b"), [(np.eye(2), np.zeros(2)), (w, b)])
+        assert str(caught.value) == f"layer 2: '{where}' must be an array of numbers"
+
 
 # ===== Serialization =====
 

@@ -9,6 +9,8 @@ so a state's logits are a pure deterministic function of the weights.
 from __future__ import annotations
 
 import json
+import numbers
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +26,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _fixed(array: np.ndarray) -> bool:
+    """Whether ``array`` is read-only and owns its data, so that only setting its flag writable again lets it change."""
+    return not array.flags.writeable and array.base is None
+
+
 def _apply(layer: Layer, x: np.ndarray, hidden: bool) -> np.ndarray:
     """``layer`` on ``x`` or on each of its rows, one matrix-vector product per row, rectified when ``hidden``."""
     x = np.matmul(layer.weights, x[..., None])[..., 0] + layer.bias
@@ -37,7 +44,8 @@ class Layer:
     Weights that are read-only, as ``make_policy`` leaves them, must keep
     their values for as long as the ``Layer`` lives, also if their flag is
     set writable again: ``pruning`` derives a read-only layer's nonzero
-    coordinates and ranking once and reuses them.
+    coordinates and ranking once and reuses them, and a layer whose
+    weights and bias are both read-only is checked finite once.
     """
 
     weights: np.ndarray  # shape (d_out, d_in)
@@ -231,11 +239,14 @@ def _with_weights(policy: NeuralPolicy, weights: dict[int, np.ndarray]) -> Neura
 
     Every other layer is ``policy``'s own ``Layer`` object. The names and
     every layer's finiteness are checked as ``make_policy`` checks them, with
-    the same errors in the same order; the shapes are ``policy``'s.
+    the same errors in the same order; the shapes are ``policy``'s. Each
+    array must be a fresh copy of its layer's weights with some entries set
+    to 0, as ``pruning`` passes them: zeroing finite entries leaves them
+    finite, so the copy of a layer ``_finite`` has recorded is not scanned.
     """
     _require_distinct(policy.feature_names, policy.action_names)
     layers = tuple(
-        _finite(k, Layer(_frozen(weights[k - 1]), layer.bias) if k - 1 in weights else layer)
+        _finite(k, Layer(_frozen(weights[k - 1]), layer.bias), _recorded(layer)) if k - 1 in weights else _finite(k, layer)
         for k, layer in enumerate(policy.layers, start=1)
     )
     return NeuralPolicy(policy.feature_names, policy.action_names, layers)
@@ -250,21 +261,50 @@ def _require_distinct(feature_names: tuple[str, ...], action_names: tuple[str, .
 def _float_array(k: int, name: str, value: object) -> np.ndarray:
     """Layer ``k``'s array ``name`` ("w" or "b") as float64, or the error that names them."""
     try:
-        return np.array(value, dtype=np.float64)
+        if _numbers(value):
+            return np.array(value, dtype=np.float64)
     except OverflowError:  # an integer too large for a float
         raise _not_finite(k) from None
-    except (ValueError, TypeError):  # ragged, or an entry that is not a number
-        raise PolicyFormatError(f"layer {k}: {name!r} must be an array of numbers") from None
+    except (ValueError, TypeError):  # ragged, or a number NumPy cannot convert
+        pass
+    raise PolicyFormatError(f"layer {k}: {name!r} must be an array of numbers")
+
+
+def _numbers(value: object) -> bool:
+    """Whether ``value`` is a real number, or lists, tuples or arrays of them; a bool, a string or None is none."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf" or value.dtype == object and _numbers(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _not_finite(k: int) -> PolicyFormatError:
     return PolicyFormatError(f"layer {k}: weights and biases must be finite (no NaN or Infinity)")
 
 
-def _finite(k: int, layer: Layer) -> Layer:
-    """``layer``, the ``k``-th, once its weights and bias are found finite."""
-    if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
+# Each Layer found finite whose weights and bias are read-only arrays of their own, freed with the layer.
+_FINITE: weakref.WeakSet[Layer] = weakref.WeakSet()
+
+
+def _recorded(layer: Layer) -> bool:
+    """Whether ``layer`` was found finite and its weights and bias are read-only arrays of their own still."""
+    return _fixed(layer.weights) and _fixed(layer.bias) and layer in _FINITE
+
+
+def _finite(k: int, layer: Layer, known: bool = False) -> Layer:
+    """``layer``, the ``k``-th, once its weights and bias are found finite, or ``known`` to be.
+
+    It is recorded if both are read-only arrays of their own, and not scanned
+    again while they are: the flags are read at each call.
+    """
+    fixed = _fixed(layer.weights) and _fixed(layer.bias)
+    if fixed and layer in _FINITE:
+        return layer
+    if not (known or np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
         raise _not_finite(k)
+    if fixed:
+        _FINITE.add(layer)
     return layer
 
 

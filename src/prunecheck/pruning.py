@@ -17,10 +17,13 @@ What an operator reads off a layer (its nonzero coordinates, their
 magnitude ranking and the count for each fraction) is derived once per
 read-only ``Layer`` object, as ``make_policy`` and the operators build
 them, and kept until that object is freed; so a sweep of many prunes of
-one layer pays only for each one's draw and copy. Weights that are
-writable, or a view of another array, are read afresh on every call. So
-read-only weights must never change: a caller that makes them writable
-again, changes them and freezes them gets masks of the old weights.
+one layer pays only for each one's draw and copy. Likewise a layer whose
+weights and bias are read-only arrays of their own is checked finite once,
+and so is the zeroed copy an operator makes of it (``policy._finite``).
+Weights that are writable, or a view of another array, are read afresh on
+every call. So read-only weights must never change: a caller that makes
+them writable again, changes them and freezes them gets masks of the old
+weights, and a NaN it writes there goes unnoticed.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import PruneSpecError
 from .model import read_json_object
-from .policy import Layer, NeuralPolicy, _with_weights
+from .policy import Layer, NeuralPolicy, _fixed, _with_weights
 
 # ===== Specs and masks =====
 
@@ -214,7 +217,7 @@ def _facts(policy: NeuralPolicy, layer: int) -> _LayerFacts:
             f"layer {layer} out of range; policy has layers 1..{len(policy.layers)}"
         )
     key = policy.layers[layer - 1]
-    if key.weights.flags.writeable or key.weights.base is not None:
+    if not _fixed(key.weights):
         return _LayerFacts(key.weights)
     facts = _FACTS.get(key)
     if facts is None:
@@ -268,10 +271,7 @@ def l1_prune(policy: NeuralPolicy, layer: int, fraction: float) -> tuple[NeuralP
     Magnitude ties break by (row, col) ascending, making the mask a pure
     function of (policy, layer, fraction).
     """
-    spec = PruneSpec(method="l1", layer=layer, fraction=fraction)
-    facts = _facts(policy, layer)
-    chosen = sorted(facts.ranking[: facts.count(fraction)])
-    return _finish(policy, spec, layer, facts.rows[chosen], facts.cols[chosen])
+    return _prune_layer(policy, PruneSpec(method="l1", layer=layer, fraction=fraction))
 
 
 def random_prune(
@@ -284,12 +284,20 @@ def random_prune(
     ``random.Random(seed).sample`` over the nonzero coordinates in row-major
     order.
     """
-    spec = PruneSpec(method="random", layer=layer, fraction=fraction, seed=seed)
-    facts = _facts(policy, layer)
-    # ``sample`` reads only its population's length, so sampling the
-    # positions draws the positions of the coordinates it would sample.
-    chosen = sorted(random.Random(seed).sample(range(len(facts.rows)), facts.count(fraction)))
-    return _finish(policy, spec, layer, facts.rows[chosen], facts.cols[chosen])
+    return _prune_layer(policy, PruneSpec(method="random", layer=layer, fraction=fraction, seed=seed))
+
+
+def _prune_layer(policy: NeuralPolicy, spec: PruneSpec) -> tuple[NeuralPolicy, PruneMask]:
+    """The ``l1`` or ``random`` prune ``spec`` names; it holds only the fields its method reads, as the mask records them."""
+    facts = _facts(policy, spec.layer)
+    count = facts.count(spec.fraction)
+    if spec.method == "l1":
+        chosen = sorted(facts.ranking[:count])
+    else:
+        # ``sample`` reads only its population's length, so sampling the
+        # positions draws the positions of the coordinates it would sample.
+        chosen = sorted(random.Random(spec.seed).sample(range(len(facts.rows)), count))
+    return _finish(policy, spec, spec.layer, facts.rows[chosen], facts.cols[chosen])
 
 
 def feature_prune(policy: NeuralPolicy, feature: str) -> tuple[NeuralPolicy, PruneMask]:
@@ -307,9 +315,9 @@ def feature_prune(policy: NeuralPolicy, feature: str) -> tuple[NeuralPolicy, Pru
 
 
 def prune(policy: NeuralPolicy, spec: PruneSpec) -> tuple[NeuralPolicy, PruneMask]:
-    """Dispatch a PruneSpec to its operator."""
-    if spec.method == "l1":
-        return l1_prune(policy, spec.layer, spec.fraction)
-    if spec.method == "random":
-        return random_prune(policy, spec.layer, spec.fraction, spec.seed)
-    return feature_prune(policy, spec.feature)
+    """Dispatch a PruneSpec to its operator; the mask records only the fields the method reads."""
+    if spec.method == "feature":
+        return feature_prune(policy, spec.feature)
+    if spec.feature is not None or spec.method == "l1" and spec.seed is not None:
+        spec = PruneSpec(spec.method, spec.layer, spec.fraction, spec.seed if spec.method == "random" else None)
+    return _prune_layer(policy, spec)

@@ -194,9 +194,7 @@ class _Decisions:
         return cls(policy, available, offered, chosen, [inputs])
 
     def picks(self, pruned: NeuralPolicy) -> np.ndarray:
-        """``pruned.pick_rows`` on these rows, for a prune of ``policy``, restarted at its first pruned layer."""
-        if not len(self.chosen):
-            return np.zeros(0, dtype=np.intp)
+        """``pruned.pick_rows`` on these rows, at least one, for a prune of ``policy``, restarted at its first pruned layer."""
         return pruned._pick_logits(pruned._restart(self.policy, self.entering), self.available, self.offered)
 
 
@@ -281,7 +279,7 @@ def _reports(
         changed = np.flatnonzero(picks != decisions.chosen)
         key = (changed * len(policy.action_names) + picks[changed]).tobytes()
         entry = measured.get(key)
-        if entry is None or not (entry.new.picks(pruned_policy) == entry.new.chosen).all():
+        if entry is None or len(entry.new.chosen) and not (entry.new.picks(pruned_policy) == entry.new.chosen).all():
             actions = {states[s]: policy.action_names[a] for s, a in zip(changed.tolist(), picks[changed].tolist())}
             rebuilt, new, same = rebuild_induced_dtmc(build, env, pruned_policy, actions, limits)
             entry = measured[key] = _Remeasured(
@@ -291,11 +289,10 @@ def _reports(
             )
         pruned = entry.result
         time_ms = (time.perf_counter() - started) * 1000.0
-        delta = pruned.value - result.value
-        yield replace(
-            original,
+        yield SafetyReport(
+            property_text, result.value, result.satisfied, stats,
             m_hat=pruned.value,
-            delta=delta,
+            delta=pruned.value - result.value,
             verdict=_verdict(prop, result, pruned, lower_is_safer),
             prune_spec=spec,
             mask_size=mask.size,

@@ -311,6 +311,43 @@ class TestMakePolicy:
             make_policy(("f1", "f2"), ("a", "b"), [(np.eye(2), np.zeros(2)), (w, b)])
         assert str(caught.value) == f"layer 2: '{where}' must be an array of numbers"
 
+    @pytest.mark.parametrize(
+        "w, b, where",
+        [
+            ([["1.5"]], [0.0], "w"),
+            ([[1.0, "1.5"]], [0.0], "w"),
+            ([[True]], [0.0], "w"),
+            ([[1.0, False]], [0.0], "w"),
+            ([[None]], [0.0], "w"),
+            ([[1.0]], ["2"], "b"),
+            ([[1.0]], [True], "b"),
+            ([[1.0]], [None], "b"),
+            ([[1.0]], None, "b"),
+            (np.array([[True]]), [0.0], "w"),
+            (np.array([["1.5"]]), [0.0], "w"),
+            (np.array([[1.0, None]], dtype=object), [0.0], "w"),
+        ],
+        ids=[
+            "string-weight", "string-among-numbers", "bool-weight", "bool-among-numbers", "none-weight",
+            "string-bias", "bool-bias", "none-bias", "none-for-bias", "bool-array", "string-array", "object-array",
+        ],
+    )
+    def test_an_entry_that_is_not_a_number_is_named_by_layer_and_name(self, w, b, where):
+        # NumPy would read "1.5" as 1.5, True as 1.0 and None as NaN.
+        with pytest.raises(PolicyFormatError) as caught:
+            make_policy(tuple(f"f{j}" for j in range(len(w[0]))), ("x",), [(w, b)])
+        assert str(caught.value) == f"layer 1: '{where}' must be an array of numbers"
+
+    @pytest.mark.parametrize(
+        "w",
+        [np.array([[2]]), np.array([[2.0]], dtype=np.float32), [[np.int64(2)]], [[np.float32(2.0)]], np.array([[2]], dtype=object)],
+        ids=["int-array", "float32-array", "int64-scalar", "float32-scalar", "object-array-of-ints"],
+    )
+    def test_numpy_numbers_are_still_numbers(self, w):
+        policy = make_policy(("f",), ("x",), [(w, np.zeros(1, dtype=np.int32))])
+        assert policy.layers[0].weights.tolist() == [[2.0]]
+        assert policy.layers[0].weights.dtype == np.float64
+
 
 # ===== Serialization =====
 

@@ -581,6 +581,112 @@ class TestDispatcher:
             for layer in (1, 2):
                 assert layer_bytes(via_spec_policy, layer) == layer_bytes(direct_policy, layer)
 
+    @given(policy=st.deferred(lambda: tied_policies()), spec=st.deferred(lambda: specs_with_unread_fields))
+    def test_fields_a_method_does_not_read_never_reach_the_mask(self, policy, spec):
+        """``prune`` passes a spec on only when it holds nothing its method does not read."""
+        assert outcome(lambda: prune(policy, spec)) == outcome(operator_call(policy, spec))
+
+
+# ===== Finiteness, checked once per read-only layer =====
+
+
+def with_layer(policy, k: int, weights, bias=None):
+    """``policy`` with its layer ``k`` (1-based) built by hand, without ``make_policy``'s checks."""
+    layers = list(policy.layers)
+    layers[k - 1] = Layer(weights, layers[k - 1].bias if bias is None else bias)
+    return replace(policy, layers=tuple(layers))
+
+
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+def prune_calls(policy):
+    """Each operator, ``prune`` and ``apply_mask`` on ``policy``, zeroing (1, 1, 1) among others, never layer 2."""
+    mask = PruneMask(spec=PruneSpec(method="feature", feature="a"), zeroed=((1, 1, 1),))
+    return {
+        "l1": lambda: l1_prune(policy, 1, 0.5),
+        "random": lambda: random_prune(policy, 1, 0.5, 3),
+        "feature": lambda: feature_prune(policy, "a"),
+        "prune": lambda: prune(policy, PruneSpec("random", 1, 0.5, 3)),
+        "apply_mask": lambda: apply_mask(policy, mask),
+    }
+
+
+class TestFiniteOnce:
+    """Each layer is checked finite, or known finite as the zeroed copy of a layer that was."""
+
+    @pytest.mark.parametrize("call", ["l1", "random", "feature", "prune", "apply_mask"])
+    @pytest.mark.parametrize("kind", ["writable", "read-only", "view", "bias"])
+    def test_a_nan_in_a_layer_left_alone_is_found_on_every_call(self, call, kind):
+        policy = random_policy(61, ("a", "b"), ("x", "y"), hidden=(3,))
+        weights, bias = np.array(policy.layers[1].weights), np.array(policy.layers[1].bias)
+        (bias if kind == "bias" else weights)[0] = np.nan
+        if kind == "read-only":
+            weights, bias = read_only(weights), read_only(bias)
+        elif kind == "view":
+            weights = read_only(weights.view())
+        broken = with_layer(policy, 2, weights, bias)
+        for _ in range(2):
+            with pytest.raises(PolicyFormatError, match=r"^layer 2: weights and biases must be finite"):
+                prune_calls(broken)[call]()
+
+    @pytest.mark.parametrize("call", ["feature", "apply_mask"])
+    @pytest.mark.parametrize("kind", ["writable", "read-only"])
+    def test_a_nan_the_prune_leaves_in_its_own_layer_is_found(self, call, kind):
+        """The zeroed copy of a layer not found finite is scanned: a NaN it keeps raises."""
+        policy = random_policy(62, ("a", "b"), ("x", "y"), hidden=(3,))
+        weights = np.array(policy.layers[0].weights)
+        weights[2, 1] = np.nan  # column "b", kept by both calls, which zero column "a"
+        broken = with_layer(policy, 1, read_only(weights) if kind == "read-only" else weights)
+        for _ in range(2):
+            with pytest.raises(PolicyFormatError, match=r"^layer 1: weights and biases must be finite"):
+                prune_calls(broken)[call]()
+
+    @pytest.mark.parametrize("writable", ["weights", "bias"])
+    def test_a_writable_layer_set_to_nan_between_two_prunes(self, writable):
+        policy = random_policy(63, ("a", "b"), ("x", "y"), hidden=(3,))
+        weights, bias = np.array(policy.layers[1].weights), np.array(policy.layers[1].bias)
+        live = with_layer(policy, 2, weights, bias) if writable == "weights" else with_layer(policy, 2, read_only(weights), bias)
+        mask = PruneMask(spec=PruneSpec("feature", feature="a"), zeroed=((2, 2, 2),))  # copies layer 2, keeping (1, 1)
+        calls = (lambda: random_prune(live, 1, 0.5, 1), lambda: apply_mask(live, mask))
+        for call in calls:
+            call()
+        if writable == "weights":
+            weights[0, 0] = np.nan
+        else:
+            bias[0] = np.nan
+        for call in calls:
+            with pytest.raises(PolicyFormatError, match=r"^layer 2: weights and biases must be finite"):
+                call()
+
+    def test_read_only_weights_set_writable_again_are_scanned_again(self):
+        """The flags are read at each call, so a layer found finite is scanned again once its weights are writable."""
+        policy = random_policy(64, ("a", "b"), ("x", "y"), hidden=(3,))
+        weights = np.array(policy.layers[1].weights)
+        live = with_layer(policy, 2, read_only(weights), read_only(np.array(policy.layers[1].bias)))
+        mask = PruneMask(spec=PruneSpec("feature", feature="a"), zeroed=((2, 2, 2),))  # copies layer 2, keeping (1, 1)
+        calls = (lambda: l1_prune(live, 1, 0.5), lambda: apply_mask(live, mask))
+        for call in calls:
+            call()
+        weights.flags.writeable = True
+        weights[0, 0] = np.nan
+        for call in calls:
+            with pytest.raises(PolicyFormatError, match=r"^layer 2: weights and biases must be finite"):
+                call()
+
+    def test_a_prune_of_a_pruned_policy_shares_the_untouched_layers(self):
+        policy = random_policy(65, ("a", "b"), ("x", "y"), hidden=(3, 4))
+        once, _ = l1_prune(policy, 2, 0.5)
+        twice, _ = random_prune(once, 2, 0.5, 4)
+        assert [after is before for before, after in zip(policy.layers, twice.layers)] == [True, False, True]
+        thrice, _ = feature_prune(twice, "b")
+        assert [after is before for before, after in zip(twice.layers, thrice.layers)] == [False, True, True]
+        replayed = apply_mask(thrice, PruneMask(spec=PruneSpec("feature", feature="a"), zeroed=((3, 1, 1),)))
+        assert [after is before for before, after in zip(thrice.layers, replayed.layers)] == [True, True, False]
+        assert all(not layer.weights.flags.writeable for layer in replayed.layers)
+
 
 # ===== Property tests =====
 
@@ -675,6 +781,20 @@ specs = st.one_of(
     st.builds(PruneSpec, st.just("l1"), st.integers(1, 4), spec_fractions),
     st.builds(PruneSpec, st.just("random"), st.integers(1, 4), spec_fractions, st.integers(-(2**40), 2**40)),
     st.builds(lambda feature: PruneSpec(method="feature", feature=feature), st.sampled_from(["f0", "f1", "f3", "g"])),
+)
+
+
+# Specs holding a field their method does not read, valid or not on the policies drawn.
+specs_with_unread_fields = st.one_of(
+    st.builds(PruneSpec, st.just("l1"), st.integers(1, 4), spec_fractions, st.integers(-(2**40), 2**40)),
+    st.builds(
+        PruneSpec, st.just("l1"), st.integers(1, 4), spec_fractions, st.none() | st.integers(0, 9), st.sampled_from(["f0", "g"])
+    ),
+    st.builds(PruneSpec, st.just("random"), st.integers(1, 4), spec_fractions, st.integers(0, 9), st.sampled_from(["f0", "g"])),
+    st.builds(
+        PruneSpec, st.just("feature"), st.none() | st.integers(-3, 9), st.none() | spec_fractions | st.just(7),
+        st.none() | st.integers(0, 9), st.sampled_from(["f0", "f1", "g"]),
+    ).filter(lambda spec: (spec.layer, spec.fraction, spec.seed) != (None, None, None)),
 )
 
 

@@ -33,11 +33,14 @@ other row is one new target with probability 1.0. The taxi's empty-tank
 row holds the caller's own state, so it still goes through the checks.
 
 Each environment also sets ``expansion``, the same rules as array arithmetic
-over a level of states, which ``validate_model`` walks. The factory builds
-only tables whose size does not depend on the grid: one row per action. A
-table that grows with the grid, ``avoidance``'s offered moves per agent cell,
-is built on the first ``step`` call and kept for the environment's lifetime,
-so building an environment does no work that grows with the grid.
+over a level of states, which ``validate_model`` walks unchecked: its rows
+are those of ``successors``, and every state offers an action (``avoidance``
+always ``stay``; a taxi a move, a service or, with an empty tank, all). The
+factory builds only tables whose size does not depend on the grid: one row
+per action. A table that grows with the grid, ``avoidance``'s offered moves
+per agent cell, is built on the first ``step`` call and kept for the
+environment's lifetime, so building an environment does no work that grows
+with the grid.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def mini_taxi(config: MiniTaxiConfig | None = None) -> EnvironmentModel:
     steps = np.array([_TAXI_STEPS[action] for action in TAXI_ACTIONS])
     pickup, dropoff, refuel = (TAXI_ACTIONS.index(action) for action in ("pickup", "dropoff", "refuel"))
 
-    def expand(level: np.ndarray) -> tuple[np.ndarray, ...]:
+    def expand(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y, fuel, on_board, _jobs = level.T
         targets = level[:, None, :] + steps
         tx, ty = targets[..., 0], targets[..., 1]
@@ -206,9 +209,8 @@ def mini_taxi(config: MiniTaxiConfig | None = None) -> EnvironmentModel:
         empty = fuel == 0
         offered[empty] = True
         targets[empty] = level[empty, None, :]
-        source, action = np.nonzero(offered)
-        ones = np.ones(len(source), dtype=np.intp)
-        return source, action, ones, targets[source, action], ones.astype(float)
+        rows = targets[offered]
+        return np.ones(len(rows), dtype=np.intp), rows
 
     sx, sy = cfg.station
     return EnvironmentModel(
@@ -278,13 +280,9 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
         tx, ty = ax[:, None] + shifts[:, 0], ay[:, None] + shifts[:, 1]
         return (0 <= tx) & (tx < cfg.width) & (0 <= ty) & (ty < cfg.height)
 
-    def expand(level: np.ndarray) -> tuple[np.ndarray, ...]:
+    def expand(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Row r is the r-th offered (state, action) pair in state order, then schema order.
-        pairs = np.flatnonzero(offered()[level[:, 0] * cfg.height + level[:, 1]])
-        source = pairs // len(shifts)
-        action = pairs - source * len(shifts)
-        stayed = level.take(source, axis=0)
-        stayed += shifts.take(action, axis=0)
+        stayed = (level[:, None, :] + shifts)[offered()[level[:, 0] * cfg.height + level[:, 1]]]
         ax, ay, ox, oy = stayed.T
         dx = np.sign(ax - ox)
         dy = np.sign(ay - oy) * (dx == 0)
@@ -297,9 +295,7 @@ def avoidance(config: AvoidanceConfig | None = None) -> EnvironmentModel:
         if p > 0.0:
             targets[first, 2] += dx
             targets[first, 3] += dy
-        probs = np.full(len(targets), 1.0 - p)
-        probs[first] = np.where(two, p, 1.0)
-        return source, action, counts, targets, probs
+        return counts, targets
 
     bx, by = cfg.obstacle_start
     return EnvironmentModel(

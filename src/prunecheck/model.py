@@ -6,8 +6,10 @@ pure functions of the state whose rows are ``Distribution``s, exact ones
 carrying their rationals; an explicit JSON table format covers models
 small enough to write down, while builtin environments generate the same
 interface lazily, and describe the same rows for a whole level of states
-at once as arrays. A ``Dtmc`` is the action-free chain that remains once a
-policy has picked one action per state, stored as compressed sparse rows.
+at once as arrays. A row is checked against one rule, ``_support_fault``,
+unless its writer vouches for it. A ``Dtmc`` is the action-free chain that
+remains once a policy has picked one action per state, stored as
+compressed sparse rows.
 """
 
 from __future__ import annotations
@@ -142,16 +144,21 @@ class Expansion:
 
     Every state ``s`` of the model lies in the box ``0 <= s[i] < shape[i]``.
     ``step`` maps an (n, width) integer array of states to the arrays
-    ``(source, action, counts, targets, probs)``: one row per available
-    (state, action) pair, in state order and then schema order. Row r is
-    state ``source[r]`` under schema action ``action[r]``, and its
-    ``counts[r]`` branches follow those of row r - 1 in ``targets`` (one
-    state per line) and ``probs``, in support order. They are the rows that
-    ``available_actions`` and ``successors`` give, one for one.
+    ``(counts, targets)``: one row per available (state, action) pair, in
+    state order and then schema order, whose ``counts[r]`` branches follow
+    those of row r - 1 in ``targets`` (one state per line), in support
+    order. They are the rows that ``available_actions`` and ``successors``
+    give, one for one.
+
+    ``validate_model`` checks none of it, so only code that vouches, as for
+    ``Distribution._trusted``, that every state of the box offers an action
+    and that the constructor would accept every row may set one. The
+    builtin environments do; every other model is walked through its
+    callables, with every check.
     """
 
     shape: tuple[int, ...]
-    step: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -173,10 +180,11 @@ class EnvironmentModel:
         declared_states: for table-backed models, the full declared state
             list in document order; None for lazily generated models.
         expansion: for builtin environments, the rows of ``available_actions``
-            and ``successors`` as array arithmetic over a level of states;
-            ``validate_model`` walks it instead of the two callables, so a
-            copy that replaces only the callables walks the original rows
-            unless it sets this to None. None for other models.
+            and ``successors`` as array arithmetic over a level of states,
+            trusted to be well formed (see ``Expansion``); ``validate_model``
+            walks it instead of the two callables, unchecked, so a copy that
+            replaces only the callables walks the original rows unless it
+            sets this to None. None for other models.
     """
 
     feature_schema: tuple[str, ...]
@@ -581,8 +589,9 @@ def validate_model(env: EnvironmentModel, max_states: int = DEFAULT_MAX_STATES) 
     the schema. For table-backed models, also reports declared states the
     walk never reached. A model whose ``expansion`` box has at most
     ``LEVEL_WALK_MAX_CELLS`` states is walked level by level over its
-    arrays, any other state by state; both walks meet states, actions and
-    branches in one order, and list violations in that order.
+    arrays, which are trusted and checked for nothing; any other is walked
+    state by state. Both walks meet states, actions and branches in one
+    order, so their counts and the cap's trip point agree.
 
     Args:
         env: the model to validate.
@@ -675,9 +684,9 @@ def _walk_levels(env: EnvironmentModel, max_states: int) -> _Walk:
 
     A level's states come in discovery order, each state's rows in schema
     order and each row's branches in support order: the state-by-state
-    walk's order, so the counts, the violations and the cap's trip point are
-    its own. A row that Distribution would reject is neither explored nor
-    counted, and Distribution words its violation.
+    walk's order, so the counts and the cap's trip point are its own. It
+    reads only ``counts`` and ``targets``, and checks no row and finds no
+    deadlock: an ``Expansion`` is trusted.
     """
     expansion, shape = env.expansion, env.expansion.shape
     visited = np.zeros(math.prod(shape), dtype=bool)
@@ -687,53 +696,24 @@ def _walk_levels(env: EnvironmentModel, max_states: int) -> _Walk:
     visited[np.ravel_multi_index(level.T, shape)] = True
     seen = 1
     transitions = 0
-    violations: list[str] = []
 
     while len(level):
-        source, action, counts, targets, probs = expansion.step(level)
-        start = np.concatenate(([0], np.cumsum(counts)))
+        counts, targets = expansion.step(level)
         codes = np.ravel_multi_index(targets.T, shape)
-        # A row passes when Distribution would accept it: every probability
-        # in (0, 1], no target twice, and the mass, summed in support order,
-        # within SUM_TOLERANCE.
-        bad = np.zeros(len(counts), dtype=bool)
-        mass = np.zeros(len(counts))
-        for k in range(counts.max(initial=0)):
-            rows = np.flatnonzero(counts > k)
-            at = start[rows] + k
-            bad[rows[~((probs[at] > 0.0) & (probs[at] <= 1.0))]] = True
-            for j in range(1, k + 1):
-                bad[rows[codes[at - j] == codes[at]]] = True
-            mass[rows] += probs[at]
-        bad |= ~(np.abs(mass - 1.0) <= SUM_TOLERANCE)
-
-        # (state, -1) for an empty action set, (state, row) for a failed row.
-        flagged = [(s, -1) for s in np.flatnonzero(np.bincount(source, minlength=len(level)) == 0).tolist()]
-        flagged += [(source[r], r) for r in np.flatnonzero(bad).tolist()]
-        for s, r in sorted(flagged):
-            state = level[s].tolist()
-            if r < 0:
-                violations.append(f"deadlock at state {state}: empty action set")
-                continue
-            span = slice(start[r], start[r + 1])
-            try:
-                Distribution(tuple(zip(map(tuple, targets[span].tolist()), probs[span].tolist())))
-            except ValueError as err:
-                violations.append(f"state {state} action {env.action_schema[action[r]]!r}: {err}")
-
         # Each new state at its first mention, in walk order.
-        candidates = np.flatnonzero(np.repeat(~bad, counts) & ~visited[codes])
+        candidates = np.flatnonzero(~visited[codes])
         fresh = candidates[_first_mentions(codes[candidates], stamp)]
         room = max_states - seen
         if len(fresh) > room:
-            row = np.searchsorted(start, fresh[room], side="right") - 1
-            raise _limit_error(max_states, transitions + int(counts[: row + 1][~bad[: row + 1]].sum()))
+            # The trip counts the whole row that holds the first target past the cap.
+            ends = np.cumsum(counts)
+            raise _limit_error(max_states, transitions + int(ends[np.searchsorted(ends, fresh[room], side="right")]))
         visited[codes[fresh]] = True
-        transitions += int(counts[~bad].sum())
+        transitions += len(targets)
         seen += len(fresh)
         level = targets[fresh]
 
-    return transitions, violations, seen, functools.partial(_box_states, np.flatnonzero(visited), shape)
+    return transitions, [], seen, functools.partial(_box_states, np.flatnonzero(visited), shape)
 
 
 def _first_mentions(codes: np.ndarray, stamp: np.ndarray) -> np.ndarray:

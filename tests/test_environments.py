@@ -336,10 +336,12 @@ def any_taxi(draw) -> MiniTaxiConfig:
 
 
 def assert_rows_as_checked(env, states, actions, branches) -> None:
-    """Every schema action in every state: an offered one gives the rules'
-    branches, a row equal to, and hashing as, the one the checking
-    constructor builds from them; any other, the unavailable-action error."""
+    """Every state offers an action. Every schema action in every state: an
+    offered one gives the rules' branches, a row equal to, and hashing as,
+    the one the checking constructor builds from them; any other, the
+    unavailable-action error."""
     for state in states:
+        assert env.available_actions(state), state
         offered = actions(state)
         for action in env.action_schema:
             if action not in offered:
@@ -355,7 +357,8 @@ def assert_rows_as_checked(env, states, actions, branches) -> None:
 
 
 def assert_state_walk_agrees(env) -> None:
-    """The walk over the callables, whose rows skip the checks, reports what the level walk does."""
+    """The walk over the callables, whose rows skip the checks, reports what
+    the level walk, which reads only the expansion's counts and targets, does."""
     levels, states = validate_model(env), validate_model(replace(env, expansion=None))
     for field in ("states", "transitions", "violations", "reachable"):
         assert getattr(states, field) == getattr(levels, field), field

@@ -213,10 +213,12 @@ class Dtmc:
     rational behind every entry of ``probs``, in the same order. Chains
     compare by identity. ``label_table`` reads ``state_labels`` once, on
     first use, into the distinct label sets and one index per state, so a
-    check reads a label off the few distinct sets rather than every state's.
-    Beside it, each check of the chain reuses what an earlier one derived:
-    ``predecessors``, the reverse graph, and ``bounded_kernels``, where the
-    checker keeps the step of each bounded operator it has run.
+    check reads a label off the few distinct sets rather than every state's;
+    the states of an explicit model that write the same labels share one
+    set, which the table matches by identity. Beside it, each check of the
+    chain reuses what an earlier one derived: ``predecessors``, the reverse
+    graph, and ``bounded_kernels``, where the checker keeps the step of each
+    bounded operator it has run.
     """
 
     state_vectors: tuple[StateVector, ...]
@@ -275,6 +277,12 @@ def read_json_object(text: str, keys: tuple[str, ...], error: type[Exception], w
     Malformed or undecodable JSON (with the decoder's line and column when it
     gives them), a key repeated in any object (named "in ``where``"), and a
     top level that is not an object or lacks or adds a key raise ``error``.
+    A hook sees every object as its pairs, so the first fault in the text is
+    the one worded. Policies and masks are read this way. The explicit model
+    loader decodes without the hook and rules repeated keys out by counting
+    the ``:`` in the text against the keys it read (``load_explicit_model``);
+    it calls this, which then words the fault, only when the count differs,
+    as a name or label that holds a ``:`` makes it, or when its read raises.
     """
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -291,6 +299,11 @@ def read_json_object(text: str, keys: tuple[str, ...], error: type[Exception], w
         raise error(f"line {err.lineno} column {err.colno}: {err.msg}") from err
     except (ValueError, RecursionError) as err:  # an integer past the digit limit, or deep nesting
         raise error(str(err)) from err
+    return _top_level(doc, keys, error)
+
+
+def _top_level(doc: object, keys: tuple[str, ...], error: type[Exception]) -> dict:
+    """``doc`` if it is an object with exactly ``keys``; else raise ``error``."""
     if not isinstance(doc, dict):
         raise error("top level must be an object")
     unknown = set(doc) - set(keys)
@@ -378,6 +391,21 @@ def load_explicit_model(text: str) -> EnvironmentModel:
     collection could free nothing, yet it would walk them again and again as
     they grow. The collector's state on entry is restored on return or raise,
     so a caller who turned it off keeps it off.
+
+    Repeated keys are ruled out by a count, not by a hook on every object.
+    The text is decoded plainly, which keeps the last of repeated keys. In a
+    document the loader accepts, objects sit only at the top level, in a
+    state entry, in its ``act`` and in a branch, and the loader sums their
+    keys. Each ``:`` outside a string separates a key written from its
+    value, so the text holds at least as many ``:`` as keys written, and
+    those are at least the sum: an equal count proves that no key repeats.
+    A name or label that holds a ``:`` makes the count exceed the sum. Only
+    the ``:`` of the text are counted, never those of decoded strings, where
+    an escaped ``\\u003a`` would cancel a repeat out. When the count exceeds
+    the sum, or the decoder or the loader raises, ``read_json_object``
+    decodes the text with its hook, and a repeated key or malformed text
+    raises there, whichever comes first in the text. Otherwise the loader's
+    own error stands, or the model is returned.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -388,8 +416,29 @@ def load_explicit_model(text: str) -> EnvironmentModel:
             gc.enable()
 
 
+_MODEL_KEYS = ("features", "actions", "initial", "states")
+_ENTRY_KEYS = frozenset({"s", "labels", "act"})
+
+
 def _load_explicit_model(text: str) -> EnvironmentModel:
-    doc = read_json_object(text, ("features", "actions", "initial", "states"), ModelSyntaxError, "object")
+    try:
+        env, keys_read = _read_explicit_model(text)
+    except (ValueError, RecursionError, ModelSyntaxError, ModelSemanticError) as err:  # the decoder's or the loader's
+        fault = err
+    else:
+        if keys_read == text.count(":"):
+            return env
+        fault = None
+    read_json_object(text, _MODEL_KEYS, ModelSyntaxError, "object")
+    if fault is not None:
+        raise fault
+    return env
+
+
+def _read_explicit_model(text: str) -> tuple[EnvironmentModel, int]:
+    """The model the text holds, read with repeated keys unseen, and the number of keys of its objects."""
+    doc = _top_level(json.loads(text), _MODEL_KEYS, ModelSyntaxError)
+    keys_read = len(doc)
 
     features = doc["features"]
     actions = doc["actions"]
@@ -408,8 +457,11 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
         raise ModelSyntaxError("'states' must be a non-empty list")
 
     int_types = [int] * width
+    schema_order = tuple(actions)
     # The declared states, in document order, and their labels.
     label_table: dict[StateVector, frozenset[str]] = {}
+    # One set per distinct list of labels as written, shared by its states.
+    label_sets: dict[tuple[str, ...], frozenset[str]] = {}
     action_table: dict[StateVector, tuple[str, ...]] = {}
     # Every row in document order, None for a row the rules reject; such a
     # row's support waits in ``rejected`` with the fault ``_support_fault``
@@ -428,9 +480,8 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
         where = f"states[{k}]"
         if not isinstance(entry, dict):
             raise ModelSyntaxError(f"{where}: must be an object")
-        unknown = set(entry) - {"s", "labels", "act"}
-        if unknown:
-            raise ModelSyntaxError(f"{where}: unknown keys {sorted(unknown)}")
+        if not _ENTRY_KEYS.issuperset(entry):
+            raise ModelSyntaxError(f"{where}: unknown keys {sorted(set(entry) - _ENTRY_KEYS)}")
         if "s" not in entry or "act" not in entry:
             raise ModelSyntaxError(f"{where}: needs keys 's' and 'act'")
         state = _parse_state_vector(entry["s"], width, f"{where}.s")
@@ -440,32 +491,40 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
         raw_labels = entry.get("labels", [])
         if not isinstance(raw_labels, list) or not all(isinstance(l, str) for l in raw_labels):
             raise ModelSyntaxError(f"{where}.labels: must be a list of strings")
-        label_table[state] = frozenset(raw_labels)
+        written_labels = tuple(raw_labels)
+        label_set = label_sets.get(written_labels)
+        if label_set is None:
+            label_set = label_sets[written_labels] = frozenset(raw_labels)
+        label_table[state] = label_set
 
         act = entry["act"]
         if not isinstance(act, dict):
             raise ModelSyntaxError(f"{where}.act: must be an object")
         if not act:
             raise ModelSemanticError(f"state {list(state)} has zero actions")
+        keys_read += len(entry) + len(act)
         for action, branches in act.items():
             if action not in actions:
                 raise ModelSyntaxError(f"{where}.act: action {action!r} not in the action schema")
             if not isinstance(branches, list) or not branches:
                 raise ModelSyntaxError(f"{where}.act.{action}: must be a non-empty list of branches")
+            # Each branch that passes has the two keys 'to' and 'p'.
+            keys_read += 2 * len(branches)
             targets: list[StateVector] = []
             written: list[object] = []
             # The common shapes are checked inline; a branch that fails one
             # is handed to the helpers, which word the error, once the
             # probabilities before it have been read. The probabilities are
-            # read only for a pattern not seen before.
-            for b, branch in enumerate(branches):
+            # read only for a pattern not seen before. A failing branch's
+            # index is the number of branches read before it.
+            for branch in branches:
                 if type(branch) is not dict or len(branch) != 2 or "to" not in branch or "p" not in branch:
                     _read_probabilities(written, f"{where}.act.{action}", fractions)
-                    raise ModelSyntaxError(f"{where}.act.{action}[{b}]: must be an object with keys 'to' and 'p'")
+                    raise ModelSyntaxError(f"{where}.act.{action}[{len(written)}]: must be an object with keys 'to' and 'p'")
                 to = branch["to"]
                 if type(to) is not list or [*map(type, to)] != int_types:
                     _read_probabilities(written, f"{where}.act.{action}", fractions)
-                    _parse_state_vector(to, width, f"{where}.act.{action}[{b}].to")
+                    _parse_state_vector(to, width, f"{where}.act.{action}[{len(written)}].to")
                 targets.append(tuple(to))
                 written.append(branch["p"])
             # 1, 1.0 and True are equal, but give different rows.
@@ -492,8 +551,9 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
             else:
                 distributions[(state, action)] = None
                 rejected[(state, action)] = (support, fault)
-        # Keep action order aligned with the schema, not document order.
-        action_table[state] = tuple([a for a in actions if a in act])
+        # Keep action order aligned with the schema, not document order; a
+        # state that offers every action shares the schema's own tuple.
+        action_table[state] = schema_order if len(act) == len(actions) else tuple([a for a in actions if a in act])
 
     if initial not in label_table:
         raise ModelSemanticError(f"initial state {list(initial)} is not declared")
@@ -538,7 +598,7 @@ def _load_explicit_model(text: str) -> EnvironmentModel:
         successors=successors,
         labels=labels,
         declared_states=tuple(label_table),
-    )
+    ), keys_read
 
 
 # ===== Validation =====

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prunecheck.model
 from prunecheck import ModelSemanticError, ModelSyntaxError, load_explicit_model
 from prunecheck.model import _read_probabilities
 
@@ -552,6 +553,98 @@ def test_a_fraction_string_that_fails_is_never_remembered(bad, message):
             _read_probabilities(["1/2", bad], "row", fractions)
         assert str(caught.value) == f"row[1].p: {message}"
         assert fractions == {"1/2": (0.5, Fraction(1, 2))}
+
+
+# ===== Repeated keys, proved absent by a count of ':' =====
+#
+# The loader decodes without a hook, which keeps the last of repeated keys,
+# and counts the keys of the objects it reads against the ':' in the text.
+# A string that holds a ':' in the text makes the count differ, and the hook
+# decode then reads the text; one written \u003a leaves no ':' in the text.
+
+# A state whose feature, action and label are each named by ``_NAMES``.
+_NAMES = {"feature": "v", "action": "a", "label": "goal"}
+
+
+def _colon_text(named: str, escaped: bool, repeated: str | None) -> str:
+    """One state named by ``_NAMES``, except that ``named`` holds a ':', written
+    plainly or escaped; the key ``repeated``, if any, is written twice."""
+    names = dict(_NAMES)
+    names[named] = "zone:" + names[named]
+    v, a, label = names["feature"], names["action"], names["label"]
+    doc = {
+        "features": [v],
+        "actions": [a],
+        "initial": [0],
+        "states": [{"s": [0], "labels": [label], "act": {a: [{"to": [0], "p": "1/1"}]}}],
+    }
+    text = json.dumps(doc)
+    if repeated is not None:
+        pair = next(p for p in (f'"{repeated}": "1/1"', f'"{repeated}": [0]', f'"{repeated}": ["{label}"]') if p in text)
+        text = text.replace(pair, f"{pair}, {pair}", 1)
+    return text.replace(":", "\\u003a").replace('"\\u003a ', '": ') if escaped else text
+
+
+@pytest.mark.parametrize("repeated", [None, "p", "to", "labels", "initial"], ids=lambda key: f"repeats-{key}")
+@pytest.mark.parametrize("escaped", [False, True], ids=["plain", "escaped"])
+@pytest.mark.parametrize("named", sorted(_NAMES))
+def test_a_name_that_holds_a_colon(named, escaped, repeated):
+    text = _colon_text(named, escaped, repeated)
+    assert ("zone:" in text) is not escaped
+    _assert_same_outcome(text)
+    if repeated is None:
+        env = load_explicit_model(text)
+        assert "zone:" in "".join(env.feature_schema + env.action_schema + tuple(env.labels((0,))))
+    else:
+        with pytest.raises(ModelSyntaxError, match=f"^duplicate key '{repeated}' in object$"):
+            load_explicit_model(text)
+
+
+def test_an_escaped_colon_does_not_hide_a_repeated_key():
+    # One ':' too few for the keys written, one too many in the decoded
+    # strings: counting those would cancel the repeat out.
+    text = _colon_text("label", True, "p")
+    assert text.count(":") == text.count('": ') and text.count('"p": ') == 2
+    _assert_same_outcome(text)
+    with pytest.raises(ModelSyntaxError, match="^duplicate key 'p' in object$"):
+        load_explicit_model(text)
+
+
+def test_a_repeated_key_inside_a_rejected_value_is_named():
+    # Without the hook, the value is {"x": 2}, which the loader rejects as a probability.
+    text = _chain_text([[(0, "~p~")]]).replace('"~p~"', '{"x": 1, "x": 2}')
+    _assert_same_outcome(text)
+    with pytest.raises(ModelSyntaxError, match="^duplicate key 'x' in object$"):
+        load_explicit_model(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # The branch that repeats "p" closes before the text breaks off.
+        ('{"features": ["v"], "actions": ["a"], "states": [{"act": {"a": [{"to": [0], "p": 1, "p": 1}], ', "duplicate key 'p' in object"),
+        # The top level, which repeats "actions", never closes.
+        ('{"features": ["v"], "actions": ["a"], "actions": ["a"], "states": [', "line 1 column 68: Expecting value"),
+        # The text breaks where the branch that would repeat "p" begins.
+        ('{"features": ["v"], "actions": ["a"], "states": [{"act": {"a": [{"to": [0] "p": 1, "p": 1}]}}]}', "line 1 column 76: Expecting ',' delimiter"),
+    ],
+    ids=["repeat-closes-first", "repeat-never-closes", "repeat-after"],
+)
+def test_a_repeated_key_and_malformed_text_are_named_in_text_order(text, message):
+    _assert_same_outcome(text)
+    with pytest.raises(ModelSyntaxError) as caught:
+        load_explicit_model(text)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("named", [None, "label"], ids=["no-colon", "colon-in-a-label"])
+def test_the_hook_decode_reads_only_a_text_whose_count_differs(monkeypatch, named):
+    hooked = []
+    read = prunecheck.model.read_json_object
+    monkeypatch.setattr(prunecheck.model, "read_json_object", lambda *args: hooked.append(args) or read(*args))
+    text = _colon_text(named, False, None) if named else _chain_text([[(0, "1/2"), (1, "1/2")], [(1, 1)]])
+    load_explicit_model(text)
+    assert len(hooked) == (1 if named else 0)
 
 
 # ===== The garbage collector =====
